@@ -261,40 +261,33 @@ def omega_coproduct_check(
     return lhs == rhs
 
 
+def _coefficient_rows(h: AlgebraHandle, n: int, q: int, image) -> tuple:
+    """The degree-n basis and the dense integer rows, at q, of the map that
+    sends each basis object o to image(h, o, q): one column per object."""
+    if n < 1:
+        raise ValueError(f"degree must be at least 1, got {n}")
+    basis = h.basis(n)
+    images = [image(h, o, q) for o in basis]
+    row_index: dict = {}
+    for img in images:
+        for k in img.terms:
+            row_index.setdefault(k, len(row_index))
+    rows = [[0] * len(basis) for _ in range(len(row_index))]
+    for j, img in enumerate(images):
+        for k, c in img.terms.items():
+            rows[row_index[k]][j] = c.eval(q)
+    return basis, rows
+
+
 def primitive_rank(h: AlgebraHandle, n: int, q: int) -> int:
     """Rank of e_tri on the degree-n basis, over Q at integer q."""
-    basis = h.basis(n)
-    col_images = [e_tri_basis(h, o, q) for o in basis]
-    row_index: dict = {}
-    for img in col_images:
-        for o in img.terms:
-            row_index.setdefault(o, len(row_index))
-    rows = [[0] * len(basis) for _ in range(len(row_index))]
-    for j, img in enumerate(col_images):
-        for o, c in img.terms.items():
-            rows[row_index[o]][j] = c.eval(q)
-    return rational_rank(rows)
+    return rational_rank(_coefficient_rows(h, n, q, e_tri_basis)[1])
 
 
 def primitive_kernel_basis(h: AlgebraHandle, n: int, q: int) -> list[Element]:
     """Basis of ker of the reduced coproduct on the degree-n basis at q."""
-    basis = h.basis(n)
-    row_index: dict = {}
-    cols = []
-    for o in basis:
-        red = reduced_coproduct(h, o, q)
-        cols.append(red)
-        for k in red.terms:
-            row_index.setdefault(k, len(row_index))
-    rows = [[0] * len(basis) for _ in range(len(row_index))]
-    for j, red in enumerate(cols):
-        for k, c in red.terms.items():
-            rows[row_index[k]][j] = c.eval(q)
-    vecs = rational_nullspace(rows, len(basis))
-    out = []
-    for v in vecs:
-        terms = {
-            basis[j]: QPoly.const(int(v[j])) for j in range(len(basis)) if v[j]
-        }
-        out.append(Element(h.name, terms))
-    return out
+    basis, rows = _coefficient_rows(h, n, q, reduced_coproduct)
+    return [
+        Element(h.name, {basis[j]: QPoly.const(x) for j, x in enumerate(v) if x})
+        for v in rational_nullspace(rows, len(basis))
+    ]

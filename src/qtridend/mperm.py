@@ -79,7 +79,8 @@ def std_m(blocks) -> MPerm:
         if not dele:
             return tuple(bs)
         bs = [frozenset(v for v in b if v not in dele) for b in bs]
-        assert all(bs)  # block minima survive every pass
+        if not all(bs):
+            raise RuntimeError("a block lost its minimum to successor deletion")
 
 
 def std_m_sequential(blocks) -> MPerm:
@@ -186,7 +187,8 @@ def mperm_pair_products(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
             l = len(w)
             overlap = r + s - l
             mixed = sum(1 for b in w if (b & left_set) and (b & window))
-            assert mixed == overlap
+            if mixed != overlap:
+                raise RuntimeError(f"{mixed} mixed blocks in a quasi-shuffle, not {overlap}")
             kind = _kind_of(w[-1], left_set, window)
             _weight(raws, kind, w, overlap - 1 if kind == MIDDLE else overlap, qval)
             _weight(raws, STAR, w, overlap, qval)

@@ -138,7 +138,8 @@ def iota(f: Word) -> Element:
     """Inclusion of a surjective word as a parking function."""
     if not is_surjection(f):
         raise ValueError(f"iota needs a surjective word, got {f}")
-    assert is_parking(f)
+    if not is_parking(f):
+        raise RuntimeError(f"surjective word {f} is not a parking function")
     return Element.basis(FAMILY, f)
 
 

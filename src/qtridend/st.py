@@ -109,7 +109,8 @@ def st_coproduct(f: Word) -> Tensor2:
     for j in range(1, r):
         left = corestrict(f, range(1, j + 1))
         # the left factor is already standard: its letter set is {1..j}
-        assert set(left) == set(range(1, j + 1))
+        if set(left) != set(range(1, j + 1)):
+            raise RuntimeError(f"left factor {left} of {f} is not standard")
         right = std(corestrict(f, range(j + 1, r + 1)))
         terms[(left, right)] = None
     out = Tensor2(FAMILY, {k: QPoly.one() for k in terms})

@@ -75,7 +75,6 @@ from .mperm import (
 )
 from .pqsym import alpha, iota, pf_coproduct, pf_product, pirr_count
 from .qpoly import QPoly
-from .rank import rational_rank
 from .st import st_coproduct, st_product
 from .trees import corolla
 from .words import (
@@ -917,22 +916,6 @@ _EXPECTED_MPERM_RANKS = {0: [1, 1, 5, 29], 1: [1, 1, 5, 31], 5: [1, 1, 5, 31]}
 _EXPECTED_MPERM_NULLITY = [1, 1, 4, 25]
 
 
-def _nullity(h, n: int, q: int) -> int:
-    basis = h.basis(n)
-    row_index: dict = {}
-    cols = []
-    for o in basis:
-        red = reduced_coproduct(h, o, q)
-        cols.append(red)
-        for k in red.terms:
-            row_index.setdefault(k, len(row_index))
-    rows = [[0] * len(basis) for _ in range(len(row_index))]
-    for j, red in enumerate(cols):
-        for k, c in red.terms.items():
-            rows[row_index[k]][j] = c.eval(q)
-    return len(basis) - rational_rank(rows)
-
-
 def dims_report(max_count_degree: int = 5, rank_degree: int = 4, qs=(0, 1, 5)) -> dict:
     """Basis counts, irreducible parking counts, and projector ranks,
     each checked against frozen expected values and cross-checked where
@@ -977,7 +960,10 @@ def dims_report(max_count_degree: int = 5, rank_degree: int = 4, qs=(0, 1, 5)) -
             flat == expected[:rank_degree],
             f"{name} projector ranks drifted: {flat}",
         )
-        nul = [[_nullity(h, n, q) for q in qs] for n in range(1, rank_degree + 1)]
+        nul = [
+            [len(primitive_kernel_basis(h, n, q)) for q in qs]
+            for n in range(1, rank_degree + 1)
+        ]
         table["nullity"][name] = nul
         t.check(
             nul == per_q,
@@ -1001,7 +987,7 @@ def dims_report(max_count_degree: int = 5, rank_degree: int = 4, qs=(0, 1, 5)) -
             per_q[q] == _EXPECTED_MPERM_RANKS[q][:rank_degree],
             f"mperm projector ranks at q={q} drifted: {per_q[q]}",
         )
-    nul = [_nullity(h, n, 0) for n in range(1, rank_degree + 1)]
+    nul = [len(primitive_kernel_basis(h, n, 0)) for n in range(1, rank_degree + 1)]
     table["nullity"]["mperm"] = nul
     t.check(
         nul == _EXPECTED_MPERM_NULLITY[:rank_degree],

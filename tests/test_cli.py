@@ -91,6 +91,16 @@ def test_primitives_requires_integer_q(capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_primitives_rejects_degree_below_one(capsys, degree):
+    code, out, err = run(
+        capsys, "primitives", "--algebra", "st", "--degree", degree, "--q", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: degree must be at least 1, got {degree}\n"
+
+
 def test_primitives_json(capsys):
     code, out, _ = run(
         capsys, "primitives", "--algebra", "tree", "--degree", "2", "--q", "0",

@@ -135,6 +135,13 @@ def test_iota():
         assert iota(f) == alpha(f)
 
 
+def test_iota_invariant_survives_optimized_mode(monkeypatch):
+    # an explicit check, not an assert that python -O would strip
+    monkeypatch.setattr("qtridend.pqsym.is_parking", lambda f: False)
+    with pytest.raises(RuntimeError, match="not a parking function"):
+        iota((2, 1))
+
+
 def test_pirr_counts():
     assert [pirr_count(n) for n in range(1, 5)] == [1, 2, 11, 92]
 
