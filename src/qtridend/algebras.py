@@ -34,7 +34,6 @@ class AlgebraHandle:
     product: Callable      # (kind, x, y, qval) -> Element
     coproduct: Callable    # (x, qval) -> Tensor2
     validate: Callable
-    product_oracle: Callable | None = None
     graded: bool = True
 
 
@@ -46,9 +45,6 @@ def _st_handle() -> AlgebraHandle:
         product=lambda kind, x, y, qval=None: st.st_product(kind, x, y, qval),
         coproduct=lambda x, qval=None: st.st_coproduct(x),
         validate=st.st_validate,
-        product_oracle=lambda kind, x, y, qval=None: st.st_product_oracle(
-            kind, x, y, qval
-        ),
     )
 
 
@@ -60,9 +56,6 @@ def _pqsym_handle() -> AlgebraHandle:
         product=lambda kind, x, y, qval=None: pqsym.pf_product(kind, x, y, qval),
         coproduct=lambda x, qval=None: pqsym.pf_coproduct(x),
         validate=pqsym.pf_validate,
-        product_oracle=lambda kind, x, y, qval=None: pqsym.pf_product_oracle(
-            kind, x, y, qval
-        ),
     )
 
 
@@ -85,9 +78,6 @@ def _mperm_handle() -> AlgebraHandle:
         product=lambda kind, x, y, qval=None: mperm.mperm_product(kind, x, y, qval),
         coproduct=lambda x, qval=None: mperm.mperm_coproduct(x),
         validate=mperm.mperm_validate,
-        product_oracle=lambda kind, x, y, qval=None: mperm.mperm_product_oracle(
-            kind, x, y, qval
-        ),
         graded=False,
     )
 

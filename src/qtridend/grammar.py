@@ -194,7 +194,10 @@ def parse_basis(family: str, text: str):
         obj = parse_mperm(text)
     else:
         raise ValueError(f"unknown family {family!r}")
-    return _VALIDATORS[family](obj)
+    try:
+        return _VALIDATORS[family](obj)
+    except ValueError as e:
+        raise ValueError(f"{e}: {render_basis(family, obj)}") from None
 
 
 def _split_top(text: str, seps: str) -> list[tuple[str, str]]:

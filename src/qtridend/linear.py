@@ -132,23 +132,6 @@ class Element:
         return f"Element({self.family}, {len(self.terms)} terms)"
 
 
-def lin_combine(pairs, family: str) -> Element:
-    """Sum of scalar*element pairs; scalars are QPoly or int."""
-    terms: dict = {}
-    unit: dict[int, int] = {}
-    for s, el in pairs:
-        if isinstance(s, int):
-            s = QPoly.const(s)
-        if el.family != family:
-            raise ValueError("family mismatch in lin_combine")
-        for o, c in el.terms.items():
-            m = terms.setdefault(o, {})
-            for e, cc in (c * s).m.items():
-                m[e] = m.get(e, 0) + cc
-        acc_add(unit, (el.unit * s).m)
-    return Element.from_raw(family, terms, unit)
-
-
 def bilinear_extend(
     rule: Callable, kind: str, a: Element, b: Element
 ) -> Element:
@@ -246,18 +229,6 @@ class Tensor2:
                 if l is not UNIT and r is not UNIT
             },
         )
-
-    def left_slice(self, left_slot) -> Element:
-        """Collect sum of c * r over terms (left_slot, r); unit legs allowed."""
-        terms: dict = {}
-        unit = QPoly.zero()
-        for (l, r), c in self.terms.items():
-            if l == left_slot or (l is UNIT and left_slot is UNIT):
-                if r is UNIT:
-                    unit = unit + c
-                else:
-                    terms[r] = terms.get(r, QPoly.zero()) + c
-        return Element(self.family, terms, unit)
 
     def map_slots(self, fn_left, fn_right, out_family: str) -> "Tensor2":
         """Apply Element-valued maps to each leg (UNIT maps to UNIT)."""

@@ -24,6 +24,9 @@ with optional block merges) of B with D shifted into the window, then
 filters; on a full window std_m reduces to a plain shift, which makes the
 window condition an equality.
 
+The brute-force route `_scan_mperms` enumerates every W of both sizes
+and files it under the pair (B, D) its two restrictions give.
+
 The coproduct splits the block sequence at every position and applies
 std_m to both sides.
 """
@@ -201,31 +204,39 @@ def mperm_product(kind: str, B: MPerm, D: MPerm, qval: int | None = None) -> Ele
     return mperm_pair_products(B, D, qval)[kind]
 
 
-def mperm_product_oracle(kind: str, B: MPerm, D: MPerm, qval: int | None = None) -> Element:
-    """Brute-force route: scan every multipermutation of both target sizes."""
-    n, m = mperm_size(B), mperm_size(D)
-    r, s = len(B), len(D)
-    left_set = frozenset(range(1, n + 1))
-    raws = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
-    for total, shift in ((n + m, n), (n + m - 1, n - 1)):
-        window = frozenset(range(shift + 1, total + 1))
-        for w in mpermutations(total):
-            if restrict_blocks(w, left_set) != B:
-                continue
-            if std_m(restrict_blocks(w, window)) != D:
-                continue
+def _scan_mperms(total: int, qval: int | None) -> dict:
+    """Brute-force route: one pass over every multipermutation W of size
+    total (window [n+1, total]) and of size total-1 (window [n, total-1]).
+    For each n, W is filed under (B, D) = (W restricted to [n], std_m of W
+    restricted to the window) when D keeps all total-n window values, so
+    the result maps every pair with size(B) + size(D) = total to the raw
+    accumulators of its four products."""
+    buckets: dict = {}
+    for size, shift in ((total, 0), (total - 1, 1)):
+        for w in mpermutations(size):
             l = len(w)
-            overlap = r + s - l
-            kd = _kind_of(w[-1], left_set, window)
-            _weight(raws, kd, w, overlap - 1 if kd == MIDDLE else overlap, qval)
-            _weight(raws, STAR, w, overlap, qval)
-    return Element.from_raw(FAMILY, raws[kind])
+            for n in range(1, total):
+                window = frozenset(range(n + 1 - shift, size + 1))
+                D = std_m(restrict_blocks(w, window))
+                if mperm_size(D) != total - n:
+                    continue
+                left_set = frozenset(range(1, n + 1))
+                B = restrict_blocks(w, left_set)
+                raws = buckets.get((B, D))
+                if raws is None:
+                    raws = buckets[(B, D)] = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
+                overlap = len(B) + len(D) - l
+                kind = _kind_of(w[-1], left_set, window)
+                _weight(raws, kind, w, overlap - 1 if kind == MIDDLE else overlap, qval)
+                _weight(raws, STAR, w, overlap, qval)
+    return buckets
 
 
-def mperm_concat_product(B: MPerm, D: MPerm) -> Element:
-    """The q = 1 total product computed directly (no kind filter)."""
-    el = mperm_pair_products(B, D, 1)[STAR]
-    return el
+def mperm_product_oracle(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
+    """All four products of B and D, read off the scan of every
+    multipermutation of both target sizes."""
+    raws = _scan_mperms(mperm_size(B) + mperm_size(D), qval)[(B, D)]
+    return {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
 
 
 def mperm_coproduct(B: MPerm) -> Tensor2:
@@ -288,5 +299,5 @@ def mperm_degree(w: MPerm) -> int:
 def mperm_validate(w) -> MPerm:
     w = tuple(frozenset(b) for b in w)
     if not is_mperm(w):
-        raise ValueError(f"not a multipermutation: {w}")
+        raise ValueError("not a multipermutation")
     return w

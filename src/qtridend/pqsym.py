@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
 from .qpoly import QPoly
-from .st import _weight
+from .st import _scan_words, _weight, _word_kind
 from .words import Word, is_parking, is_surjection, park, parking_functions, std
 
 FAMILY = "pqsym"
@@ -58,13 +58,7 @@ def pf_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
             if not is_parking(w):
                 continue
             s = len(hset.intersection(bvals))
-            kmax = bvals[-1]
-            if hmax < kmax:
-                kind = RIGHT
-            elif hmax == kmax:
-                kind = MIDDLE
-            else:
-                kind = LEFT
+            kind = _word_kind(hmax, bvals[-1])
             _weight(raws, kind, w, s - 1 if kind == MIDDLE else s, qval)
             _weight(raws, STAR, w, s, qval)
     out = {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
@@ -76,25 +70,11 @@ def pf_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
     return pf_pair_products(f, g, qval)[kind]
 
 
-def pf_product_oracle(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
-    """Brute-force route: scan every parking function of length n+m."""
-    n, m = len(f), len(g)
-    raws = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
-    for w in parking_functions(n + m):
-        h, k = w[:n], w[n:]
-        if park(h) != f or park(k) != g:
-            continue
-        s = len(set(h) & set(k))
-        mh, mk = max(h), max(k)
-        if mh < mk:
-            kd = RIGHT
-        elif mh == mk:
-            kd = MIDDLE
-        else:
-            kd = LEFT
-        _weight(raws, kd, w, s - 1 if kd == MIDDLE else s, qval)
-        _weight(raws, STAR, w, s, qval)
-    return Element.from_raw(FAMILY, raws[kind])
+def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
+    """All four products of f and g, read off the scan of every parking
+    function of length n+m."""
+    raws = _scan_words(len(f) + len(g), parking_functions, park, qval)[(f, g)]
+    return {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
 
 
 def pf_coproduct(f: Word) -> Tensor2:
@@ -168,5 +148,5 @@ def pf_degree(f: Word) -> int:
 
 def pf_validate(f: Word) -> Word:
     if not f or not is_parking(f):
-        raise ValueError(f"not a parking function: {f}")
+        raise ValueError("not a parking function")
     return f

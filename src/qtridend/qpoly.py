@@ -89,9 +89,6 @@ class QPoly:
         """Largest exponent, or -1 for the zero polynomial."""
         return max(self.m) if self.m else -1
 
-    def items_sorted(self) -> list[tuple[int, int]]:
-        return sorted(self.m.items())
-
     def to_pairs(self) -> list[list[int]]:
         """JSON form: [exponent, coefficient] pairs sorted by exponent."""
         return [[e, c] for e, c in sorted(self.m.items())]

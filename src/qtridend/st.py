@@ -15,6 +15,10 @@ directly: A, B subsets of [r] with A u B = [r], |A| = max(f),
 onto A and B.  The overlap is |A n B| = max(f) + max(g) - r and the kind
 is read off from which side contains r.
 
+The brute-force route `_scan_words` enumerates every word of length n+m
+and files each split h k under (std(h), std(k)); with park in place of
+std it is also the brute-force route for parking functions.
+
 The coproduct cuts the image at j: Delta(f) = sum over j = 0..max(f) of
 f|^{1..j} (x) std(f|^{j+1..max}), with co-restriction by letter values.
 """
@@ -78,25 +82,41 @@ def st_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
     return st_pair_products(f, g, qval)[kind]
 
 
-def st_product_oracle(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
-    """Brute-force route: scan every surjective word of length n+m."""
-    n, m = len(f), len(g)
-    raws = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
-    for u in surjections(n + m):
-        h, k = u[:n], u[n:]
-        if std(h) != f or std(k) != g:
-            continue
-        s = image_overlap(h, k)
-        mh, mk = max(h), max(k)
-        if mh < mk:
-            kd = RIGHT
-        elif mh == mk:
-            kd = MIDDLE
-        else:
-            kd = LEFT
-        _weight(raws, kd, u, s - 1 if kd == MIDDLE else s, qval)
-        _weight(raws, STAR, u, s, qval)
-    return Element.from_raw(FAMILY, raws[kind])
+def _word_kind(hmax: int, kmax: int) -> str:
+    """Kind of a split h k, read off from max(h) and max(k)."""
+    if hmax < kmax:
+        return RIGHT
+    if hmax == kmax:
+        return MIDDLE
+    return LEFT
+
+
+def _scan_words(total: int, enumerate_all, standardize, qval: int | None) -> dict:
+    """Brute-force route for words: one pass over every word w of the given
+    length (surjections or parking functions).  Each split w = h k is filed
+    under (standardize(h), standardize(k)) with its kind and q-weight, so
+    the result maps every pair (f, g) with len(f) + len(g) = total to the
+    raw accumulators of its four products."""
+    buckets: dict = {}
+    for w in enumerate_all(total):
+        for i in range(1, total):
+            h, k = w[:i], w[i:]
+            key = (standardize(h), standardize(k))
+            raws = buckets.get(key)
+            if raws is None:
+                raws = buckets[key] = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
+            s = image_overlap(h, k)
+            kind = _word_kind(max(h), max(k))
+            _weight(raws, kind, w, s - 1 if kind == MIDDLE else s, qval)
+            _weight(raws, STAR, w, s, qval)
+    return buckets
+
+
+def st_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
+    """All four products of f and g, read off the scan of every surjective
+    word of length n+m."""
+    raws = _scan_words(len(f) + len(g), surjections, std, qval)[(f, g)]
+    return {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
 
 
 def st_coproduct(f: Word) -> Tensor2:
@@ -128,5 +148,5 @@ def st_degree(f: Word) -> int:
 
 def st_validate(f: Word) -> Word:
     if not is_surjection(f):
-        raise ValueError(f"not a surjective word: {f}")
+        raise ValueError("not a surjective word")
     return f

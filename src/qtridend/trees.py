@@ -203,5 +203,5 @@ def tree_basis(n: int) -> tuple[Tree, ...]:
 
 def tree_validate(t) -> Tree:
     if t == LEAF or not is_tree(t):
-        raise ValueError(f"not a tree of degree >= 1: {t!r}")
+        raise ValueError("not a tree of degree >= 1")
     return t

@@ -59,12 +59,6 @@ def is_surjection(w: Word) -> bool:
     return set(w) == set(range(1, max(w) + 1))
 
 
-def is_ndpf(w: Word) -> bool:
-    return all(w[i] <= w[i + 1] for i in range(len(w) - 1)) and all(
-        v <= i for i, v in enumerate(w, start=1)
-    )
-
-
 @lru_cache(maxsize=None)
 def surjections(n: int) -> tuple[Word, ...]:
     """All surjective words of length n, in lexicographic order.
@@ -139,53 +133,8 @@ def corestrict(w: Word, values) -> Word:
     return tuple(v for v in w if v in vs)
 
 
-def restrict(w: Word, positions) -> Word:
-    """Subword at the given 1-based positions (order kept)."""
-    ps = set(positions)
-    return tuple(v for i, v in enumerate(w, start=1) if i in ps)
-
-
 def image_overlap(h: Word, k: Word) -> int:
     return len(set(h) & set(k))
-
-
-def shuffles(*parts: int) -> list[Word]:
-    """All (n1,...,nr)-shuffles as permutations of [n1+...+nr].
-
-    sigma is increasing on each consecutive block of the composition;
-    returned in one-line notation (sigma(1), ..., sigma(n)).
-    """
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("composition of positive parts required")
-    n = sum(parts)
-    starts = []
-    acc = 1
-    for p in parts:
-        starts.append(acc)
-        acc += p
-    out = []
-
-    def grow(sigma, counts):
-        if len(sigma) == n:
-            out.append(tuple(sigma))
-            return
-        for b, p in enumerate(parts):
-            if counts[b] < p:
-                sigma.append(starts[b] + counts[b])
-                counts[b] += 1
-                grow(sigma, counts)
-                counts[b] -= 1
-                sigma.pop()
-
-    grow([], [0] * len(parts))
-    return out
-
-
-def inverse_perm(sigma: Word) -> Word:
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma, start=1):
-        inv[v - 1] = i
-    return tuple(inv)
 
 
 def run_compress(w: Word) -> Word:

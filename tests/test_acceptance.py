@@ -12,6 +12,9 @@ commutator of the two grafting products are independent primitives there.
 Three independent routes agree on the asserted values: the projector rank
 at each q in {0, 1, 5}, the kernel dimension of the reduced coproduct, and
 the tensor-algebra recursion applied to the basis counts.
+
+A last test, outside the nine criteria, pins the check count of every
+plan entry, so that a change that drops checks fails here.
 """
 
 from __future__ import annotations
@@ -161,3 +164,11 @@ def test_criterion_9_full_run_budget(full_run, capsys):
         capsys, 9, "full default verify run green",
         ok, f"{total} checks in {round(full_run['elapsed'], 1)}s",
     )
+
+
+# check counts of the default plan entries, in plan order
+PLAN_CHECKS = [27, 4496, 680, 80, 56, 16759, 55927, 886, 1165, 1160, 27339, 1810, 29]
+
+
+def test_default_plan_check_counts(full_run):
+    assert [r["checks"] for r in full_run["reports"]] == PLAN_CHECKS

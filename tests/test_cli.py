@@ -181,6 +181,31 @@ def test_parse_error_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "dims"])
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_max_degree_below_one_exits_two(capsys, command, degree):
+    code, out, err = run(capsys, command, "--max-degree", degree)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-degree must be at least 1, got {degree}\n"
+
+
+@pytest.mark.parametrize(
+    "algebra, bad, good, message",
+    [
+        ("st", "(1,3)", "(1)", "not a surjective word: (1,3)"),
+        ("pqsym", "(2,2)", "(1)", "not a parking function: (2,2)"),
+        ("tree", "V(|)", "V(|,|)", "not a tree of degree >= 1: V(|)"),
+        ("mperm", "[(1,2)]", "[(1)]", "not a multipermutation: [(1,2)]"),
+    ],
+)
+def test_invalid_basis_is_named_in_the_grammar(capsys, algebra, bad, good, message):
+    code, out, err = run(capsys, "eval", "--algebra", algebra, "--op", "left", good, bad)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bad_choice_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--algebra", "nosuch"])

@@ -11,7 +11,6 @@ from qtridend.linear import (
     Element,
     Tensor2,
     bilinear_extend,
-    lin_combine,
     tensor_flatten,
     tensor_of,
 )
@@ -58,16 +57,6 @@ def test_scale_and_eval_q():
 def test_from_raw_drops_zeros():
     a = Element.from_raw(F, {(1,): {0: 0}, (1, 2): {1: 1}})
     assert a.support() == {(1, 2)}
-
-
-def test_lin_combine():
-    a = Element.basis(F, (1,))
-    b = Element.basis(F, (1, 2))
-    c = lin_combine([(2, a), (QPoly.q_power(1), b)], F)
-    assert c.coeff((1,)) == QPoly.const(2)
-    assert c.coeff((1, 2)) == QPoly.q_power(1)
-    with pytest.raises(ValueError):
-        lin_combine([(1, Element.basis("tree", ()))], F)
 
 
 # kinds are extended bilinearly from this toy rule: every product of basis
@@ -120,14 +109,6 @@ def test_tensor_algebra():
     assert t.eval_q(5) == t
     with pytest.raises(ValueError):
         t + Tensor2("tree")
-
-
-def test_left_slice():
-    t = tensor_of(el((1,)), el((2, 1)) + Element.unit_element(F))
-    sl = t.left_slice((1,))
-    assert sl.coeff((2, 1)) == QPoly.one()
-    assert sl.unit == QPoly.one()
-    assert t.left_slice((9,)).is_zero()
 
 
 def test_map_slots():

@@ -12,7 +12,6 @@ from qtridend.mperm import (
     is_mperm,
     lift_word,
     mperm_coproduct,
-    mperm_concat_product,
     mperm_product,
     mperm_product_oracle,
     mperm_size,
@@ -90,13 +89,13 @@ def test_middle_product_can_drop_size():
 
 def test_fast_equals_oracle_small():
     sizes = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    for n, m in sizes:
-        for B in mpermutations(n):
-            for D in mpermutations(m):
-                for kind in (*KINDS, STAR):
-                    assert mperm_product(kind, B, D) == mperm_product_oracle(
-                        kind, B, D
-                    )
+    for qval in (None, 0, 1, 5):
+        for n, m in sizes:
+            for B in mpermutations(n):
+                for D in mpermutations(m):
+                    oracle = mperm_product_oracle(B, D, qval)
+                    for kind in (*KINDS, STAR):
+                        assert mperm_product(kind, B, D, qval) == oracle[kind]
 
 
 def test_worked_star_product():
@@ -113,20 +112,13 @@ def test_worked_star_product():
         " + [(5),(4),(1,3),(2)]"
     )
     assert render_element(got) == expected
-    assert got == mperm_product_oracle(STAR, B, D, 1)
+    assert got == mperm_product_oracle(B, D, 1)[STAR]
     assert len(got.support()) == 13
     for w in [parse_mperm("[(1,3),(5),(2,4)]"), parse_mperm("[(5),(1,3),(2,4)]")]:
         assert got.coeff(w) == 1
         # both restrictions certify membership in the defining sum
         assert restrict_blocks(w, range(1, 4)) == B
         assert std_m(restrict_blocks(w, {4, 5})) == std_m((fs({5}), fs({4})))
-
-
-def test_concat_product_is_star_at_one():
-    for n, m in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        for B in mpermutations(n):
-            for D in mpermutations(m):
-                assert mperm_concat_product(B, D) == mperm_product(STAR, B, D, 1)
 
 
 def test_worked_coproducts():

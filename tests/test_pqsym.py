@@ -50,11 +50,13 @@ def test_worked_products():
 
 
 def test_fast_equals_oracle_small():
-    for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
-        for f in pf_basis(n):
-            for g in pf_basis(m):
-                for kind in (*KINDS, STAR):
-                    assert pf_product(kind, f, g) == pf_product_oracle(kind, f, g)
+    for qval in (None, 0, 1, 5):
+        for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
+            for f in pf_basis(n):
+                for g in pf_basis(m):
+                    oracle = pf_product_oracle(f, g, qval)
+                    for kind in (*KINDS, STAR):
+                        assert pf_product(kind, f, g, qval) == oracle[kind]
 
 
 def test_product_terms_are_parking():

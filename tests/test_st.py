@@ -59,11 +59,13 @@ def test_star_is_sum_of_kinds():
 
 def test_fast_equals_oracle_small():
     pairs = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]
-    for n, m in pairs:
-        for f in st_basis(n):
-            for g in st_basis(m):
-                for kind in (*KINDS, STAR):
-                    assert st_product(kind, f, g) == st_product_oracle(kind, f, g)
+    for qval in (None, 0, 1, 5):
+        for n, m in pairs:
+            for f in st_basis(n):
+                for g in st_basis(m):
+                    oracle = st_product_oracle(f, g, qval)
+                    for kind in (*KINDS, STAR):
+                        assert st_product(kind, f, g, qval) == oracle[kind]
 
 
 def test_products_are_graded():

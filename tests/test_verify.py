@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import pytest
+
+from qtridend import pqsym, st, verify
+from qtridend.grammar import parse_basis, render_basis
+from qtridend.linear import MIDDLE, Element
 from qtridend.verify import (
     DEFAULT_PLAN,
     SUITE_NAMES,
@@ -83,6 +88,14 @@ def test_build_plan_filters_and_clamps():
     plan = build_plan(suite="axioms", algebra="st", max_degree=2, qval=1)
     assert plan == [("axioms", {"algebra": "st", "max_total_degree": 2, "qval": 1})]
     assert build_plan(suite="axioms", algebra="nosuch") == []
+    assert build_plan(suite="oracles", max_degree=5) == [
+        (
+            "oracles",
+            {"st_max": 5, "pqsym_max": 5, "mperm_max": 5, "pf_coproduct_max": 5, "concat_max": 4},
+        )
+    ]
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        build_plan(max_degree=0)
 
 
 def test_run_plan_and_report_text():
@@ -118,3 +131,34 @@ def test_report_text_failure_rendering():
     assert "relation broke at x" in text
     assert "1 failing suites" in text
     assert not reports_ok(fake)
+
+
+def test_failure_witnesses_parse_back(monkeypatch):
+    """A wrong fast product or coproduct is reported with witnesses in the
+    input grammar, which parse back to the objects at fault."""
+    fast_product, fast_coproduct = st.st_product, pqsym.pf_coproduct
+
+    def wrong_product(kind, f, g, qval=None):
+        out = fast_product(kind, f, g, qval)
+        if kind == MIDDLE and (f, g) == ((1, 2), (1,)):
+            out = out + Element.basis("st", (1, 1, 1))
+        return out
+
+    def wrong_coproduct(f):
+        return fast_coproduct(f).scale(2) if f == (1, 1) else fast_coproduct(f)
+
+    for module in (st, verify):
+        monkeypatch.setattr(module, "st_product", wrong_product)
+    for module in (pqsym, verify):
+        monkeypatch.setattr(module, "pf_coproduct", wrong_coproduct)
+    reports = [verify_oracles(3, 2, 1, 2, 1), verify_morphisms(3, alpha_inj_degree=1)]
+    failures = [msg for r in reports for msg in r["failures"]]
+    assert "st middle disagrees with scan at x=(1,2) y=(1)" in failures
+    assert "pqsym coproduct disagrees with subset scan at (1,1)" in failures
+    assert "alpha does not respect middle at f=(1,2) g=(1)" in failures
+    assert "alpha does not respect Delta at (1,1)" in failures
+    for msg in failures:
+        family = "pqsym" if msg.startswith("pqsym") else "st"
+        for token in msg.split(" at ", 1)[1].split():
+            text = token.split("=", 1)[-1]
+            assert render_basis(family, parse_basis(family, text)) == text

@@ -1,23 +1,17 @@
 from __future__ import annotations
 
-from math import comb
-
 from hypothesis import given
 from hypothesis import strategies as st_
 
 from qtridend.words import (
     corestrict,
     image_overlap,
-    inverse_perm,
-    is_ndpf,
     is_parking,
     is_surjection,
     ndpf,
     park,
     parking_functions,
-    restrict,
     run_compress,
-    shuffles,
     std,
     surjections,
 )
@@ -79,8 +73,6 @@ def test_predicates():
     assert is_surjection((2, 1, 2))
     assert not is_surjection((1, 3))
     assert not is_surjection(())
-    assert is_ndpf((1, 1, 3))
-    assert not is_ndpf((1, 2, 1))
 
 
 def test_enumeration_counts():
@@ -103,27 +95,13 @@ def test_enumeration_order_and_content():
         assert set(ndpf(n)) <= set(pf)
 
 
-def test_shuffles():
-    assert shuffles(2, 1) == [(1, 2, 3), (1, 3, 2), (3, 1, 2)]
-    assert len(shuffles(3, 2)) == comb(5, 2)
-    assert len(shuffles(1, 1, 1)) == 6
-    assert shuffles(2) == [(1, 2)]
-    for w in shuffles(2, 2):
-        assert std(w) == w
-        assert restrict(w, [i + 1 for i, v in enumerate(w) if v <= 2]) == (1, 2)
-
-
 def test_restrict_corestrict():
     f = (2, 1, 3, 5, 3, 4, 4, 1)
     assert corestrict(f, {1, 2}) == (2, 1, 1)
     assert corestrict(f, range(1, 6)) == f
-    assert restrict(f, (1, 3, 5)) == (2, 3, 3)
-    assert restrict(f, ()) == ()
 
 
 def test_misc_helpers():
-    assert inverse_perm((3, 1, 2)) == (2, 3, 1)
-    assert inverse_perm((1,)) == (1,)
     assert image_overlap((1, 2), (2, 3)) == 1
     assert image_overlap((1,), (2,)) == 0
     assert run_compress((1, 2, 2, 3, 1, 4)) == (1, 2, 3, 1, 4)
