@@ -21,7 +21,6 @@ from .linear import (
     Element,
     Tensor2,
     bilinear_extend,
-    tensor_of,
 )
 from .qpoly import QPoly
 
@@ -119,32 +118,16 @@ def el_star(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None) -
 
 def el_rtilde(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None) -> Element:
     """The dendriform right half > + q. with unit conventions of >."""
-    out = el_product(h, RIGHT, a, b, qval)
-    mid = el_product(h, MIDDLE, a, b, qval)
-    if not mid.is_zero():
-        out = out + mid.scale(q_scalar(qval))
-    return out
-
-
-def slot_element(h: AlgebraHandle, slot) -> Element:
-    if slot is UNIT:
-        return Element.unit_element(h.name)
-    return Element.basis(h.name, slot)
+    right, mid = el_product(h, RIGHT, a, b, qval), el_product(h, MIDDLE, a, b, qval)
+    return Element.sum(h.name, ((right, 1), (mid, q_scalar(qval))))
 
 
 def el_coproduct(h: AlgebraHandle, el: Element, qval: int | None = None) -> Tensor2:
     """Linear extension of the coproduct, with Delta(1) = 1 (x) 1."""
-    raw: dict = {}
-    for o, c in el.terms.items():
-        for k2, c2 in h.coproduct(o, qval).terms.items():
-            m = raw.setdefault(k2, {})
-            for e, cc in (c * c2).m.items():
-                m[e] = m.get(e, 0) + cc
+    parts = [(h.coproduct(o, qval), c) for o, c in el.terms.items()]
     if el.unit:
-        m = raw.setdefault((UNIT, UNIT), {})
-        for e, cc in el.unit.m.items():
-            m[e] = m.get(e, 0) + cc
-    return Tensor2.from_raw(h.name, raw)
+        parts.append(((UNIT, UNIT), el.unit))
+    return Tensor2.sum(h.name, parts)
 
 
 def reduced_coproduct(h: AlgebraHandle, obj, qval: int | None = None) -> Tensor2:
@@ -159,19 +142,17 @@ def compat_rhs(
     (x * y) (x) (1 o 1) := (x o y) (x) 1, for basis objects x, y."""
     dx = h.coproduct(x, qval)
     dy = h.coproduct(y, qval)
-    acc = Tensor2(h.name)
-    for (x1, x2), cx in dx.terms.items():
-        for (y1, y2), cy in dy.terms.items():
-            c = cx * cy
-            if x2 is UNIT and y2 is UNIT:
-                left = el_product(h, kind, slot_element(h, x1), slot_element(h, y1), qval)
-                acc = acc + tensor_of(left, Element.unit_element(h.name)).scale(c)
-            else:
-                left = el_star(h, slot_element(h, x1), slot_element(h, y1), qval)
-                right = el_product(
-                    h, kind, slot_element(h, x2), slot_element(h, y2), qval
-                )
-                if left.is_zero() or right.is_zero():
-                    continue
-                acc = acc + tensor_of(left, right).scale(c)
-    return acc
+    unit = Element.unit_element(h.name)
+
+    def parts():
+        for (x1, x2), cx in dx.terms.items():
+            for (y1, y2), cy in dy.terms.items():
+                a, b = Element.slot(h.name, x1), Element.slot(h.name, y1)
+                if x2 is UNIT and y2 is UNIT:
+                    pair = (el_product(h, kind, a, b, qval), unit)
+                else:
+                    a2, b2 = Element.slot(h.name, x2), Element.slot(h.name, y2)
+                    pair = (el_star(h, a, b, qval), el_product(h, kind, a2, b2, qval))
+                yield pair, cx * cy
+
+    return Tensor2.sum(h.name, parts())

@@ -31,7 +31,8 @@ from .algebras import (
     q_scalar,
     reduced_coproduct,
 )
-from .linear import LEFT, MIDDLE, RIGHT, Element, Tensor2, tensor_of
+from .grammar import render_element
+from .linear import LEFT, MIDDLE, RIGHT, UNIT, Element, Tensor2, sum_terms
 from .qpoly import QPoly
 from .rank import rational_nullspace, rational_rank
 
@@ -70,21 +71,25 @@ def omega_right(h: AlgebraHandle, ys: list, qval: int | None = None) -> Element:
 
 def brace(h: AlgebraHandle, x: Element, ys: list, qval: int | None = None) -> Element:
     """M_1n(x; y_1..y_n); returns x when ys is empty."""
+    for arg in [x, *ys]:
+        if arg.unit:
+            raise ValueError(
+                f"brace arguments must have no unit term, got {render_element(arg)}"
+            )
     n = len(ys)
     if n == 0:
         return x
-    total = Element.zero(h.name)
-    for i in range(n + 1):
-        t = x
-        if i > 0:
-            t = el_rtilde(h, omega_left(h, ys[:i], qval), t, qval)
-        if i < n:
-            t = el_product(h, LEFT, t, omega_rtilde(h, ys[i:], qval), qval)
-        if (n - i) % 2:
-            total = total - t
-        else:
-            total = total + t
-    return total
+
+    def parts():
+        for i in range(n + 1):
+            t = x
+            if i > 0:
+                t = el_rtilde(h, omega_left(h, ys[:i], qval), t, qval)
+            if i < n:
+                t = el_product(h, LEFT, t, omega_rtilde(h, ys[i:], qval), qval)
+            yield t, -1 if (n - i) % 2 else 1
+
+    return Element.sum(h.name, parts())
 
 
 def check_gvq(
@@ -98,21 +103,20 @@ def check_gvq(
     """
     lhs = brace(h, el_product(h, MIDDLE, x, y, qval), zs, qval)
     n = len(zs)
-    q = q_scalar(qval)
-    rhs = Element.zero(h.name)
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            term = brace(h, x, zs[:i], qval)
-            for k in range(i, j):
-                term = el_product(h, MIDDLE, term, zs[k], qval)
-            term = el_product(h, MIDDLE, term, brace(h, y, zs[j:], qval), qval)
-            scale = QPoly.one()
-            for _ in range(j - i):
-                scale = scale * q
-            if (j - i) % 2:
-                scale = -scale
-            rhs = rhs + term.scale(scale)
-    return lhs == rhs
+    minus_q = -q_scalar(qval)
+
+    def parts():
+        for i in range(n + 1):
+            scale = QPoly.one()  # (-q)^(j - i)
+            for j in range(i, n + 1):
+                term = brace(h, x, zs[:i], qval)
+                for k in range(i, j):
+                    term = el_product(h, MIDDLE, term, zs[k], qval)
+                term = el_product(h, MIDDLE, term, brace(h, y, zs[j:], qval), qval)
+                yield term, scale
+                scale = scale * minus_q
+
+    return lhs == Element.sum(h.name, parts())
 
 
 def _bound_sequences(n: int, m: int):
@@ -134,18 +138,20 @@ def brace_relation_check(
     """M(M(x; y..); z..) expands braces of x over all nestings of the y's."""
     lhs = brace(h, brace(h, x, ys, qval), zs, qval)
     n, m = len(ys), len(zs)
-    rhs = Element.zero(h.name)
-    for bounds in _bound_sequences(n, m):
-        args = []
-        prev = 0
-        for k in range(n):
-            i_k, j_k = bounds[k]
-            args.extend(zs[prev:i_k])
-            args.append(brace(h, ys[k], zs[i_k:j_k], qval))
-            prev = j_k
-        args.extend(zs[prev:])
-        rhs = rhs + brace(h, x, args, qval)
-    return lhs == rhs
+
+    def parts():
+        for bounds in _bound_sequences(n, m):
+            args = []
+            prev = 0
+            for k in range(n):
+                i_k, j_k = bounds[k]
+                args.extend(zs[prev:i_k])
+                args.append(brace(h, ys[k], zs[i_k:j_k], qval))
+                prev = j_k
+            args.extend(zs[prev:])
+            yield brace(h, x, args, qval), 1
+
+    return lhs == Element.sum(h.name, parts())
 
 
 def e_tri_basis(h: AlgebraHandle, obj, qval: int | None = None) -> Element:
@@ -154,39 +160,30 @@ def e_tri_basis(h: AlgebraHandle, obj, qval: int | None = None) -> Element:
     hit = _etri_cache.get(key)
     if hit is not None:
         return hit
-    acc = Element.basis(h.name, obj)
+    parts = [(Element.basis(h.name, obj), 1)]
     for (o1, o2), c in reduced_coproduct(h, obj, qval).terms.items():
         e2 = e_tri_basis(h, o2, qval)
-        if e2.is_zero():
-            continue
-        acc = acc - el_product(h, RIGHT, Element.basis(h.name, o1), e2, qval).scale(c)
-    _etri_cache[key] = acc
-    return acc
+        if not e2.is_zero():
+            parts.append((el_product(h, RIGHT, Element.basis(h.name, o1), e2, qval), -c))
+    out = _etri_cache[key] = Element.sum(h.name, parts)
+    return out
 
 
 def e_tri(h: AlgebraHandle, x: Element, qval: int | None = None) -> Element:
     if x.unit:
         raise ValueError("e_tri is defined on the augmentation ideal")
-    acc = Element.zero(h.name)
-    for o, c in x.terms.items():
-        acc = acc + e_tri_basis(h, o, qval).scale(c)
-    return acc
+    return Element.sum(h.name, ((e_tri_basis(h, o, qval), c) for o, c in x.terms.items()))
 
 
 def _advance_legs(h: AlgebraHandle, legs: dict, qval: int | None) -> dict:
     """Apply the reduced coproduct to the last leg of every tuple."""
-    nxt: dict = {}
-    for objs, c in legs.items():
-        for (o1, o2), c2 in reduced_coproduct(h, objs[-1], qval).terms.items():
-            key = objs[:-1] + (o1, o2)
-            cur = nxt.get(key)
-            add = c * c2
-            nc = add if cur is None else cur + add
-            if nc.is_zero():
-                nxt.pop(key, None)
-            else:
-                nxt[key] = nc
-    return nxt
+
+    def parts():
+        for objs, c in legs.items():
+            red = reduced_coproduct(h, objs[-1], qval)
+            yield ((objs[:-1] + o12, c2) for o12, c2 in red.terms.items()), c
+
+    return sum_terms(parts())
 
 
 def e_tri_oracle(h: AlgebraHandle, x: Element, qval: int | None = None) -> Element:
@@ -195,17 +192,17 @@ def e_tri_oracle(h: AlgebraHandle, x: Element, qval: int | None = None) -> Eleme
     if x.unit:
         raise ValueError("e_tri is defined on the augmentation ideal")
     legs = {(o,): c for o, c in x.terms.items()}
-    total = Element.zero(h.name)
+    parts = []
     sign = 1
     while legs:
         for objs, c in legs.items():
             el = Element.basis(h.name, objs[-1])
             for o in reversed(objs[:-1]):
                 el = el_product(h, RIGHT, Element.basis(h.name, o), el, qval)
-            total = total + el.scale(c * sign)
+            parts.append((el, c * sign))
         legs = _advance_legs(h, legs, qval)
         sign = -sign
-    return total
+    return Element.sum(h.name, parts)
 
 
 def filtration_degree(h: AlgebraHandle, x: Element, qval: int | None = None) -> int:
@@ -226,16 +223,15 @@ def reconstruct(h: AlgebraHandle, x: Element, qval: int | None = None) -> Elemen
     if x.unit:
         raise ValueError("reconstruct is defined on the augmentation ideal")
     legs = {(o,): c for o, c in x.terms.items() if c}
-    total = Element.zero(h.name)
+    parts = []
     while legs:
         for objs, c in legs.items():
-            parts = [e_tri_basis(h, o, qval) for o in objs]
-            el = parts[0]
-            for p in parts[1:]:
-                el = el_product(h, RIGHT, el, p, qval)
-            total = total + el.scale(c)
+            el = e_tri_basis(h, objs[0], qval)
+            for o in objs[1:]:
+                el = el_product(h, RIGHT, el, e_tri_basis(h, o, qval), qval)
+            parts.append((el, c))
         legs = _advance_legs(h, legs, qval)
-    return total
+    return Element.sum(h.name, parts)
 
 
 def omega_coproduct_check(
@@ -244,20 +240,19 @@ def omega_coproduct_check(
     """Delta(omega_>(x1..xn)) = sum_i omega_>(x1..xi) (x) omega_>(x_{i+1}..xn)
     for primitive arguments, with the empty omega word equal to 1."""
     for x in xs:
-        red = Tensor2(h.name)
-        for o, c in x.terms.items():
-            red = red + reduced_coproduct(h, o, qval).scale(c)
+        red = Tensor2.sum(
+            h.name, ((reduced_coproduct(h, o, qval), c) for o, c in x.terms.items())
+        )
         if not red.is_zero():
             raise ValueError("omega_coproduct_check needs primitive arguments")
-    word = omega_right(h, xs, qval)
-    lhs = el_coproduct(h, word, qval)
-    unit = Element.unit_element(h.name)
-    n = len(xs)
-    rhs = Tensor2(h.name)
-    for i in range(n + 1):
-        left = omega_right(h, xs[:i], qval) if i else unit
-        right = omega_right(h, xs[i:], qval) if i < n else unit
-        rhs = rhs + tensor_of(left, right)
+    lhs = el_coproduct(h, omega_right(h, xs, qval), qval)
+
+    def omega(ys):  # the empty omega word is 1
+        return omega_right(h, ys, qval) if ys else UNIT
+
+    rhs = Tensor2.sum(
+        h.name, (((omega(xs[:i]), omega(xs[i:])), 1) for i in range(len(xs) + 1))
+    )
     return lhs == rhs
 
 

@@ -24,11 +24,7 @@ from .qpoly import QPoly
 from .st import st_validate
 from .pqsym import pf_validate
 from .trees import LEAF, tree_validate
-from .words import Word
-
-
-def render_word(w: Word) -> str:
-    return "(" + ",".join(str(v) for v in w) + ")"
+from .words import Word, render_word
 
 
 def render_tree(t) -> str:
@@ -78,9 +74,9 @@ def render_element(el: Element) -> str:
     )
     for obj, coeff in keyed:
         text = render_basis(el.family, obj)
-        for e, c in sorted(coeff.m.items(), reverse=True):
+        for e, c in reversed(coeff.to_pairs()):
             pieces.append(_coeff_basis_text(c, e, text))
-    for e, c in sorted(el.unit.m.items(), reverse=True):
+    for e, c in reversed(el.unit.to_pairs()):
         pieces.append(_coeff_basis_text(c, e, "1"))
     if not pieces:
         return "0"
@@ -101,7 +97,7 @@ def render_tensor2(t: Tensor2) -> str:
     )
     for (l, r), coeff in keyed:
         pair = f"{slot_text(l)} # {slot_text(r)}"
-        for e, c in sorted(coeff.m.items(), reverse=True):
+        for e, c in reversed(coeff.to_pairs()):
             pieces.append(_coeff_basis_text(c, e, pair))
     if not pieces:
         return "0"
@@ -159,21 +155,24 @@ def parse_mperm(text: str):
         raise ValueError("empty multipermutation")
     blocks = []
     i = 0
-    while i < len(body):
-        if body[i] == "(":
-            j = body.index(")", i)
-            blocks.append(frozenset(int(v) for v in body[i + 1 : j].split(",")))
-            i = j + 1
-        elif body[i].isdigit():
-            j = i
-            while j < len(body) and body[j].isdigit():
-                j += 1
-            blocks.append(frozenset({int(body[i:j])}))
-            i = j
-        elif body[i] in ", ":
-            i += 1
-        else:
-            raise ValueError(f"bad multipermutation literal near {body[i:]!r}")
+    try:  # int() and index() failures are malformed literals too
+        while i < len(body):
+            if body[i] == "(":
+                j = body.index(")", i)
+                blocks.append(frozenset(int(v) for v in body[i + 1 : j].split(",")))
+                i = j + 1
+            elif body[i].isdigit():
+                j = i
+                while j < len(body) and body[j].isdigit():
+                    j += 1
+                blocks.append(frozenset({int(body[i:j])}))
+                i = j
+            elif body[i] in ", ":
+                i += 1
+            else:
+                raise ValueError
+    except ValueError:
+        raise ValueError(f"bad multipermutation literal: {text!r}") from None
     return tuple(blocks)
 
 
@@ -244,81 +243,71 @@ def _split_factors(text: str) -> list[str]:
 _QPOW_RE = re.compile(r"q(?:\^(\d+))?$")
 
 
+def _scalar_factor(f: str) -> QPoly | None:
+    """The QPoly of a factor q, q^e or n; None for any other factor."""
+    m = _QPOW_RE.match(f)
+    if m:
+        return QPoly.q_power(int(m.group(1) or 1))
+    if re.fullmatch(r"\d+", f):
+        return QPoly.const(int(f))
+    return None
+
+
 def _parse_term(family: str, chunk: str):
-    """One signed term -> (QPoly coefficient, basis object or None).
+    """One term -> (QPoly coefficient, basis object or UNIT).
 
     A term with no basis literal is a scalar multiple of the unit, so
     both `q*1` and a bare integer parse as unit terms.
     """
     coeff = QPoly.one()
-    obj = None
+    obj = UNIT
     for f in _split_factors(chunk):
         if not f:
             raise ValueError(f"empty factor in {chunk!r}")
-        m = _QPOW_RE.match(f)
-        if m:
-            coeff = coeff * QPoly.q_power(int(m.group(1) or 1))
-        elif re.fullmatch(r"\d+", f):
-            coeff = coeff * QPoly.const(int(f))
+        scalar = _scalar_factor(f)
+        if scalar is not None:
+            coeff = coeff * scalar
+        elif obj is not UNIT:
+            raise ValueError(f"two basis literals in {chunk!r}")
         else:
-            if obj is not None:
-                raise ValueError(f"two basis literals in {chunk!r}")
             obj = parse_basis(family, f)
     return coeff, obj
 
 
 def parse_element(family: str, text: str) -> Element:
-    text = text.strip()
-    if text == "0":
-        return Element.zero(family)
-    terms: dict = {}
-    unit = QPoly.zero()
-    for sign, chunk in _split_top(text, "+-"):
+    parts = []
+    for sign, chunk in _split_top(text.strip(), "+-"):
         coeff, obj = _parse_term(family, chunk)
-        if sign == "-":
-            coeff = -coeff
-        if obj is None:
-            unit = unit + coeff
-        else:
-            terms[obj] = terms.get(obj, QPoly.zero()) + coeff
-    return Element(family, terms, unit)
+        parts.append((Element.slot(family, obj), -coeff if sign == "-" else coeff))
+    return Element.sum(family, parts)
 
 
 def parse_tensor2(family: str, text: str) -> Tensor2:
     text = text.strip()
     if text == "0":
         return Tensor2(family)
-    terms: dict = {}
+    parts = []
     for sign, chunk in _split_top(text, "+-"):
         if " # " not in chunk:
             raise ValueError(f"tensor term without separator: {chunk!r}")
         lpart, rpart = chunk.split(" # ", 1)
-        coeff, obj = _parse_term(family, lpart.strip())
-        left = UNIT if obj is None else obj
+        coeff, left = _parse_term(family, lpart.strip())
         rtext = rpart.strip()
         right = UNIT if rtext == "1" else parse_basis(family, rtext)
-        if sign == "-":
-            coeff = -coeff
-        key = (left, right)
-        terms[key] = terms.get(key, QPoly.zero()) + coeff
-    return Tensor2(family, terms)
+        pair = (Element.slot(family, left), Element.slot(family, right))
+        parts.append((pair, -coeff if sign == "-" else coeff))
+    return Tensor2.sum(family, parts)
 
 
 def parse_qpoly(text: str) -> QPoly:
-    text = text.strip()
-    if text == "0":
-        return QPoly.zero()
     out = QPoly.zero()
-    for sign, chunk in _split_top(text, "+-"):
+    for sign, chunk in _split_top(text.strip(), "+-"):
         coeff = QPoly.one()
         for f in _split_factors(chunk):
-            m = _QPOW_RE.match(f)
-            if m:
-                coeff = coeff * QPoly.q_power(int(m.group(1) or 1))
-            elif re.fullmatch(r"\d+", f):
-                coeff = coeff * QPoly.const(int(f))
-            else:
+            scalar = _scalar_factor(f)
+            if scalar is None:
                 raise ValueError(f"bad scalar factor {f!r}")
+            coeff = coeff * scalar
         out = out + (-coeff if sign == "-" else coeff)
     return out
 

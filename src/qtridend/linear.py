@@ -15,13 +15,21 @@ Unit conventions for the three partial products (x a basis element):
     1 < x = 0        x < 1 = x
     1 * x = x        x * 1 = x        1 * 1 = 1
 1 o 1 is undefined for the partial products and raises.
+
+Every sum of scaled parts in the package is built by one accumulator,
+`_accumulate`: it adds scale * coeff, key by key, into raw exponent dicts
+with `qpoly.acc_mul_add` and wraps each key's sum in a QPoly once.
+`Element.sum`, `Tensor2.sum` and `sum_terms` expose it.  It always builds
+fresh dicts: parts are often shared objects handed out by the module
+caches, and no part is ever mutated.  Only this module and `qpoly` read a
+QPoly's exponent dict.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .qpoly import QPoly, acc_add
+from .qpoly import QPoly, acc_mul_add
 
 LEFT = "left"      # <
 MIDDLE = "middle"  # .
@@ -40,6 +48,57 @@ class _Unit:
 
 UNIT = _Unit()
 
+# QPoly is immutable, so every Element may share these.
+_ZERO = QPoly.zero()
+_ONE = QPoly.one()
+
+
+def _accumulate(parts) -> dict:
+    """Sum scale * coeff over parts, key by key, into fresh raw dicts.
+
+    parts iterates (items, scale): items iterates (key, QPoly) pairs and
+    is read to the end before the next part is drawn; scale is an int or
+    a QPoly.  Returns key -> raw exponent dict; a key whose sum cancels
+    maps to an empty dict.
+    """
+    raw: dict = {}
+    for items, s in parts:
+        sm = {0: s} if s.__class__ is int else s.m
+        for k, c in items:
+            m = raw.get(k)
+            if m is None:
+                m = raw[k] = {}
+            acc_mul_add(m, c.m, sm)
+    return raw
+
+
+def _wrap(raw: dict) -> dict:
+    """One QPoly per key.  A cancelled sum is an empty dict and is dropped;
+    a raw dict of zero values wraps to a zero QPoly, which the Element and
+    Tensor2 constructors drop."""
+    return {k: QPoly(m) for k, m in raw.items() if m}
+
+
+def sum_terms(parts) -> dict:
+    """Sum of scaled coefficient maps: parts iterates (items, scale) with
+    items an iterable of (key, QPoly) and scale an int or QPoly.  Returns a
+    fresh dict key -> QPoly without zero entries."""
+    return _wrap(_accumulate(parts))
+
+
+def _plus(a: dict, b: dict) -> dict:
+    """Termwise sum of two coefficient maps; shares the untouched QPolys."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k)
+        out[k] = c if s is None else s + c
+    return out
+
+
+def _same_family(family: str, other: str) -> None:
+    if family != other:
+        raise ValueError(f"family mismatch: {family} vs {other}")
+
 
 class Element:
     """terms: dict basis-object -> QPoly; unit: QPoly coefficient of 1."""
@@ -49,15 +108,20 @@ class Element:
     def __init__(self, family: str, terms: dict | None = None, unit: QPoly | None = None):
         self.family = family
         self.terms = {o: c for o, c in (terms or {}).items() if c}
-        self.unit = unit if unit is not None else QPoly.zero()
+        self.unit = unit if unit is not None else _ZERO
 
     @classmethod
     def basis(cls, family: str, obj) -> "Element":
-        return cls(family, {obj: QPoly.one()})
+        return cls(family, {obj: _ONE})
 
     @classmethod
     def unit_element(cls, family: str) -> "Element":
-        return cls(family, {}, QPoly.one())
+        return cls(family, {}, _ONE)
+
+    @classmethod
+    def slot(cls, family: str, slot) -> "Element":
+        """The Element of a tensor slot: a basis object, or 1 for UNIT."""
+        return cls.unit_element(family) if slot is UNIT else cls.basis(family, slot)
 
     @classmethod
     def zero(cls, family: str) -> "Element":
@@ -66,9 +130,23 @@ class Element:
     @classmethod
     def from_raw(cls, family: str, raw: dict, unit_raw: dict | None = None) -> "Element":
         """Wrap raw exponent-dict accumulators produced by hot loops."""
-        terms = {o: QPoly(m) for o, m in raw.items() if any(m.values())}
-        unit = QPoly(unit_raw) if unit_raw else QPoly.zero()
-        return cls(family, terms, unit)
+        return cls(family, _wrap(raw), QPoly(unit_raw) if unit_raw else None)
+
+    @classmethod
+    def sum(cls, family: str, parts) -> "Element":
+        """The sum of scale * el over parts (el, scale), el an Element of
+        family and scale an int or QPoly; always a new Element."""
+
+        def items():
+            for el, s in parts:
+                _same_family(family, el.family)
+                yield el.terms.items(), s
+                if el.unit:
+                    yield ((UNIT, el.unit),), s
+
+        raw = _accumulate(items())
+        unit = raw.pop(UNIT, None)
+        return cls.from_raw(family, raw, unit)
 
     def is_zero(self) -> bool:
         return not self.terms and self.unit.is_zero()
@@ -86,16 +164,11 @@ class Element:
         return hash((self.family, frozenset(self.terms.items()), self.unit))
 
     def _check(self, other: "Element"):
-        if self.family != other.family:
-            raise ValueError(f"family mismatch: {self.family} vs {other.family}")
+        _same_family(self.family, other.family)
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        terms = dict(self.terms)
-        for o, c in other.terms.items():
-            s = terms.get(o)
-            terms[o] = c if s is None else s + c
-        return Element(self.family, terms, self.unit + other.unit)
+        return Element(self.family, _plus(self.terms, other.terms), self.unit + other.unit)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -123,7 +196,7 @@ class Element:
         )
 
     def coeff(self, obj) -> QPoly:
-        return self.terms.get(obj, QPoly.zero())
+        return self.terms.get(obj, _ZERO)
 
     def support(self):
         return set(self.terms)
@@ -141,38 +214,18 @@ def bilinear_extend(
     convention applies.  Raises on 1 o 1 for the partial kinds.
     """
     a._check(b)
-    fam = a.family
-    acc: dict = {}
-    unit_acc: dict[int, int] = {}
-    for ox, cx in a.terms.items():
-        for oy, cy in b.terms.items():
-            prod = rule(ox, oy)
-            s = cx * cy
-            if s.is_zero():
-                continue
-            for oz, cz in prod.terms.items():
-                m = acc.setdefault(oz, {})
-                for e, c in (cz * s).m.items():
-                    m[e] = m.get(e, 0) + c
-            if prod.unit:
-                acc_add(unit_acc, (prod.unit * s).m)
-    # unit on either side
-    if a.unit:
-        if kind in (RIGHT, STAR):  # 1 > x = x, 1 * x = x
-            for oy, cy in b.terms.items():
-                m = acc.setdefault(oy, {})
-                acc_add(m, (a.unit * cy).m)
-        if b.unit:
-            if kind == STAR:
-                acc_add(unit_acc, (a.unit * b.unit).m)
-            else:
-                raise ValueError("1 o 1 undefined for partial products")
-    if b.unit:
-        if kind in (LEFT, STAR):  # x < 1 = x, x * 1 = x
-            for ox, cx in a.terms.items():
-                m = acc.setdefault(ox, {})
-                acc_add(m, (b.unit * cx).m)
-    return Element.from_raw(fam, acc, unit_acc)
+    if a.unit and b.unit and kind != STAR:
+        raise ValueError("1 o 1 undefined for partial products")
+    parts = [
+        (rule(ox, oy), cx * cy)
+        for ox, cx in a.terms.items()
+        for oy, cy in b.terms.items()
+    ]
+    if a.unit and kind in (RIGHT, STAR):  # 1 > y = y, 1 * y = y, 1 * 1 = 1
+        parts.append((b, a.unit))
+    if b.unit and kind in (LEFT, STAR):  # x < 1 = x, x * 1 = x; 1 * 1 is above
+        parts.append((Element(a.family, a.terms), b.unit))
+    return Element.sum(a.family, parts)
 
 
 class Tensor2:
@@ -186,7 +239,30 @@ class Tensor2:
 
     @classmethod
     def from_raw(cls, family: str, raw: dict) -> "Tensor2":
-        return cls(family, {k: QPoly(m) for k, m in raw.items() if any(m.values())})
+        return cls(family, _wrap(raw))
+
+    @classmethod
+    def sum(cls, family: str, parts) -> "Tensor2":
+        """The sum of scale * part over parts (part, scale): part is a
+        Tensor2 of family or a pair (a, b) standing for a (x) b, with a, b
+        Elements of family or UNIT; scale is an int or QPoly.  Always a new
+        Tensor2."""
+
+        def items():
+            for part, s in parts:
+                if isinstance(part, Tensor2):
+                    _same_family(family, part.family)
+                    yield part.terms.items(), s
+                    continue
+                a, b = part
+                for leg in part:
+                    if leg is not UNIT:
+                        _same_family(family, leg.family)
+                right = list(_slot_items(b))
+                for sl, cl in _slot_items(a):
+                    yield (((sl, sr), cr) for sr, cr in right), cl * s
+
+        return cls.from_raw(family, _accumulate(items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -197,16 +273,11 @@ class Tensor2:
         return self.family == other.family and self.terms == other.terms
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
-        if self.family != other.family:
-            raise ValueError("family mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            terms[k] = c if s is None else s + c
-        return Tensor2(self.family, terms)
+        _same_family(self.family, other.family)
+        return Tensor2(self.family, _plus(self.terms, other.terms))
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + other.scale(QPoly.const(-1))
+        return self + other.scale(-1)
 
     def scale(self, s: QPoly | int) -> "Tensor2":
         if isinstance(s, int):
@@ -232,17 +303,10 @@ class Tensor2:
 
     def map_slots(self, fn_left, fn_right, out_family: str) -> "Tensor2":
         """Apply Element-valued maps to each leg (UNIT maps to UNIT)."""
-        out: dict = {}
-        for (l, r), c in self.terms.items():
-            le = fn_left(l)
-            re = fn_right(r)
-            for sl, cl in _slot_items(le):
-                for sr, cr in _slot_items(re):
-                    k = (sl, sr)
-                    cur = out.get(k)
-                    add = c * cl * cr
-                    out[k] = add if cur is None else cur + add
-        return Tensor2(out_family, out)
+        return Tensor2.sum(
+            out_family,
+            (((fn_left(l), fn_right(r)), c) for (l, r), c in self.terms.items()),
+        )
 
     def __repr__(self):
         return f"Tensor2({self.family}, {len(self.terms)} terms)"
@@ -251,25 +315,19 @@ class Tensor2:
 def _slot_items(el):
     """Iterate (slot, coeff) of an Element or of the UNIT sentinel."""
     if el is UNIT:
-        yield UNIT, QPoly.one()
+        yield UNIT, _ONE
         return
-    for o, c in el.terms.items():
-        yield o, c
+    yield from el.terms.items()
     if el.unit:
         yield UNIT, el.unit
 
 
 def tensor_of(a: Element, b: Element) -> Tensor2:
     """a (x) b including unit legs."""
-    a._check(b)
-    out: dict = {}
-    for sl, cl in _slot_items(a):
-        for sr, cr in _slot_items(b):
-            k = (sl, sr)
-            c = cl * cr
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-    return Tensor2(a.family, out)
+    return Tensor2.sum(a.family, (((a, b), 1),))
+
+
+_DELTA_UNIT = {(UNIT, UNIT): _ONE}
 
 
 def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
@@ -281,20 +339,14 @@ def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    out: dict = {}
-    for (l, r), c in t.terms.items():
-        target = l if side == "left" else r
-        if target is UNIT:
-            expansion = [((UNIT, UNIT), QPoly.one())]
-        else:
-            expansion = list(coproduct(target).terms.items())
-        for (u, v), cc in expansion:
-            key = (u, v, r) if side == "left" else (l, u, v)
-            add = c * cc
-            cur = out.get(key)
-            nc = add if cur is None else cur + add
-            if nc.is_zero():
-                out.pop(key, None)
+
+    def parts():
+        for (l, r), c in t.terms.items():
+            target = l if side == "left" else r
+            delta = _DELTA_UNIT if target is UNIT else coproduct(target).terms
+            if side == "left":
+                yield (((u, v, r), cc) for (u, v), cc in delta.items()), c
             else:
-                out[key] = nc
-    return out
+                yield (((l, u, v), cc) for (u, v), cc in delta.items()), c
+
+    return sum_terms(parts())

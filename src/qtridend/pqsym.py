@@ -26,7 +26,7 @@ from itertools import combinations
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
 from .qpoly import QPoly
 from .st import _scan_words, _weight, _word_kind
-from .words import Word, is_parking, is_surjection, park, parking_functions, std
+from .words import Word, is_parking, is_surjection, park, parking_functions, render_word, std
 
 FAMILY = "pqsym"
 
@@ -103,7 +103,7 @@ def alpha(f: Word) -> Element:
     letter set into [n], kept when the result is a parking function.
     """
     if not is_surjection(f):
-        raise ValueError(f"alpha needs a surjective word, got {f}")
+        raise ValueError(f"alpha needs a surjective word, got {render_word(f)}")
     n = len(f)
     r = max(f)
     terms = {}
@@ -117,9 +117,9 @@ def alpha(f: Word) -> Element:
 def iota(f: Word) -> Element:
     """Inclusion of a surjective word as a parking function."""
     if not is_surjection(f):
-        raise ValueError(f"iota needs a surjective word, got {f}")
+        raise ValueError(f"iota needs a surjective word, got {render_word(f)}")
     if not is_parking(f):
-        raise RuntimeError(f"surjective word {f} is not a parking function")
+        raise RuntimeError(f"surjective word {render_word(f)} is not a parking function")
     return Element.basis(FAMILY, f)
 
 

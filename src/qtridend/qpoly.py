@@ -5,9 +5,12 @@ with zero coefficients never stored.  Coefficients are arbitrary-precision
 Python ints, so every computation in the package is exact.
 
 The QPoly class is immutable by convention: no method mutates self, and the
-internal dict is never handed out for writing.  Hot loops elsewhere in the
-package accumulate into raw exponent dicts and wrap them in QPoly at the end;
-the raw-dict helpers for that live here as module functions.
+internal dict is never handed out for writing.  Only this module and
+`linear` read a QPoly's exponent dict: sums of scaled parts are built by the
+one accumulator in `linear`, which adds into raw exponent dicts with
+`acc_mul_add` and wraps each result in a QPoly once.  Every other module
+goes through QPoly methods; the family product kernels still fill raw
+exponent dicts of their own, which `Element.from_raw` wraps.
 """
 
 from __future__ import annotations
@@ -54,16 +57,13 @@ class QPoly:
         return hash(frozenset(self.m.items()))
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        return QPoly(qp_add(self.m, other.m))
+        out = dict(self.m)
+        acc_add(out, other.m)
+        return QPoly(out)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         out = dict(self.m)
-        for e, c in other.m.items():
-            nc = out.get(e, 0) - c
-            if nc:
-                out[e] = nc
-            elif e in out:
-                del out[e]
+        acc_add(out, other.m, scale=-1)
         return QPoly(out)
 
     def __neg__(self) -> "QPoly":
@@ -72,7 +72,9 @@ class QPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return QPoly({e: c * other for e, c in self.m.items()})
-        return QPoly(qp_mul(self.m, other.m))
+        out: dict[int, int] = {}
+        acc_mul_add(out, self.m, other.m)
+        return QPoly(out)
 
     __rmul__ = __mul__
 
@@ -105,30 +107,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self.m!r})"
-
-
-def qp_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for e, c in b.items():
-        nc = out.get(e, 0) + c
-        if nc:
-            out[e] = nc
-        elif e in out:
-            del out[e]
-    return out
-
-
-def qp_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            nc = out.get(e, 0) + ca * cb
-            if nc:
-                out[e] = nc
-            elif e in out:
-                del out[e]
-    return out
 
 
 def qp_eval(m: dict[int, int], q: int) -> int:

@@ -159,25 +159,16 @@ def tree_coproduct(t: Tree, qval: int | None = None) -> Tensor2:
             for (l, r), coeff in tree_coproduct(c, qval).terms.items():
                 choices.append((l, LEAF if r is UNIT else r, coeff))
             per_child.append(choices)
-    raw: dict = {}
+    parts = []
     for combo in iproduct(*per_child):
         lefts = [l for (l, _, _) in combo if l is not UNIT]
         coeff = QPoly.one()
         for (_, _, c) in combo:
             coeff = coeff * c
-        right = tuple(r for (_, r, _) in combo)
-        left_el = _star_elements(lefts, qval)
-        for obj, cl in left_el.terms.items():
-            m = raw.setdefault((obj, right), {})
-            for e, cc in (cl * coeff).m.items():
-                m[e] = m.get(e, 0) + cc
-        if left_el.unit:
-            m = raw.setdefault((UNIT, right), {})
-            for e, cc in (left_el.unit * coeff).m.items():
-                m[e] = m.get(e, 0) + cc
-    m = raw.setdefault((t, UNIT), {})
-    m[0] = m.get(0, 0) + 1
-    out = Tensor2.from_raw(FAMILY, raw)
+        right = Element.basis(FAMILY, tuple(r for (_, r, _) in combo))
+        parts.append(((_star_elements(lefts, qval), right), coeff))
+    parts.append(((Element.basis(FAMILY, t), UNIT), 1))
+    out = Tensor2.sum(FAMILY, parts)
     _cop_cache[key] = out
     return out
 

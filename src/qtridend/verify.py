@@ -181,17 +181,15 @@ def verify_axioms(algebra: str, max_total_degree: int, qval=None) -> dict:
 
 def _counit_slice(t: Tensor2, side: str) -> Element:
     """Apply the counit to one leg: (eps (x) id) or (id (x) eps)."""
-    terms: dict = {}
-    unit = QPoly.zero()
-    for (l, r), c in t.terms.items():
-        killed, kept = (l, r) if side == "left" else (r, l)
-        if killed is not UNIT:
-            continue
-        if kept is UNIT:
-            unit = unit + c
-        else:
-            terms[kept] = terms.get(kept, QPoly.zero()) + c
-    return Element(t.family, terms, unit)
+    killed = 0 if side == "left" else 1
+    return Element.sum(
+        t.family,
+        (
+            (Element.slot(t.family, k[1 - killed]), c)
+            for k, c in t.terms.items()
+            if k[killed] is UNIT
+        ),
+    )
 
 
 def verify_bialgebra(
@@ -257,12 +255,10 @@ def verify_bialgebra(
 
 def _map_element(el: Element, fn, out_family: str) -> Element:
     """Push an Element through a basis-level linear map."""
-    acc = Element.zero(out_family)
-    for o, c in el.terms.items():
-        acc = acc + fn(o).scale(c)
+    parts = [(fn(o), c) for o, c in el.terms.items()]
     if el.unit:
-        acc = acc + Element.unit_element(out_family).scale(el.unit)
-    return acc
+        parts.append((Element.unit_element(out_family), el.unit))
+    return Element.sum(out_family, parts)
 
 
 def _unit_or(fn):

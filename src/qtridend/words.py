@@ -21,6 +21,11 @@ from functools import lru_cache
 Word = tuple[int, ...]
 
 
+def render_word(w: Word) -> str:
+    """The element-grammar form of a word: (2,1,3)."""
+    return "(" + ",".join(str(v) for v in w) + ")"
+
+
 def std(w: Word) -> Word:
     """Standardize: relabel the letter set onto {1..k} preserving order."""
     rank = {v: i + 1 for i, v in enumerate(sorted(set(w)))}

@@ -206,6 +206,25 @@ def test_invalid_basis_is_named_in_the_grammar(capsys, algebra, bad, good, messa
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("literal", ["[(1,x)]", "[(1,)]"])
+def test_malformed_mperm_literal_is_named_in_the_grammar(capsys, literal):
+    code, out, err = run(capsys, "eval", "--algebra", "mperm", "--op", "left", literal, "[(1)]")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad multipermutation literal: {literal!r}\n"
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [(["1", "(1)"], "1"), (["(1) + 1", "(1)"], "(1) + 1"), (["(1)", "2 + (1)"], "(1) + 2*1")],
+)
+def test_brace_rejects_unit_terms(capsys, args, bad):
+    code, out, err = run(capsys, "brace", "--algebra", "st", *args)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: brace arguments must have no unit term, got {bad}\n"
+
+
 def test_bad_choice_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--algebra", "nosuch"])

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st_
+
+from qtridend.algebras import ALGEBRA_NAMES, get_algebra
+from qtridend.grammar import parse_element, render_element
 from qtridend.linear import (
     LEFT,
     MIDDLE,
@@ -146,3 +152,107 @@ def test_tensor_flatten():
 
 def test_unit_repr():
     assert repr(UNIT) == "1"
+
+
+# ------------------------------------------------------------ accumulator
+
+_polys = st_.dictionaries(
+    st_.integers(min_value=0, max_value=3),
+    st_.integers(min_value=-3, max_value=3),
+    max_size=3,
+).map(QPoly)
+_scales = st_.one_of(st_.integers(min_value=-3, max_value=3), _polys)
+_objs = st_.sampled_from([(1,), (1, 1), (1, 2), (2, 1)])
+_slots = st_.sampled_from([UNIT, (1,), (1, 2), (2, 1)])
+_elements = st_.builds(
+    lambda terms, unit: Element(F, terms, unit),
+    st_.dictionaries(_objs, _polys, max_size=3),
+    _polys,
+)
+_tensors = st_.dictionaries(st_.tuples(_slots, _slots), _polys, max_size=4).map(
+    lambda terms: Tensor2(F, terms)
+)
+_legs = st_.one_of(st_.just(UNIT), _elements)
+
+
+def _snapshot(x):
+    """The full content of an Element, Tensor2, pair or UNIT, as plain data."""
+    if x is UNIT:
+        return "1"
+    if isinstance(x, tuple):
+        return tuple(_snapshot(leg) for leg in x)
+    unit = x.unit.to_pairs() if isinstance(x, Element) else None
+    return sorted((repr(k), c.to_pairs()) for k, c in x.terms.items()), unit
+
+
+def _slot_terms(x):
+    if x is UNIT:
+        return [(UNIT, QPoly.one())]
+    return list(x.terms.items()) + ([(UNIT, x.unit)] if x.unit else [])
+
+
+def _outer(a, b) -> Tensor2:
+    """a (x) b term by term, without the accumulator."""
+    out = Tensor2(F)
+    for sl, cl in _slot_terms(a):
+        for sr, cr in _slot_terms(b):
+            out = out + Tensor2(F, {(sl, sr): cl * cr})
+    return out
+
+
+@given(st_.lists(st_.tuples(_elements, _scales), max_size=5), st_.booleans())
+def test_element_sum_is_the_fold_of_add_and_scale(parts, cancel):
+    if cancel:  # every part again with the opposite sign: the sum is 0
+        parts = parts + [(-el, s) for el, s in parts]
+    before = [_snapshot(el) for el, _ in parts]
+    fold = Element.zero(F)
+    for el, s in parts:
+        fold = fold + el.scale(s)
+    got = Element.sum(F, parts)
+    assert got == fold
+    assert got.is_zero() or not cancel
+    assert [_snapshot(el) for el, _ in parts] == before
+
+
+@given(
+    st_.lists(
+        st_.tuples(st_.one_of(_tensors, st_.tuples(_legs, _legs)), _scales), max_size=5
+    ),
+    st_.booleans(),
+)
+def test_tensor_sum_is_the_fold_of_add_and_scale(parts, cancel):
+    if cancel:
+        parts = parts + [(p, -s) for p, s in parts]
+    before = [_snapshot(p) for p, _ in parts]
+    fold = Tensor2(F)
+    for p, s in parts:
+        fold = fold + (p if isinstance(p, Tensor2) else _outer(*p)).scale(s)
+    got = Tensor2.sum(F, parts)
+    assert got == fold
+    assert got.is_zero() or not cancel
+    assert [_snapshot(p) for p, _ in parts] == before
+
+
+def test_sums_reject_a_foreign_family():
+    with pytest.raises(ValueError):
+        Element.sum(F, [(Element.basis("tree", ((), ())), 1)])
+    with pytest.raises(ValueError):
+        Tensor2.sum(F, [((Element.basis("tree", ((), ())), UNIT), 1)])
+
+
+def _random_element(rng: random.Random, family: str) -> Element:
+    h = get_algebra(family)
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        obj = rng.choice(h.basis(rng.randint(1, 6)))
+        terms[obj] = QPoly({rng.randint(0, 4): rng.choice([-3, -1, 1, 2, 5])})
+    unit = QPoly({e: rng.randint(-2, 2) for e in range(rng.randint(0, 2))})
+    return Element(family, terms, unit)
+
+
+@pytest.mark.parametrize("family", ALGEBRA_NAMES)
+def test_parse_render_round_trip(family):
+    rng = random.Random(6)
+    for _ in range(50):
+        x = _random_element(rng, family)
+        assert parse_element(family, render_element(x)) == x

@@ -106,6 +106,13 @@ def test_alpha_examples():
     assert render_element(alpha((1, 2, 1))) == "(1,2,1) + (1,3,1)"
 
 
+@pytest.mark.parametrize("fn", [alpha, iota])
+def test_alpha_iota_name_the_word_in_the_grammar(fn):
+    with pytest.raises(ValueError) as exc:
+        fn((1, 3))
+    assert str(exc.value) == f"{fn.__name__} needs a surjective word, got (1,3)"
+
+
 def test_alpha_structure():
     for n in (1, 2, 3):
         seen = {}
