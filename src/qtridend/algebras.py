@@ -4,7 +4,7 @@ An AlgebraHandle bundles the basis enumerator, degree, the basis-level
 products (by kind) and the coproduct of one family behind a common
 signature, so the brace/projector layer and the verification harness can
 be written once.  qval = None means symbolic coefficients in q; an int
-specializes every weight at that value.
+specializes every weight at that value (applied in `qpoly` and `linear`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .linear import (
     Tensor2,
     bilinear_extend,
 )
-from .qpoly import QPoly
+from .qpoly import q_scalar
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,6 @@ def get_algebra(name: str) -> AlgebraHandle:
 
 
 ALGEBRA_NAMES = ("st", "pqsym", "tree", "mperm")
-
-
-def q_scalar(qval: int | None) -> QPoly:
-    """The scalar q itself, under the current specialization."""
-    return QPoly.q_power(1) if qval is None else QPoly.const(qval)
 
 
 def el_product(

@@ -28,12 +28,11 @@ from .algebras import (
     el_coproduct,
     el_product,
     el_rtilde,
-    q_scalar,
     reduced_coproduct,
 )
 from .grammar import render_element
 from .linear import LEFT, MIDDLE, RIGHT, UNIT, Element, Tensor2, sum_terms
-from .qpoly import QPoly
+from .qpoly import QPoly, q_scalar
 from .rank import rational_nullspace, rational_rank
 
 _etri_cache: dict = {}

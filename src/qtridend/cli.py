@@ -10,8 +10,8 @@ Examples:
   qtridend dims --format json
 
 Every subcommand accepts --format text|json.  --q takes "symbolic" (the
-default: exact polynomial coefficients in q) or an integer specialization;
-primitives requires an integer since ranks are computed over Q.
+default: exact polynomial coefficients in q) or an integer N, which sets
+q = N in the inputs too; primitives requires an integer (ranks over Q).
 """
 
 from __future__ import annotations
@@ -60,17 +60,23 @@ def _emit_element(el: Element, fmt: str) -> None:
         print(render_element(el))
 
 
+def _parse_at_q(args, text: str) -> Element:
+    """Parse an element, with q set to N under --q N."""
+    el = parse_element(args.algebra, text)
+    return el if args.q is None else el.eval_q(args.q)
+
+
 def _cmd_eval(args) -> int:
     h = get_algebra(args.algebra)
-    f = parse_element(args.algebra, args.f)
-    g = parse_element(args.algebra, args.g)
+    f = _parse_at_q(args, args.f)
+    g = _parse_at_q(args, args.g)
     _emit_element(el_product(h, args.op, f, g, args.q), args.format)
     return 0
 
 
 def _cmd_coproduct(args) -> int:
     h = get_algebra(args.algebra)
-    f = parse_element(args.algebra, args.f)
+    f = _parse_at_q(args, args.f)
     t = el_coproduct(h, f, args.q)
     if args.format == "json":
         print(json.dumps(tensor2_to_json(t)))
@@ -81,8 +87,8 @@ def _cmd_coproduct(args) -> int:
 
 def _cmd_brace(args) -> int:
     h = get_algebra(args.algebra)
-    x = parse_element(args.algebra, args.x)
-    ys = [parse_element(args.algebra, y) for y in args.ys]
+    x = _parse_at_q(args, args.x)
+    ys = [_parse_at_q(args, y) for y in args.ys]
     _emit_element(brace(h, x, ys, args.q), args.format)
     return 0
 

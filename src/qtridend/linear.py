@@ -21,15 +21,17 @@ Every sum of scaled parts in the package is built by one accumulator,
 with `qpoly.acc_mul_add` and wraps each key's sum in a QPoly once.
 `Element.sum`, `Tensor2.sum` and `sum_terms` expose it.  It always builds
 fresh dicts: parts are often shared objects handed out by the module
-caches, and no part is ever mutated.  Only this module and `qpoly` read a
-QPoly's exponent dict.
+caches, and no part is ever mutated.  The family kernels hand over
+q-monomials (obj, e) instead, filed by `file_monomial`, and
+`from_monomials` applies q^e, or qval**e when specialized.  Only this
+module and `qpoly` read a QPoly's exponent dict or branch on qval.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .qpoly import QPoly, acc_mul_add
+from .qpoly import QPoly, _adopt, acc_mul_add
 
 LEFT = "left"      # <
 MIDDLE = "middle"  # .
@@ -73,10 +75,29 @@ def _accumulate(parts) -> dict:
 
 
 def _wrap(raw: dict) -> dict:
-    """One QPoly per key.  A cancelled sum is an empty dict and is dropped;
-    a raw dict of zero values wraps to a zero QPoly, which the Element and
-    Tensor2 constructors drop."""
-    return {k: QPoly(m) for k, m in raw.items() if m}
+    """One QPoly per key, adopting the accumulator's zero-free dicts; a
+    cancelled sum is an empty dict and is dropped."""
+    return {k: _adopt(m) for k, m in raw.items() if m}
+
+
+def _monomial_terms(monomials, qval: int | None) -> dict:
+    """Count (key, e) monomials into key -> QPoly: the sum of q^e, or of
+    qval**e when specialized.  Keys whose sum vanishes are dropped."""
+    raw: dict = {}
+    for k, e in monomials:
+        m = raw.setdefault(k, {})
+        if qval is None:
+            m[e] = m.get(e, 0) + 1
+        else:
+            m[0] = m.get(0, 0) + qval**e
+    return {k: _adopt(m) for k, m in raw.items() if any(m.values())}
+
+
+def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
+    """File q^e * obj of the total product under STAR and under its kind,
+    one q less in the middle (STAR = < + q. + >)."""
+    monomials[kind].append((obj, e - 1 if kind == MIDDLE else e))
+    monomials[STAR].append((obj, e))
 
 
 def sum_terms(parts) -> dict:
@@ -100,6 +121,20 @@ def _same_family(family: str, other: str) -> None:
         raise ValueError(f"family mismatch: {family} vs {other}")
 
 
+def _element(family: str, terms: dict, unit: QPoly = _ZERO) -> "Element":
+    """An Element that takes terms as they are: fresh and zero-free."""
+    el = object.__new__(Element)
+    el.family, el.terms, el.unit = family, terms, unit
+    return el
+
+
+def _tensor(family: str, terms: dict) -> "Tensor2":
+    """A Tensor2 that takes terms as they are: fresh and zero-free."""
+    t = object.__new__(Tensor2)
+    t.family, t.terms = family, terms
+    return t
+
+
 class Element:
     """terms: dict basis-object -> QPoly; unit: QPoly coefficient of 1."""
 
@@ -112,11 +147,11 @@ class Element:
 
     @classmethod
     def basis(cls, family: str, obj) -> "Element":
-        return cls(family, {obj: _ONE})
+        return _element(family, {obj: _ONE})
 
     @classmethod
     def unit_element(cls, family: str) -> "Element":
-        return cls(family, {}, _ONE)
+        return _element(family, {}, _ONE)
 
     @classmethod
     def slot(cls, family: str, slot) -> "Element":
@@ -125,12 +160,12 @@ class Element:
 
     @classmethod
     def zero(cls, family: str) -> "Element":
-        return cls(family)
+        return _element(family, {})
 
     @classmethod
-    def from_raw(cls, family: str, raw: dict, unit_raw: dict | None = None) -> "Element":
-        """Wrap raw exponent-dict accumulators produced by hot loops."""
-        return cls(family, _wrap(raw), QPoly(unit_raw) if unit_raw else None)
+    def from_monomials(cls, family: str, monomials, qval: int | None = None) -> "Element":
+        """Sum of q^e * obj over (obj, e) in monomials; q = qval unless None."""
+        return _element(family, _monomial_terms(monomials, qval))
 
     @classmethod
     def sum(cls, family: str, parts) -> "Element":
@@ -146,7 +181,7 @@ class Element:
 
         raw = _accumulate(items())
         unit = raw.pop(UNIT, None)
-        return cls.from_raw(family, raw, unit)
+        return _element(family, _wrap(raw), _adopt(unit) if unit else _ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms and self.unit.is_zero()
@@ -174,13 +209,9 @@ class Element:
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element(
-            self.family, {o: -c for o, c in self.terms.items()}, -self.unit
-        )
+        return _element(self.family, {o: -c for o, c in self.terms.items()}, -self.unit)
 
     def scale(self, s: QPoly | int) -> "Element":
-        if isinstance(s, int):
-            s = QPoly.const(s)
         return Element(
             self.family,
             {o: c * s for o, c in self.terms.items()},
@@ -238,8 +269,9 @@ class Tensor2:
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     @classmethod
-    def from_raw(cls, family: str, raw: dict) -> "Tensor2":
-        return cls(family, _wrap(raw))
+    def from_monomials(cls, family: str, monomials, qval: int | None = None) -> "Tensor2":
+        """Sum of q^e * (l (x) r) over ((l, r), e) in monomials; q = qval unless None."""
+        return _tensor(family, _monomial_terms(monomials, qval))
 
     @classmethod
     def sum(cls, family: str, parts) -> "Tensor2":
@@ -262,7 +294,7 @@ class Tensor2:
                 for sl, cl in _slot_items(a):
                     yield (((sl, sr), cr) for sr, cr in right), cl * s
 
-        return cls.from_raw(family, _accumulate(items()))
+        return _tensor(family, _wrap(_accumulate(items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -280,8 +312,6 @@ class Tensor2:
         return self + other.scale(-1)
 
     def scale(self, s: QPoly | int) -> "Tensor2":
-        if isinstance(s, int):
-            s = QPoly.const(s)
         return Tensor2(self.family, {k: c * s for k, c in self.terms.items()})
 
     def eval_q(self, q: int) -> "Tensor2":
@@ -292,7 +322,7 @@ class Tensor2:
 
     def interior(self) -> "Tensor2":
         """Terms with no unit leg (the reduced part of a coproduct)."""
-        return Tensor2(
+        return _tensor(
             self.family,
             {
                 (l, r): c

@@ -25,7 +25,8 @@ filters; on a full window std_m reduces to a plain shift, which makes the
 window condition an equality.
 
 The brute-force route `_scan_mperms` enumerates every W of both sizes
-and files it under the pair (B, D) its two restrictions give.
+and files it under the pair (B, D) its two restrictions give.  Both routes
+file (W, r+s-l) q-monomials, which `Element.from_monomials` weighs.
 
 The coproduct splits the block sequence at every position and applies
 std_m to both sides.
@@ -33,11 +34,10 @@ std_m to both sides.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 
-from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
-from .qpoly import QPoly
-from .st import _weight
+from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
 from .words import run_compress, std, surjections
 
 FAMILY = "mperm"
@@ -174,7 +174,7 @@ def mperm_pair_products(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
     n, m = mperm_size(B), mperm_size(D)
     r, s = len(B), len(D)
     left_set = frozenset(range(1, n + 1))
-    raws = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
+    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
     for total, shift in ((n + m, n), (n + m - 1, n - 1)):
         window = frozenset(range(shift + 1, total + 1))
         dsh = tuple(frozenset(v + shift for v in b) for b in D)
@@ -192,10 +192,8 @@ def mperm_pair_products(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
             mixed = sum(1 for b in w if (b & left_set) and (b & window))
             if mixed != overlap:
                 raise RuntimeError(f"{mixed} mixed blocks in a quasi-shuffle, not {overlap}")
-            kind = _kind_of(w[-1], left_set, window)
-            _weight(raws, kind, w, overlap - 1 if kind == MIDDLE else overlap, qval)
-            _weight(raws, STAR, w, overlap, qval)
-    out = {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
+            file_monomial(monos, _kind_of(w[-1], left_set, window), w, overlap)
+    out = {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
     _pair_cache[key] = out
     return out
 
@@ -204,14 +202,14 @@ def mperm_product(kind: str, B: MPerm, D: MPerm, qval: int | None = None) -> Ele
     return mperm_pair_products(B, D, qval)[kind]
 
 
-def _scan_mperms(total: int, qval: int | None) -> dict:
+def _scan_mperms(total: int) -> dict:
     """Brute-force route: one pass over every multipermutation W of size
     total (window [n+1, total]) and of size total-1 (window [n, total-1]).
     For each n, W is filed under (B, D) = (W restricted to [n], std_m of W
     restricted to the window) when D keeps all total-n window values, so
-    the result maps every pair with size(B) + size(D) = total to the raw
-    accumulators of its four products."""
-    buckets: dict = {}
+    the result maps every pair with size(B) + size(D) = total to the
+    monomial lists of its four products."""
+    buckets = defaultdict(lambda: {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []})
     for size, shift in ((total, 0), (total - 1, 1)):
         for w in mpermutations(size):
             l = len(w)
@@ -222,21 +220,16 @@ def _scan_mperms(total: int, qval: int | None) -> dict:
                     continue
                 left_set = frozenset(range(1, n + 1))
                 B = restrict_blocks(w, left_set)
-                raws = buckets.get((B, D))
-                if raws is None:
-                    raws = buckets[(B, D)] = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
-                overlap = len(B) + len(D) - l
                 kind = _kind_of(w[-1], left_set, window)
-                _weight(raws, kind, w, overlap - 1 if kind == MIDDLE else overlap, qval)
-                _weight(raws, STAR, w, overlap, qval)
+                file_monomial(buckets[(B, D)], kind, w, len(B) + len(D) - l)
     return buckets
 
 
 def mperm_product_oracle(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
     """All four products of B and D, read off the scan of every
     multipermutation of both target sizes."""
-    raws = _scan_mperms(mperm_size(B) + mperm_size(D), qval)[(B, D)]
-    return {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
+    monos = _scan_mperms(mperm_size(B) + mperm_size(D))[(B, D)]
+    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
 def mperm_coproduct(B: MPerm) -> Tensor2:
@@ -244,13 +237,12 @@ def mperm_coproduct(B: MPerm) -> Tensor2:
     if hit is not None:
         return hit
     l = len(B)
-    terms: dict = {}
+    terms = []
     for i in range(l + 1):
         left = UNIT if i == 0 else std_m(B[:i])
         right = UNIT if i == l else std_m(B[i:])
-        key = (left, right)
-        terms[key] = terms.get(key, QPoly.zero()) + QPoly.one()
-    out = Tensor2(FAMILY, terms)
+        terms.append(((left, right), 0))
+    out = Tensor2.from_monomials(FAMILY, terms)
     _cop_cache[B] = out
     return out
 

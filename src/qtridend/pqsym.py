@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
-from .qpoly import QPoly
-from .st import _scan_words, _weight, _word_kind
+from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
+from .st import _scan_words, _word_kind
 from .words import Word, is_parking, is_surjection, park, parking_functions, render_word, std
 
 FAMILY = "pqsym"
@@ -43,7 +42,7 @@ def pf_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
     N = n + m
     u, v = std(f), std(g)
     a, b = max(u), max(v)
-    raws = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
+    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
     for avals in combinations(range(1, N + 1), a):
         h = tuple(avals[x - 1] for x in u)
         if park(h) != f:
@@ -57,11 +56,9 @@ def pf_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
             w = h + k
             if not is_parking(w):
                 continue
-            s = len(hset.intersection(bvals))
             kind = _word_kind(hmax, bvals[-1])
-            _weight(raws, kind, w, s - 1 if kind == MIDDLE else s, qval)
-            _weight(raws, STAR, w, s, qval)
-    out = {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
+            file_monomial(monos, kind, w, len(hset.intersection(bvals)))
+    out = {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
     _pair_cache[key] = out
     return out
 
@@ -73,8 +70,8 @@ def pf_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
 def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
     """All four products of f and g, read off the scan of every parking
     function of length n+m."""
-    raws = _scan_words(len(f) + len(g), parking_functions, park, qval)[(f, g)]
-    return {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
+    monos = _scan_words(len(f) + len(g), parking_functions, park)[(f, g)]
+    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
 def pf_coproduct(f: Word) -> Tensor2:
@@ -82,7 +79,7 @@ def pf_coproduct(f: Word) -> Tensor2:
     if hit is not None:
         return hit
     n = len(f)
-    terms: dict = {(UNIT, f): None, (f, UNIT): None}
+    terms = [((UNIT, f), 0), ((f, UNIT), 0)]
     for j in range(1, n):
         pos = [i for i, x in enumerate(f) if x <= j]
         if len(pos) != j:
@@ -90,8 +87,8 @@ def pf_coproduct(f: Word) -> Tensor2:
         left = tuple(f[i] for i in pos)
         right = tuple(f[i] - j for i in range(n) if f[i] > j)
         if is_parking(left) and is_parking(right):
-            terms[(left, right)] = None
-    out = Tensor2(FAMILY, {k: QPoly.one() for k in terms})
+            terms.append(((left, right), 0))
+    out = Tensor2.from_monomials(FAMILY, terms)
     _cop_cache[f] = out
     return out
 
@@ -106,12 +103,12 @@ def alpha(f: Word) -> Element:
         raise ValueError(f"alpha needs a surjective word, got {render_word(f)}")
     n = len(f)
     r = max(f)
-    terms = {}
+    terms = []
     for vals in combinations(range(1, n + 1), r):
         h = tuple(vals[x - 1] for x in f)
         if is_parking(h):
-            terms[h] = QPoly.one()
-    return Element(FAMILY, terms)
+            terms.append((h, 0))
+    return Element.from_monomials(FAMILY, terms)
 
 
 def iota(f: Word) -> Element:

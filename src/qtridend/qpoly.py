@@ -6,11 +6,11 @@ Python ints, so every computation in the package is exact.
 
 The QPoly class is immutable by convention: no method mutates self, and the
 internal dict is never handed out for writing.  Only this module and
-`linear` read a QPoly's exponent dict: sums of scaled parts are built by the
-one accumulator in `linear`, which adds into raw exponent dicts with
-`acc_mul_add` and wraps each result in a QPoly once.  Every other module
-goes through QPoly methods; the family product kernels still fill raw
-exponent dicts of their own, which `Element.from_raw` wraps.
+`linear` read the exponent dict or branch on a specialization qval (None
+for symbolic q, an int for q set to that value); every other module goes
+through QPoly methods, `q_scalar` and the constructors of `linear`.  The
+public constructor drops zero coefficients; results built here and in
+`linear` from fresh zero-free dicts skip that pass through `_adopt`.
 """
 
 from __future__ import annotations
@@ -59,22 +59,22 @@ class QPoly:
     def __add__(self, other: "QPoly") -> "QPoly":
         out = dict(self.m)
         acc_add(out, other.m)
-        return QPoly(out)
+        return _adopt(out)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         out = dict(self.m)
         acc_add(out, other.m, scale=-1)
-        return QPoly(out)
+        return _adopt(out)
 
     def __neg__(self) -> "QPoly":
-        return QPoly({e: -c for e, c in self.m.items()})
+        return _adopt({e: -c for e, c in self.m.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPoly({e: c * other for e, c in self.m.items()})
+            return _adopt({e: c * other for e, c in self.m.items()} if other else {})
         out: dict[int, int] = {}
         acc_mul_add(out, self.m, other.m)
-        return QPoly(out)
+        return _adopt(out)
 
     __rmul__ = __mul__
 
@@ -82,7 +82,7 @@ class QPoly:
         """Multiply by q^e."""
         if e == 0:
             return self
-        return QPoly({ex + e: c for ex, c in self.m.items()})
+        return _adopt({ex + e: c for ex, c in self.m.items()})
 
     def eval(self, q: int):
         return qp_eval(self.m, q)
@@ -107,6 +107,18 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self.m!r})"
+
+
+def _adopt(m: dict[int, int]) -> QPoly:
+    """A QPoly that takes m as it is: m must be fresh and zero-free."""
+    p = object.__new__(QPoly)
+    p.m = m
+    return p
+
+
+def q_scalar(qval: int | None) -> QPoly:
+    """The scalar q itself, under the specialization qval."""
+    return QPoly.q_power(1) if qval is None else QPoly.const(qval)
 
 
 def qp_eval(m: dict[int, int], q: int) -> int:

@@ -17,7 +17,8 @@ is read off from which side contains r.
 
 The brute-force route `_scan_words` enumerates every word of length n+m
 and files each split h k under (std(h), std(k)); with park in place of
-std it is also the brute-force route for parking functions.
+std it is also the brute-force route for parking functions.  Both routes
+file (word, overlap) q-monomials, which `Element.from_monomials` weighs.
 
 The coproduct cuts the image at j: Delta(f) = sum over j = 0..max(f) of
 f|^{1..j} (x) std(f|^{j+1..max}), with co-restriction by letter values.
@@ -25,24 +26,16 @@ f|^{1..j} (x) std(f|^{j+1..max}), with co-restriction by letter values.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 
-from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
-from .qpoly import QPoly
+from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
 from .words import Word, corestrict, image_overlap, is_surjection, std, surjections
 
 FAMILY = "st"
 
 _pair_cache: dict = {}
 _cop_cache: dict = {}
-
-
-def _weight(raws: dict, kind: str, obj, exp: int, qval):
-    m = raws[kind].setdefault(obj, {})
-    if qval is None:
-        m[exp] = m.get(exp, 0) + 1
-    else:
-        m[0] = m.get(0, 0) + qval**exp
 
 
 def st_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
@@ -52,7 +45,7 @@ def st_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
     if hit is not None:
         return hit
     a, b = max(f), max(g)
-    raws = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
+    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
     for r in range(max(a, b), a + b + 1):
         s = a + b - r  # |A n B|
         for A in combinations(range(1, r + 1), a):
@@ -64,16 +57,14 @@ def st_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
             for extra in combinations(A, b - len(rest)):
                 B = sorted(rest + extra)
                 k = tuple(B[x - 1] for x in g)
-                u = h + k
                 if r in extra:
                     kind = MIDDLE
                 elif r in aset:
                     kind = LEFT
                 else:
                     kind = RIGHT
-                _weight(raws, kind, u, s - 1 if kind == MIDDLE else s, qval)
-                _weight(raws, STAR, u, s, qval)
-    out = {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
+                file_monomial(monos, kind, h + k, s)
+    out = {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
     _pair_cache[key] = out
     return out
 
@@ -91,32 +82,26 @@ def _word_kind(hmax: int, kmax: int) -> str:
     return LEFT
 
 
-def _scan_words(total: int, enumerate_all, standardize, qval: int | None) -> dict:
+def _scan_words(total: int, enumerate_all, standardize) -> dict:
     """Brute-force route for words: one pass over every word w of the given
     length (surjections or parking functions).  Each split w = h k is filed
-    under (standardize(h), standardize(k)) with its kind and q-weight, so
-    the result maps every pair (f, g) with len(f) + len(g) = total to the
-    raw accumulators of its four products."""
-    buckets: dict = {}
+    under (standardize(h), standardize(k)) with its kind and overlap, so the
+    result maps every pair (f, g) with len(f) + len(g) = total to the
+    monomial lists of its four products."""
+    buckets = defaultdict(lambda: {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []})
     for w in enumerate_all(total):
         for i in range(1, total):
             h, k = w[:i], w[i:]
             key = (standardize(h), standardize(k))
-            raws = buckets.get(key)
-            if raws is None:
-                raws = buckets[key] = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
-            s = image_overlap(h, k)
-            kind = _word_kind(max(h), max(k))
-            _weight(raws, kind, w, s - 1 if kind == MIDDLE else s, qval)
-            _weight(raws, STAR, w, s, qval)
+            file_monomial(buckets[key], _word_kind(max(h), max(k)), w, image_overlap(h, k))
     return buckets
 
 
 def st_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
     """All four products of f and g, read off the scan of every surjective
     word of length n+m."""
-    raws = _scan_words(len(f) + len(g), surjections, std, qval)[(f, g)]
-    return {kind: Element.from_raw(FAMILY, raw) for kind, raw in raws.items()}
+    monos = _scan_words(len(f) + len(g), surjections, std)[(f, g)]
+    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
 def st_coproduct(f: Word) -> Tensor2:
@@ -125,15 +110,15 @@ def st_coproduct(f: Word) -> Tensor2:
     if hit is not None:
         return hit
     r = max(f)
-    terms: dict = {(UNIT, f): None, (f, UNIT): None}
+    terms = [((UNIT, f), 0), ((f, UNIT), 0)]
     for j in range(1, r):
         left = corestrict(f, range(1, j + 1))
         # the left factor is already standard: its letter set is {1..j}
         if set(left) != set(range(1, j + 1)):
             raise RuntimeError(f"left factor {left} of {f} is not standard")
         right = std(corestrict(f, range(j + 1, r + 1)))
-        terms[(left, right)] = None
-    out = Tensor2(FAMILY, {k: QPoly.one() for k in terms})
+        terms.append(((left, right), 0))
+    out = Tensor2.from_monomials(FAMILY, terms)
     _cop_cache[f] = out
     return out
 

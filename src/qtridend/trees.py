@@ -12,6 +12,9 @@ Products are defined by mutual recursion with the total product
     t . w = graft(t1, ..., t_{r-1}, tr * w1, w2, ..., wl)
     t > w = graft(t * w1, w2, ..., wl)
 
+Every product is an Element, kept per qval in the module caches; * is the
+`Element.sum` of the three partial products.
+
 The coproduct picks a coproduct term for every child (a leaf child
 contributes 1 (x) leaf), multiplies the left parts with *, grafts the
 right parts (a unit right part becomes a leaf), and adds t (x) 1.
@@ -21,9 +24,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iproduct
+from math import prod
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
-from .qpoly import QPoly, acc_add, acc_mul_add
+from .qpoly import q_scalar
 
 FAMILY = "tree"
 
@@ -86,62 +90,49 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _scale_q(raw: dict, qval: int | None) -> dict:
-    if qval is None:
-        return {e + 1: c for e, c in raw.items()}
-    return {e: c * qval for e, c in raw.items()}
-
-
-def _star_raw(u: Tree, v: Tree, qval: int | None) -> dict:
-    """u * v on child slots; returns dict tree-or-leaf -> raw coeff dict."""
+def _star(u: Tree, v: Tree, qval: int | None) -> Element:
+    """u * v on child slots, where a leaf slot is absorbing."""
     if u == LEAF:
-        return {v: {0: 1}}
+        return Element.basis(FAMILY, v)
     if v == LEAF:
-        return {u: {0: 1}}
+        return Element.basis(FAMILY, u)
     key = (u, v, qval)
     hit = _star_cache.get(key)
-    if hit is not None:
-        return hit
-    out: dict = {}
-    for t2, c in _prod_raw(LEFT, u, v, qval).items():
-        acc_add(out.setdefault(t2, {}), c)
-    for t2, c in _prod_raw(RIGHT, u, v, qval).items():
-        acc_add(out.setdefault(t2, {}), c)
-    for t2, c in _prod_raw(MIDDLE, u, v, qval).items():
-        acc_add(out.setdefault(t2, {}), _scale_q(c, qval))
-    out = {t2: m for t2, m in out.items() if any(m.values())}
-    _star_cache[key] = out
-    return out
+    if hit is None:
+        hit = _star_cache[key] = Element.sum(
+            FAMILY,
+            (
+                (_prod(LEFT, u, v, qval), 1),
+                (_prod(RIGHT, u, v, qval), 1),
+                (_prod(MIDDLE, u, v, qval), q_scalar(qval)),
+            ),
+        )
+    return hit
 
 
-def _prod_raw(kind: str, t: Tree, w: Tree, qval: int | None) -> dict:
-    """Partial product of real trees; dict tree -> raw coeff dict."""
+def _prod(kind: str, t: Tree, w: Tree, qval: int | None) -> Element:
+    """Partial product of real trees.  Each rule grafts the terms s of one
+    * product between fixed children, so distinct s give distinct trees."""
     key = (kind, t, w, qval)
     hit = _prod_cache.get(key)
     if hit is not None:
         return hit
-    out: dict = {}
     if kind == LEFT:
-        for s, c in _star_raw(t[-1], w, qval).items():
-            acc_add(out.setdefault(t[:-1] + (s,), {}), c)
+        head, star, tail = t[:-1], _star(t[-1], w, qval), ()
     elif kind == MIDDLE:
-        for s, c in _star_raw(t[-1], w[0], qval).items():
-            acc_add(out.setdefault(t[:-1] + (s,) + w[1:], {}), c)
+        head, star, tail = t[:-1], _star(t[-1], w[0], qval), w[1:]
     elif kind == RIGHT:
-        for s, c in _star_raw(t, w[0], qval).items():
-            acc_add(out.setdefault((s,) + w[1:], {}), c)
+        head, star, tail = (), _star(t, w[0], qval), w[1:]
     else:
         raise ValueError(f"unknown kind {kind}")
-    _prod_cache[key] = out
+    out = _prod_cache[key] = Element(FAMILY, {head + (s,) + tail: c for s, c in star.terms.items()})
     return out
 
 
 def tree_product(kind: str, t: Tree, w: Tree, qval: int | None = None) -> Element:
     if t == LEAF or w == LEAF:
         raise ValueError("tree products take trees of degree >= 1")
-    if kind == STAR:
-        return Element.from_raw(FAMILY, _star_raw(t, w, qval))
-    return Element.from_raw(FAMILY, _prod_raw(kind, t, w, qval))
+    return _star(t, w, qval) if kind == STAR else _prod(kind, t, w, qval)
 
 
 def tree_coproduct(t: Tree, qval: int | None = None) -> Tensor2:
@@ -153,7 +144,7 @@ def tree_coproduct(t: Tree, qval: int | None = None) -> Tensor2:
     per_child = []
     for c in t:
         if c == LEAF:
-            per_child.append([(UNIT, LEAF, QPoly.one())])
+            per_child.append([(UNIT, LEAF, 1)])
         else:
             choices = []
             for (l, r), coeff in tree_coproduct(c, qval).terms.items():
@@ -162,11 +153,8 @@ def tree_coproduct(t: Tree, qval: int | None = None) -> Tensor2:
     parts = []
     for combo in iproduct(*per_child):
         lefts = [l for (l, _, _) in combo if l is not UNIT]
-        coeff = QPoly.one()
-        for (_, _, c) in combo:
-            coeff = coeff * c
         right = Element.basis(FAMILY, tuple(r for (_, r, _) in combo))
-        parts.append(((_star_elements(lefts, qval), right), coeff))
+        parts.append(((_star_elements(lefts, qval), right), prod(c for (_, _, c) in combo)))
     parts.append(((Element.basis(FAMILY, t), UNIT), 1))
     out = Tensor2.sum(FAMILY, parts)
     _cop_cache[key] = out
@@ -177,15 +165,10 @@ def _star_elements(ts: list, qval: int | None) -> Element:
     """Fold the * product over a list of basis trees (empty -> unit)."""
     if not ts:
         return Element.unit_element(FAMILY)
-    acc = {ts[0]: {0: 1}}
+    acc = Element.basis(FAMILY, ts[0])
     for nxt in ts[1:]:
-        new: dict = {}
-        for obj, c in acc.items():
-            for o2, c2 in _star_raw(obj, nxt, qval).items():
-                m = new.setdefault(o2, {})
-                acc_mul_add(m, c, c2)
-        acc = new
-    return Element.from_raw(FAMILY, acc)
+        acc = Element.sum(FAMILY, ((_star(o, nxt, qval), c) for o, c in acc.terms.items()))
+    return acc
 
 
 def tree_basis(n: int) -> tuple[Tree, ...]:

@@ -374,9 +374,9 @@ def verify_morphisms(max_degree: int = 4, alpha_inj_degree: int = 5, qval=None) 
 
 # the brute-force scan of each word-like family, by total size
 _SCANS = {
-    "st": lambda total, qval: _scan_words(total, surjections, std, qval),
-    "pqsym": lambda total, qval: _scan_words(total, parking_functions, park, qval),
-    "mperm": lambda total, qval: _scan_mperms(total, qval),
+    "st": lambda total: _scan_words(total, surjections, std),
+    "pqsym": lambda total: _scan_words(total, parking_functions, park),
+    "mperm": lambda total: _scan_mperms(total),
 }
 
 
@@ -396,15 +396,15 @@ def verify_oracles(
     for name, budget in (("st", st_max), ("pqsym", pqsym_max), ("mperm", mperm_max)):
         h = get_algebra(name)
         for total in range(2, budget + 1):
-            scan = _SCANS[name](total, qval)
+            scan = _SCANS[name](total)
             for n in range(1, total):
                 for x in h.basis(n):
                     for y in h.basis(total - n):
-                        raws = scan[(x, y)]
+                        monos = scan[(x, y)]
                         for kind in (LEFT, MIDDLE, RIGHT, STAR):
                             t.check(
                                 h.product(kind, x, y, qval)
-                                == Element.from_raw(name, raws[kind]),
+                                == Element.from_monomials(name, monos[kind], qval),
                                 lambda name=name, kind=kind, x=x, y=y: (
                                     f"{name} {kind} disagrees with scan at"
                                     f" x={render_basis(name, x)}"
@@ -443,13 +443,13 @@ def verify_oracles(
 
     # concatenation product: the total product at q=1 against the q=1 scan
     for total in range(2, concat_max + 1):
-        scan = _scan_mperms(total, 1)
+        scan = _scan_mperms(total)
         for n in range(1, total):
             for B in mpermutations(n):
                 for D in mpermutations(total - n):
                     t.check(
                         mperm_product(STAR, B, D, 1)
-                        == Element.from_raw("mperm", scan[(B, D)][STAR]),
+                        == Element.from_monomials("mperm", scan[(B, D)][STAR], 1),
                         lambda B=B, D=D: (
                             "concatenation product disagrees at"
                             f" B={render_basis('mperm', B)}"

@@ -31,6 +31,26 @@ def test_eval_specialized(capsys):
     assert out.strip() == "(1,1) + (1,2) + (2,1)"
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("eval", "--op", "star"), "25*(1,1) + 5*(1,2) + 5*(2,1)"),
+        (("brace",), "25*(1,1) + 5*(1,2) - 5*(2,1)"),
+    ],
+    ids=["eval", "brace"],
+)
+def test_q_specializes_the_inputs_too(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv, "--algebra", "st", "--q", "5", "q*(1)", "(1)")
+    assert code == 0
+    assert out.strip() == expected
+
+
+def test_coproduct_specializes_its_input(capsys):
+    code, out, _ = run(capsys, "coproduct", "--q", "-1", "q*(1) + (1)")
+    assert code == 0
+    assert out.strip() == "0"
+
+
 def test_eval_json(capsys):
     code, out, _ = run(
         capsys, "eval", "--algebra", "pqsym", "--op", "left", "--format", "json",

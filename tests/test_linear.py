@@ -60,9 +60,19 @@ def test_scale_and_eval_q():
     assert at2.coeff((1, 2)) == QPoly.one()
 
 
-def test_from_raw_drops_zeros():
-    a = Element.from_raw(F, {(1,): {0: 0}, (1, 2): {1: 1}})
-    assert a.support() == {(1, 2)}
+def test_from_monomials_drops_zeros():
+    monos = [((1,), 1), ((1, 2), 0), ((2, 1), 0), ((2, 1), 1), ((2, 1), 1)]
+    a = Element.from_monomials(F, monos)
+    assert a.coeff((2, 1)) == QPoly({0: 1, 1: 2})
+    # a positive exponent vanishes at q = 0
+    assert Element.from_monomials(F, monos, 0).support() == {(1, 2), (2, 1)}
+    # 1 + q cancels at q = -1
+    b = Element.from_monomials(F, [((1,), 0), ((1,), 1), ((1, 2), 1)], -1)
+    assert b.support() == {(1, 2)} and b.coeff((1, 2)) == -1
+    for q in (-1, 0, 1, 5):
+        assert Element.from_monomials(F, monos, q) == a.eval_q(q)
+    t = Tensor2.from_monomials(F, [(((1,), UNIT), 0), (((1,), UNIT), 1), ((UNIT, (1,)), 0)], -1)
+    assert t == Tensor2(F, {(UNIT, (1,)): QPoly.one()})
 
 
 # kinds are extended bilinearly from this toy rule: every product of basis
@@ -133,8 +143,7 @@ def test_map_slots():
 def test_tensor_flatten():
     # toy coproduct: x -> x (x) 1 + 1 (x) x
     def cop(obj):
-        raw = {(obj, UNIT): {0: 1}, (UNIT, obj): {0: 1}}
-        return Tensor2.from_raw(F, raw)
+        return Tensor2(F, {(obj, UNIT): QPoly.one(), (UNIT, obj): QPoly.one()})
 
     t = tensor_of(el((1,)), el((2, 1)))
     left = tensor_flatten(t, "left", cop)
