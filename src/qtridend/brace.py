@@ -32,7 +32,7 @@ from .algebras import (
 )
 from .grammar import render_element
 from .linear import LEFT, MIDDLE, RIGHT, UNIT, Element, Tensor2, sum_terms
-from .qpoly import QPoly, q_scalar
+from .qpoly import evaluate, q_scalar
 from .rank import rational_nullspace, rational_rank
 
 _etri_cache: dict = {}
@@ -106,7 +106,7 @@ def check_gvq(
 
     def parts():
         for i in range(n + 1):
-            scale = QPoly.one()  # (-q)^(j - i)
+            scale = 1  # (-q)^(j - i)
             for j in range(i, n + 1):
                 term = brace(h, x, zs[:i], qval)
                 for k in range(i, j):
@@ -269,7 +269,7 @@ def _coefficient_rows(h: AlgebraHandle, n: int, q: int, image) -> tuple:
     rows = [[0] * len(basis) for _ in range(len(row_index))]
     for j, img in enumerate(images):
         for k, c in img.terms.items():
-            rows[row_index[k]][j] = c.eval(q)
+            rows[row_index[k]][j] = evaluate(c, q)
     return basis, rows
 
 
@@ -282,6 +282,6 @@ def primitive_kernel_basis(h: AlgebraHandle, n: int, q: int) -> list[Element]:
     """Basis of ker of the reduced coproduct on the degree-n basis at q."""
     basis, rows = _coefficient_rows(h, n, q, reduced_coproduct)
     return [
-        Element(h.name, {basis[j]: QPoly.const(x) for j, x in enumerate(v) if x})
+        Element(h.name, {basis[j]: x for j, x in enumerate(v) if x})
         for v in rational_nullspace(rows, len(basis))
     ]

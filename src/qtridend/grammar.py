@@ -20,7 +20,7 @@ import re
 
 from .linear import UNIT, Element, Tensor2
 from .mperm import mperm_validate
-from .qpoly import QPoly
+from .qpoly import QPoly, to_pairs
 from .st import st_validate
 from .pqsym import pf_validate
 from .trees import LEAF, tree_validate
@@ -74,9 +74,9 @@ def render_element(el: Element) -> str:
     )
     for obj, coeff in keyed:
         text = render_basis(el.family, obj)
-        for e, c in reversed(coeff.to_pairs()):
+        for e, c in reversed(to_pairs(coeff)):
             pieces.append(_coeff_basis_text(c, e, text))
-    for e, c in reversed(el.unit.to_pairs()):
+    for e, c in reversed(to_pairs(el.unit)):
         pieces.append(_coeff_basis_text(c, e, "1"))
     if not pieces:
         return "0"
@@ -97,7 +97,7 @@ def render_tensor2(t: Tensor2) -> str:
     )
     for (l, r), coeff in keyed:
         pair = f"{slot_text(l)} # {slot_text(r)}"
-        for e, c in reversed(coeff.to_pairs()):
+        for e, c in reversed(to_pairs(coeff)):
             pieces.append(_coeff_basis_text(c, e, pair))
     if not pieces:
         return "0"
@@ -316,12 +316,12 @@ def element_to_json(el: Element) -> dict:
     return {
         "algebra": el.family,
         "terms": [
-            {"basis": render_basis(el.family, o), "coeff": c.to_pairs()}
+            {"basis": render_basis(el.family, o), "coeff": to_pairs(c)}
             for o, c in sorted(
                 el.terms.items(), key=lambda kv: render_basis(el.family, kv[0])
             )
         ],
-        "unit": el.unit.to_pairs(),
+        "unit": to_pairs(el.unit),
     }
 
 
@@ -335,7 +335,7 @@ def tensor2_to_json(t: Tensor2) -> dict:
             {
                 "left": slot_text(l),
                 "right": slot_text(r),
-                "coeff": c.to_pairs(),
+                "coeff": to_pairs(c),
             }
             for (l, r), c in sorted(
                 t.terms.items(),

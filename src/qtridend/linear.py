@@ -1,10 +1,16 @@
 """Formal linear combinations over the q-polynomial ring.
 
-An Element is a finite QPoly-combination of basis objects from one
+An Element is a finite Z[q]-combination of basis objects from one
 combinatorial family plus an optional multiple of the unit 1.  Basis
 objects are plain hashable values (tuples for words and trees, tuples of
 frozensets for multipermutations); the family tag on the Element keeps
 different bases from being mixed.
+
+Every stored coefficient is in the canonical form of `qpoly`: a nonzero
+int when constant, else a QPoly with a positive power of q.  So
+`Element.coeff` may return an int, and does for every coefficient under
+a specialization.  The public constructors `Element(...)` and
+`Tensor2(...)` take int or QPoly coefficients and canonicalize them.
 
 Tensor slots use the UNIT sentinel for the unit leg, so a Tensor2 term is
 keyed by a pair whose entries are basis objects or UNIT.
@@ -17,21 +23,24 @@ Unit conventions for the three partial products (x a basis element):
 1 o 1 is undefined for the partial products and raises.
 
 Every sum of scaled parts in the package is built by one accumulator,
-`_accumulate`: it adds scale * coeff, key by key, into raw exponent dicts
-with `qpoly.acc_mul_add` and wraps each key's sum in a QPoly once.
-`Element.sum`, `Tensor2.sum` and `sum_terms` expose it.  It always builds
-fresh dicts: parts are often shared objects handed out by the module
-caches, and no part is ever mutated.  The family kernels hand over
-q-monomials (obj, e) instead, filed by `file_monomial`, and
-`from_monomials` applies q^e, or qval**e when specialized.  Only this
-module and `qpoly` read a QPoly's exponent dict or branch on qval.
+`_accumulate`: it adds scale * coeff, key by key, as a plain int while
+both factors and the running sum are ints, and otherwise into a raw
+exponent dict with `qpoly.acc_add` or `qpoly.acc_mul_add`; `_wrap`
+settles each key's sum once, in canonical form.  `Element.sum`,
+`Tensor2.sum` and `sum_terms` expose it, and `+`, `-` and `scale` go
+through it.  It always builds fresh dicts: parts are often shared objects
+handed out by the module caches, and no part is ever mutated.  The family
+kernels hand over q-monomials (obj, e) instead, filed by
+`file_monomial`, and `from_monomials` applies q^e, or sums qval**e as
+ints when specialized.  Only this module and `qpoly` read a QPoly's
+exponent dict or branch on qval.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .qpoly import QPoly, _adopt, acc_mul_add
+from .qpoly import QPoly, _canon, acc_add, acc_mul_add, evaluate
 
 LEFT = "left"      # <
 MIDDLE = "middle"  # .
@@ -50,47 +59,67 @@ class _Unit:
 
 UNIT = _Unit()
 
-# QPoly is immutable, so every Element may share these.
-_ZERO = QPoly.zero()
-_ONE = QPoly.one()
-
 
 def _accumulate(parts) -> dict:
-    """Sum scale * coeff over parts, key by key, into fresh raw dicts.
+    """Sum scale * coeff over parts, key by key, into fresh raw sums.
 
-    parts iterates (items, scale): items iterates (key, QPoly) pairs and
-    is read to the end before the next part is drawn; scale is an int or
-    a QPoly.  Returns key -> raw exponent dict; a key whose sum cancels
-    maps to an empty dict.
+    parts iterates (items, scale): items iterates (key, coeff) pairs and
+    is read to the end before the next part is drawn; coeff and scale are
+    ints or QPolys.  Returns key -> raw sum: an int while every term of
+    the key was an int product, else a zero-free exponent dict.  A key
+    whose sum cancels maps to 0 or to an empty dict.
     """
     raw: dict = {}
+    get = raw.get
     for items, s in parts:
-        sm = {0: s} if s.__class__ is int else s.m
+        s_int = s.__class__ is int
         for k, c in items:
-            m = raw.get(k)
-            if m is None:
-                m = raw[k] = {}
-            acc_mul_add(m, c.m, sm)
+            m = get(k, 0)
+            c_int = c.__class__ is int
+            if c_int and s_int and m.__class__ is int:
+                raw[k] = m + c * s
+                continue
+            if m.__class__ is int:
+                m = raw[k] = {0: m} if m else {}
+            if s_int:
+                acc_add(m, {0: c} if c_int else c.m, 0, s)
+            elif c_int:
+                acc_add(m, s.m, 0, c)
+            else:
+                acc_mul_add(m, c.m, s.m)
     return raw
 
 
 def _wrap(raw: dict) -> dict:
-    """One QPoly per key, adopting the accumulator's zero-free dicts; a
-    cancelled sum is an empty dict and is dropped."""
-    return {k: _adopt(m) for k, m in raw.items() if m}
+    """The canonical coefficient per key of the accumulator's raw sums;
+    a cancelled sum (0 or an empty dict) is dropped."""
+    return {k: m if m.__class__ is int else _canon(m) for k, m in raw.items() if m}
+
+
+def _coeff(c):
+    """A caller's int or QPoly coefficient in canonical form."""
+    return c if c.__class__ is int else _canon(c.m)
 
 
 def _monomial_terms(monomials, qval: int | None) -> dict:
-    """Count (key, e) monomials into key -> QPoly: the sum of q^e, or of
-    qval**e when specialized.  Keys whose sum vanishes are dropped."""
+    """Count (key, e) monomials into key -> coefficient: the sum of q^e,
+    or the int sum of qval**e when specialized.  Keys whose sum vanishes
+    are dropped."""
     raw: dict = {}
+    get = raw.get
+    if qval is not None:
+        for k, e in monomials:
+            raw[k] = get(k, 0) + qval**e
+        return _wrap(raw)
     for k, e in monomials:
-        m = raw.setdefault(k, {})
-        if qval is None:
-            m[e] = m.get(e, 0) + 1
-        else:
-            m[0] = m.get(0, 0) + qval**e
-    return {k: _adopt(m) for k, m in raw.items() if any(m.values())}
+        m = get(k, 0)
+        if m.__class__ is int:
+            if not e:
+                raw[k] = m + 1
+                continue
+            m = raw[k] = {0: m} if m else {}
+        m[e] = m.get(e, 0) + 1
+    return _wrap(raw)
 
 
 def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
@@ -102,18 +131,9 @@ def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
 
 def sum_terms(parts) -> dict:
     """Sum of scaled coefficient maps: parts iterates (items, scale) with
-    items an iterable of (key, QPoly) and scale an int or QPoly.  Returns a
-    fresh dict key -> QPoly without zero entries."""
+    items an iterable of (key, coeff) and coeff, scale ints or QPolys.
+    Returns a fresh dict key -> canonical coefficient without zeros."""
     return _wrap(_accumulate(parts))
-
-
-def _plus(a: dict, b: dict) -> dict:
-    """Termwise sum of two coefficient maps; shares the untouched QPolys."""
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        out[k] = c if s is None else s + c
-    return out
 
 
 def _same_family(family: str, other: str) -> None:
@@ -121,37 +141,41 @@ def _same_family(family: str, other: str) -> None:
         raise ValueError(f"family mismatch: {family} vs {other}")
 
 
-def _element(family: str, terms: dict, unit: QPoly = _ZERO) -> "Element":
-    """An Element that takes terms as they are: fresh and zero-free."""
+def _element(family: str, terms: dict, unit=0) -> "Element":
+    """An Element that takes terms and unit as they are: canonical,
+    zero-free, and never mutated afterwards."""
     el = object.__new__(Element)
     el.family, el.terms, el.unit = family, terms, unit
     return el
 
 
 def _tensor(family: str, terms: dict) -> "Tensor2":
-    """A Tensor2 that takes terms as they are: fresh and zero-free."""
+    """A Tensor2 that takes terms as they are: canonical, zero-free, and
+    never mutated afterwards."""
     t = object.__new__(Tensor2)
     t.family, t.terms = family, terms
     return t
 
 
 class Element:
-    """terms: dict basis-object -> QPoly; unit: QPoly coefficient of 1."""
+    """terms: dict basis-object -> coefficient; unit: coefficient of 1.
+    Coefficients are canonical: nonzero ints, or QPolys with a positive
+    power of q."""
 
     __slots__ = ("family", "terms", "unit")
 
-    def __init__(self, family: str, terms: dict | None = None, unit: QPoly | None = None):
+    def __init__(self, family: str, terms: dict | None = None, unit: QPoly | int = 0):
         self.family = family
-        self.terms = {o: c for o, c in (terms or {}).items() if c}
-        self.unit = unit if unit is not None else _ZERO
+        self.terms = {o: _coeff(c) for o, c in (terms or {}).items() if c}
+        self.unit = _coeff(unit) if unit else 0
 
     @classmethod
     def basis(cls, family: str, obj) -> "Element":
-        return _element(family, {obj: _ONE})
+        return _element(family, {obj: 1})
 
     @classmethod
     def unit_element(cls, family: str) -> "Element":
-        return _element(family, {}, _ONE)
+        return _element(family, {}, 1)
 
     @classmethod
     def slot(cls, family: str, slot) -> "Element":
@@ -179,12 +203,11 @@ class Element:
                 if el.unit:
                     yield ((UNIT, el.unit),), s
 
-        raw = _accumulate(items())
-        unit = raw.pop(UNIT, None)
-        return _element(family, _wrap(raw), _adopt(unit) if unit else _ZERO)
+        terms = _wrap(_accumulate(items()))
+        return _element(family, terms, terms.pop(UNIT, 0))
 
     def is_zero(self) -> bool:
-        return not self.terms and self.unit.is_zero()
+        return not self.terms and not self.unit
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -202,32 +225,28 @@ class Element:
         _same_family(self.family, other.family)
 
     def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.family, _plus(self.terms, other.terms), self.unit + other.unit)
+        return Element.sum(self.family, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        return Element.sum(self.family, ((self, 1), (other, -1)))
 
     def __neg__(self) -> "Element":
         return _element(self.family, {o: -c for o, c in self.terms.items()}, -self.unit)
 
     def scale(self, s: QPoly | int) -> "Element":
-        return Element(
-            self.family,
-            {o: c * s for o, c in self.terms.items()},
-            self.unit * s,
-        )
+        return Element.sum(self.family, ((self, s),))
 
     def eval_q(self, q: int) -> "Element":
         """Specialize every coefficient at an integer q."""
         return Element(
             self.family,
-            {o: QPoly.const(c.eval(q)) for o, c in self.terms.items()},
-            QPoly.const(self.unit.eval(q)),
+            {o: evaluate(c, q) for o, c in self.terms.items()},
+            evaluate(self.unit, q),
         )
 
-    def coeff(self, obj) -> QPoly:
-        return self.terms.get(obj, _ZERO)
+    def coeff(self, obj) -> QPoly | int:
+        """The canonical coefficient of obj: an int when constant, 0 when absent."""
+        return self.terms.get(obj, 0)
 
     def support(self):
         return set(self.terms)
@@ -255,18 +274,19 @@ def bilinear_extend(
     if a.unit and kind in (RIGHT, STAR):  # 1 > y = y, 1 * y = y, 1 * 1 = 1
         parts.append((b, a.unit))
     if b.unit and kind in (LEFT, STAR):  # x < 1 = x, x * 1 = x; 1 * 1 is above
-        parts.append((Element(a.family, a.terms), b.unit))
+        parts.append((_element(a.family, a.terms), b.unit))
     return Element.sum(a.family, parts)
 
 
 class Tensor2:
-    """Rank-2 tensor: dict (slot, slot) -> QPoly with UNIT for unit legs."""
+    """Rank-2 tensor: dict (slot, slot) -> canonical coefficient, with
+    UNIT for unit legs."""
 
     __slots__ = ("family", "terms")
 
     def __init__(self, family: str, terms: dict | None = None):
         self.family = family
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.terms = {k: _coeff(c) for k, c in (terms or {}).items() if c}
 
     @classmethod
     def from_monomials(cls, family: str, monomials, qval: int | None = None) -> "Tensor2":
@@ -305,20 +325,16 @@ class Tensor2:
         return self.family == other.family and self.terms == other.terms
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
-        _same_family(self.family, other.family)
-        return Tensor2(self.family, _plus(self.terms, other.terms))
+        return Tensor2.sum(self.family, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + other.scale(-1)
+        return Tensor2.sum(self.family, ((self, 1), (other, -1)))
 
     def scale(self, s: QPoly | int) -> "Tensor2":
-        return Tensor2(self.family, {k: c * s for k, c in self.terms.items()})
+        return Tensor2.sum(self.family, ((self, s),))
 
     def eval_q(self, q: int) -> "Tensor2":
-        return Tensor2(
-            self.family,
-            {k: QPoly.const(c.eval(q)) for k, c in self.terms.items()},
-        )
+        return Tensor2(self.family, {k: evaluate(c, q) for k, c in self.terms.items()})
 
     def interior(self) -> "Tensor2":
         """Terms with no unit leg (the reduced part of a coproduct)."""
@@ -345,7 +361,7 @@ class Tensor2:
 def _slot_items(el):
     """Iterate (slot, coeff) of an Element or of the UNIT sentinel."""
     if el is UNIT:
-        yield UNIT, _ONE
+        yield UNIT, 1
         return
     yield from el.terms.items()
     if el.unit:
@@ -357,7 +373,7 @@ def tensor_of(a: Element, b: Element) -> Tensor2:
     return Tensor2.sum(a.family, (((a, b), 1),))
 
 
-_DELTA_UNIT = {(UNIT, UNIT): _ONE}
+_DELTA_UNIT = {(UNIT, UNIT): 1}
 
 
 def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
@@ -365,7 +381,7 @@ def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
 
     side 'left' computes (Delta (x) Id), side 'right' (Id (x) Delta).
     coproduct maps a basis object to a Tensor2; Delta(1) = 1 (x) 1.
-    Returns a plain dict (slot, slot, slot) -> QPoly.
+    Returns a plain dict (slot, slot, slot) -> canonical coefficient.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")

@@ -4,13 +4,22 @@ A polynomial is stored sparsely as a dict mapping exponent -> coefficient,
 with zero coefficients never stored.  Coefficients are arbitrary-precision
 Python ints, so every computation in the package is exact.
 
+Every coefficient stored in an Element or a Tensor2 has one canonical
+form: a constant is a plain nonzero Python int, and a QPoly holds only
+polynomials with a positive power of q.  So every coefficient under a
+specialization qval is an int.  `_canon` turns a zero-free exponent dict
+into that form; `evaluate` and `to_pairs` read either form.  QPoly itself
+stays closed (QPoly op QPoly is a QPoly, constant or not); it mixes with
+ints in +, - and *, and a constant QPoly equals and hashes like its int.
+
 The QPoly class is immutable by convention: no method mutates self, and the
 internal dict is never handed out for writing.  Only this module and
 `linear` read the exponent dict or branch on a specialization qval (None
 for symbolic q, an int for q set to that value); every other module goes
-through QPoly methods, `q_scalar` and the constructors of `linear`.  The
-public constructor drops zero coefficients; results built here and in
-`linear` from fresh zero-free dicts skip that pass through `_adopt`.
+through QPoly methods, the ring-neutral helpers, `q_scalar` and the
+constructors of `linear`.  The public constructor drops zero coefficients;
+results built here and in `linear` from fresh zero-free dicts skip that
+pass through `_adopt` or `_canon`.
 """
 
 from __future__ import annotations
@@ -54,17 +63,25 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.m.items()))
+        m = self.m
+        if len(m) == 1 and 0 in m:
+            return hash(m[0])
+        return hash(frozenset(m.items())) if m else hash(0)
 
-    def __add__(self, other: "QPoly") -> "QPoly":
+    def __add__(self, other) -> "QPoly":
         out = dict(self.m)
-        acc_add(out, other.m)
+        acc_add(out, _raw(other))
         return _adopt(out)
 
-    def __sub__(self, other: "QPoly") -> "QPoly":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "QPoly":
         out = dict(self.m)
-        acc_add(out, other.m, scale=-1)
+        acc_add(out, _raw(other), scale=-1)
         return _adopt(out)
+
+    def __rsub__(self, other: int) -> "QPoly":
+        return -self + other
 
     def __neg__(self) -> "QPoly":
         return _adopt({e: -c for e, c in self.m.items()})
@@ -116,9 +133,37 @@ def _adopt(m: dict[int, int]) -> QPoly:
     return p
 
 
-def q_scalar(qval: int | None) -> QPoly:
-    """The scalar q itself, under the specialization qval."""
-    return QPoly.q_power(1) if qval is None else QPoly.const(qval)
+def _raw(c) -> dict[int, int]:
+    """The exponent dict of an int or a QPoly, for reading only."""
+    return {0: c} if isinstance(c, int) else c.m
+
+
+def _canon(m: dict[int, int]):
+    """The canonical coefficient of a zero-free exponent dict that is never
+    mutated afterwards: an int when m is constant (0 when empty), else a
+    QPoly adopting m."""
+    if len(m) == 1 and 0 in m:
+        return m[0]
+    return _adopt(m) if m else 0
+
+
+def evaluate(c, q: int) -> int:
+    """An int or QPoly coefficient at the integer q."""
+    return c if isinstance(c, int) else c.eval(q)
+
+
+def to_pairs(c) -> list[list[int]]:
+    """JSON form of an int or QPoly coefficient: [exponent, coefficient]
+    pairs sorted by exponent, [[0, c]] for a nonzero int c."""
+    if isinstance(c, int):
+        return [[0, c]] if c else []
+    return c.to_pairs()
+
+
+def q_scalar(qval: int | None):
+    """The scalar q itself, under the specialization qval: the QPoly q,
+    or the int qval."""
+    return QPoly.q_power(1) if qval is None else qval
 
 
 def qp_eval(m: dict[int, int], q: int) -> int:

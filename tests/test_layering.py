@@ -1,6 +1,8 @@
-"""The coefficient format (a QPoly's exponent dict `m`) is known to two
-modules only: `qpoly` defines it and `linear` accumulates into it.  Every
-other module goes through QPoly methods and the constructors of `linear`."""
+"""The coefficient format (a QPoly's exponent dict `m`, and the canonical
+int-or-QPoly form) is known to two modules only: `qpoly` defines it and
+`linear` accumulates into it.  Every other module goes through QPoly
+methods, the ring-neutral `evaluate` and `to_pairs`, and the constructors
+of `linear`."""
 
 from __future__ import annotations
 
@@ -10,6 +12,9 @@ from pathlib import Path
 import qtridend
 
 FORMAT_OWNERS = {"qpoly.py", "linear.py"}
+# The in-place accumulators, the dict adopter, the normalizer of raw sums
+# and the raw view of an int-or-QPoly coefficient.
+RAW_HELPERS = {"acc_add", "acc_mul_add", "_adopt", "_canon", "_raw"}
 
 
 def _nodes_outside(owners):
@@ -33,7 +38,7 @@ def test_only_qpoly_and_linear_import_the_raw_accumulators():
         f"{name}:{node.lineno}"
         for name, node in _nodes_outside(FORMAT_OWNERS)
         if isinstance(node, ast.ImportFrom)
-        and {"acc_add", "acc_mul_add"} & {a.name for a in node.names}
+        and RAW_HELPERS & {a.name for a in node.names}
     ]
     assert importers == []
 

@@ -20,7 +20,7 @@ from qtridend.linear import (
     tensor_flatten,
     tensor_of,
 )
-from qtridend.qpoly import QPoly
+from qtridend.qpoly import QPoly, to_pairs
 
 F = "st"
 
@@ -39,7 +39,7 @@ def test_element_basics():
     assert (a - a).is_zero()
     assert a + a == a.scale(2)
     assert (-a).coeff((1,)) == QPoly.const(-1)
-    assert a.coeff((9,)).is_zero()
+    assert not a.coeff((9,))
     assert a.support() == {(1,)}
     one = Element.unit_element(F)
     assert one.unit == QPoly.one()
@@ -190,8 +190,8 @@ def _snapshot(x):
         return "1"
     if isinstance(x, tuple):
         return tuple(_snapshot(leg) for leg in x)
-    unit = x.unit.to_pairs() if isinstance(x, Element) else None
-    return sorted((repr(k), c.to_pairs()) for k, c in x.terms.items()), unit
+    unit = to_pairs(x.unit) if isinstance(x, Element) else None
+    return sorted((repr(k), to_pairs(c)) for k, c in x.terms.items()), unit
 
 
 def _slot_terms(x):

@@ -141,7 +141,7 @@ def test_coproduct_legs_are_mperms():
                     assert is_mperm(l)
                 if r is not UNIT:
                     assert is_mperm(r)
-                assert not c.is_zero()
+                assert c
 
 
 def test_phi():

@@ -124,7 +124,7 @@ def test_coproduct_legs_are_valid():
                 dl = 0 if l is UNIT else st_degree(st_validate(l))
                 dr = 0 if r is UNIT else st_degree(st_validate(r))
                 assert dl + dr == n
-                assert not c.is_zero()
+                assert c
 
 
 def test_coassociativity_degree_three():

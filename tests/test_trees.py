@@ -114,7 +114,7 @@ def test_coproduct_grading():
                 dl = 0 if l is UNIT else tree_degree(l)
                 dr = 0 if r is UNIT else tree_degree(r)
                 assert dl + dr == n
-                assert not c.is_zero()
+                assert c
 
 
 def test_validate_errors():
