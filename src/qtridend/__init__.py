@@ -112,6 +112,7 @@ _MODULE_CACHES = (
     _st._cop_cache,
     _pqsym._pair_cache,
     _pqsym._cop_cache,
+    _pqsym._cand_cache,
     _trees._prod_cache,
     _trees._star_cache,
     _trees._cop_cache,
@@ -130,8 +131,8 @@ _LRU_CACHES = (
 
 
 def clear_caches() -> None:
-    """Empty every product, coproduct and projector cache and every
-    enumeration lru_cache, so a long-lived process can bound its memory.
+    """Empty every product, coproduct, candidate and projector cache and
+    every enumeration lru_cache, so a long-lived process can bound its memory.
     Results computed afterwards are equal to those computed before."""
     for cache in _MODULE_CACHES:
         cache.clear()

@@ -7,8 +7,13 @@ less in the exponent for the middle product), kind by comparing max(h)
 with max(k).
 
 Since Park preserves std, every admissible h is std(f) pushed along an
-increasing injection into [n+m]; the optimized route enumerates those
-injections for both sides and filters by Park and the parking test.
+increasing injection into [n+m], and Park fixes the gaps of that
+injection: with d_1 < ... < d_a the values of f, Park(h) = f iff each gap
+A_j - A_{j-1} of the value set A of h equals d_j - d_{j-1}, or is at
+least that when d_j is one more than the number of letters of f below it.
+The optimized route lists those value sets directly, once per (f, n+m),
+and tests that h k parks by comparing prefix counts: for every i,
+#{letters <= i} of h plus that of k must reach i.
 
 The coproduct admits at most one cut per j: take P = positions of letters
 <= j; the term f|_P (x) (f|_{P^c} - j) survives iff |P| = j and both
@@ -31,6 +36,55 @@ FAMILY = "pqsym"
 
 _pair_cache: dict = {}
 _cop_cache: dict = {}
+_cand_cache: dict = {}
+
+
+def _candidates(f: Word, N: int) -> tuple:
+    """Every word h on [N] with park(h) = f, listed by the gaps of its value
+    set A_1 < ... < A_a, each as (h, value-set bitmask, max(h), prefix
+    counts packed into `_field_width(N)`-bit fields, field i - 1 holding
+    #{letters <= i})."""
+    key = (f, N)
+    hit = _cand_cache.get(key)
+    if hit is not None:
+        return hit
+    u = std(f)
+    d = sorted(set(f))
+    mult = [f.count(x) for x in d]
+    below = [sum(mult[:j]) for j in range(len(d))]
+    w = _field_width(N)
+    # ones[x]: the prefix counts of the one-letter word (x), a 1 in fields x - 1 on
+    ones = [0] * (N + 2)
+    for x in range(N, 0, -1):
+        ones[x] = ones[x + 1] | 1 << (w * (x - 1))
+    out = []
+
+    def grow(A: list):
+        j = len(A)
+        if j == len(d):
+            h = tuple(A[x - 1] for x in u)
+            mask = sum(1 << x for x in A)
+            pre = sum(c * ones[x] for c, x in zip(mult, A))
+            out.append((h, mask, A[-1], pre))
+            return
+        lo = A[-1] + d[j] - d[j - 1]
+        hi = lo if d[j] <= below[j] else N - d[-1] + d[j]
+        for v in range(lo, hi + 1):
+            A.append(v)
+            grow(A)
+            A.pop()
+
+    for first in range(1, N - d[-1] + 2):
+        grow([first])
+    out = tuple(out)
+    _cand_cache[key] = out
+    return out
+
+
+def _field_width(N: int) -> int:
+    """Bits per packed prefix count: the top bit of a field stays clear
+    of any count up to N."""
+    return N.bit_length() + 1
 
 
 def pf_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
@@ -38,26 +92,19 @@ def pf_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
     hit = _pair_cache.get(key)
     if hit is not None:
         return hit
-    n, m = len(f), len(g)
-    N = n + m
-    u, v = std(f), std(g)
-    a, b = max(u), max(v)
+    N = len(f) + len(g)
+    w = _field_width(N)
+    # h k parks iff every field i - 1 of pre(h) + pre(k) reaches i; adding
+    # 2^(w-1) - i to each field leaves its top bit set exactly then
+    top = sum(1 << (w * i + w - 1) for i in range(N))
+    offset = top - sum(i << (w * (i - 1)) for i in range(1, N + 1))
+    ks = _candidates(g, N)
     monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
-    for avals in combinations(range(1, N + 1), a):
-        h = tuple(avals[x - 1] for x in u)
-        if park(h) != f:
-            continue
-        hset = set(avals)
-        hmax = avals[-1]
-        for bvals in combinations(range(1, N + 1), b):
-            k = tuple(bvals[x - 1] for x in v)
-            if park(k) != g:
-                continue
-            w = h + k
-            if not is_parking(w):
-                continue
-            kind = _word_kind(hmax, bvals[-1])
-            file_monomial(monos, kind, w, len(hset.intersection(bvals)))
+    for h, hmask, hmax, hpre in _candidates(f, N):
+        hpre += offset
+        for k, kmask, kmax, kpre in ks:
+            if (hpre + kpre) & top == top:
+                file_monomial(monos, _word_kind(hmax, kmax), h + k, (hmask & kmask).bit_count())
     out = {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
     _pair_cache[key] = out
     return out

@@ -15,7 +15,6 @@ Families enumerated here:
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 Word = tuple[int, ...]
@@ -105,10 +104,34 @@ def surjections(n: int) -> tuple[Word, ...]:
 
 @lru_cache(maxsize=None)
 def parking_functions(n: int) -> tuple[Word, ...]:
-    """All parking functions of length n, in lexicographic order."""
-    return tuple(
-        w for w in itertools.product(range(1, n + 1), repeat=n) if is_parking(w)
-    )
+    """All parking functions of length n, in lexicographic order.
+
+    Grows position by position; with k positions left, a prefix survives
+    iff #{letters <= i} + k >= i for every i, since the best the remaining
+    letters can do is all be 1.  So a letter v may follow iff every i < v
+    already has #{letters <= i} >= i - k + 1.
+    """
+    out: list[Word] = []
+    count = [0] * (n + 1)
+
+    def grow(prefix: list[int]):
+        k = n - len(prefix)
+        if k == 0:
+            out.append(tuple(prefix))
+            return
+        below = 0
+        for v in range(1, n + 1):
+            prefix.append(v)
+            count[v] += 1
+            grow(prefix)
+            count[v] -= 1
+            prefix.pop()
+            below += count[v]
+            if below < v - k + 1:
+                break
+
+    grow([])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,7 @@ def _small_run():
 def test_clear_caches_empties_every_cache_and_keeps_results():
     first = _small_run()
     dicts, lrus = _package_caches()
-    assert len(dicts) == 10 and len(lrus) == 6
+    assert len(dicts) == 11 and len(lrus) == 6
     assert all(c for _, c in dicts)
     qtridend.clear_caches()
     assert [n for n, c in dicts if c] == []

@@ -3,11 +3,16 @@ parking functions."""
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
+from qtridend.algebras import el_product, get_algebra
 from qtridend.grammar import render_element, render_tensor2
-from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR, UNIT
+from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR, UNIT, Element
 from qtridend.pqsym import (
+    _candidates,
     alpha,
     iota,
     pf_basis,
@@ -18,7 +23,9 @@ from qtridend.pqsym import (
     pf_validate,
     pirr_count,
 )
-from qtridend.words import is_parking, std, surjections
+from qtridend.st import _scan_words
+from qtridend.verify import _RELATIONS
+from qtridend.words import is_parking, park, parking_functions, std, surjections
 
 
 def test_degree_one_products():
@@ -49,14 +56,64 @@ def test_worked_products():
     assert not is_parking(bad[:3]) or std(bad[:3]) != std(f)
 
 
+def test_candidates_are_the_words_that_parkize_to_f():
+    # the gap rule lists exactly what the brute-force filter keeps
+    for n in range(1, 6):
+        for f in pf_basis(n):
+            u = std(f)
+            for N in range(n, n + 5):
+                brute = set()
+                for vals in combinations(range(1, N + 1), max(u)):
+                    h = tuple(vals[x - 1] for x in u)
+                    if park(h) == f:
+                        brute.add(h)
+                listed = [c[0] for c in _candidates(f, N)]
+                assert len(listed) == len(brute) and set(listed) == brute, (f, N)
+
+
 def test_fast_equals_oracle_small():
-    for qval in (None, 0, 1, 5):
-        for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
+    # every pair of total degree <= 5; the oracle is one scan per total,
+    # read off per pair as pf_product_oracle does; q = -1 makes sums cancel
+    qvals = (None, -1, 0, 1, 5)
+    for total in range(2, 6):
+        scan = _scan_words(total, parking_functions, park)
+        for n in range(1, total):
             for f in pf_basis(n):
-                for g in pf_basis(m):
-                    oracle = pf_product_oracle(f, g, qval)
-                    for kind in (*KINDS, STAR):
-                        assert pf_product(kind, f, g, qval) == oracle[kind]
+                for g in pf_basis(total - n):
+                    for kind, monos in scan[(f, g)].items():
+                        for qval in qvals:
+                            oracle = Element.from_monomials("pqsym", monos, qval)
+                            assert pf_product(kind, f, g, qval) == oracle, (kind, f, g, qval)
+    for qval in qvals:
+        assert pf_product_oracle((1, 3, 1), (1, 1), qval) == {
+            kind: pf_product(kind, (1, 3, 1), (1, 1), qval) for kind in (*KINDS, STAR)
+        }
+
+
+def _random_parking(rng: random.Random, n: int) -> tuple:
+    """A random parking function of length n, by rejection from random words."""
+    while True:
+        w = tuple(rng.randint(1, n) for _ in range(n))
+        if is_parking(w):
+            return w
+
+
+def test_sampled_relations_past_the_exhaustive_range():
+    # the seven relations and associativity on seeded random triples of
+    # total degree 7 to 9, beyond the exhaustive sweeps
+    h = get_algebra("pqsym")
+    rng = random.Random(9)
+    for total in (7, 7, 8, 8, 9, 9):
+        n1 = rng.randint(1, total - 2)
+        n2 = rng.randint(1, total - n1 - 1)
+        a, b, c = (
+            Element.basis("pqsym", _random_parking(rng, n))
+            for n in (n1, n2, total - n1 - n2)
+        )
+        for name, (inner_l, outer_l), (outer_r, inner_r) in _RELATIONS:
+            lhs = el_product(h, outer_l, el_product(h, inner_l, a, b), c)
+            rhs = el_product(h, outer_r, a, el_product(h, inner_r, b, c))
+            assert lhs == rhs, (name, a, b, c)
 
 
 def test_product_terms_are_parking():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st_
 
@@ -93,6 +95,18 @@ def test_enumeration_order_and_content():
         assert pf == tuple(sorted(pf))
         assert all(is_parking(w) for w in pf)
         assert set(ndpf(n)) <= set(pf)
+
+
+def test_parking_functions_by_prefix_growth_match_the_filter():
+    # the pruned growth keeps exactly the filtered words, in the same order
+    for n in range(0, 7):
+        filtered = tuple(
+            w for w in itertools.product(range(1, n + 1), repeat=n) if is_parking(w)
+        )
+        assert parking_functions(n) == filtered
+    # (n+1)^(n-1) parking functions; n = 7 bypasses the lru_cache
+    for n in range(1, 8):
+        assert len(parking_functions.__wrapped__(n)) == (n + 1) ** (n - 1)
 
 
 def test_restrict_corestrict():
