@@ -21,6 +21,7 @@ from .linear import (
     bilinear_extend,
     tensor_of,
     tensor_flatten,
+    is_coassociative,
 )
 from .words import (
     std,
@@ -153,6 +154,7 @@ __all__ = [
     "bilinear_extend",
     "tensor_of",
     "tensor_flatten",
+    "is_coassociative",
     "std",
     "park",
     "is_parking",

@@ -20,7 +20,9 @@ from .linear import (
     UNIT,
     Element,
     Tensor2,
+    _same_family,
     bilinear_extend,
+    lone_basis,
 )
 from .qpoly import q_scalar
 
@@ -118,7 +120,13 @@ def el_rtilde(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None)
 
 
 def el_coproduct(h: AlgebraHandle, el: Element, qval: int | None = None) -> Tensor2:
-    """Linear extension of the coproduct, with Delta(1) = 1 (x) 1."""
+    """Linear extension of the coproduct, with Delta(1) = 1 (x) 1.  The
+    coproduct of a lone basis term is the cached tensor itself."""
+    x = lone_basis(el)
+    if x is not None:
+        out = h.coproduct(x, qval)
+        _same_family(h.name, out.family)
+        return out
     parts = [(h.coproduct(o, qval), c) for o, c in el.terms.items()]
     if el.unit:
         parts.append(((UNIT, UNIT), el.unit))

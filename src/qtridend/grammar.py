@@ -17,6 +17,7 @@ exponents descending inside one basis term.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .linear import UNIT, Element, Tensor2
 from .mperm import mperm_validate
@@ -39,14 +40,32 @@ def render_mperm(w) -> str:
     ) + "]"
 
 
+_RENDERERS = {"st": render_word, "pqsym": render_word, "tree": render_tree, "mperm": render_mperm}
+
+
+def _renderer(family: str):
+    fn = _RENDERERS.get(family)
+    if fn is None:
+        raise ValueError(f"unknown family {family!r}")
+    return fn
+
+
 def render_basis(family: str, obj) -> str:
-    if family in ("st", "pqsym"):
-        return render_word(obj)
-    if family == "tree":
-        return render_tree(obj)
-    if family == "mperm":
-        return render_mperm(obj)
-    raise ValueError(f"unknown family {family!r}")
+    return _renderer(family)(obj)
+
+
+def _sorted_element(el: Element) -> list:
+    """(basis text, coeff) per term, sorted by the text, each text rendered once."""
+    fn = _renderer(el.family)
+    return sorted(((fn(o), c) for o, c in el.terms.items()), key=itemgetter(0))
+
+
+def _sorted_tensor(t: Tensor2) -> list:
+    """((left text, right text), coeff) per term, sorted by the texts; a
+    unit leg renders as 1."""
+    basis = _renderer(t.family)
+    fn = lambda s: "1" if s is UNIT else basis(s)
+    return sorted((((fn(l), fn(r)), c) for (l, r), c in t.terms.items()), key=itemgetter(0))
 
 
 def _coeff_basis_text(c: int, e: int, basis_text: str) -> str:
@@ -67,44 +86,37 @@ def _coeff_basis_text(c: int, e: int, basis_text: str) -> str:
     return "-" + body if c < 0 else body
 
 
-def render_element(el: Element) -> str:
+def _join_terms(terms) -> str:
+    """Render (text, coeff) terms in the given order, exponents descending
+    inside one term; an int coefficient is formatted directly."""
     pieces: list[str] = []
-    keyed = sorted(
-        el.terms.items(), key=lambda kv: render_basis(el.family, kv[0])
-    )
-    for obj, coeff in keyed:
-        text = render_basis(el.family, obj)
-        for e, c in reversed(to_pairs(coeff)):
-            pieces.append(_coeff_basis_text(c, e, text))
-    for e, c in reversed(to_pairs(el.unit)):
-        pieces.append(_coeff_basis_text(c, e, "1"))
+    for text, coeff in terms:
+        if isinstance(coeff, int):
+            if coeff == 1:
+                pieces.append(text)
+            elif coeff == -1:
+                pieces.append("-" + text)
+            else:
+                pieces.append(f"{coeff}*{text}")
+        else:
+            for e, c in reversed(to_pairs(coeff)):
+                pieces.append(_coeff_basis_text(c, e, text))
     if not pieces:
         return "0"
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return out
+    return pieces[0] + "".join(
+        " - " + p[1:] if p[0] == "-" else " + " + p for p in pieces[1:]
+    )
+
+
+def render_element(el: Element) -> str:
+    terms = _sorted_element(el)
+    if el.unit:
+        terms.append(("1", el.unit))
+    return _join_terms(terms)
 
 
 def render_tensor2(t: Tensor2) -> str:
-    def slot_text(s):
-        return "1" if s is UNIT else render_basis(t.family, s)
-
-    pieces: list[str] = []
-    keyed = sorted(
-        t.terms.items(),
-        key=lambda kv: (slot_text(kv[0][0]), slot_text(kv[0][1])),
-    )
-    for (l, r), coeff in keyed:
-        pair = f"{slot_text(l)} # {slot_text(r)}"
-        for e, c in reversed(to_pairs(coeff)):
-            pieces.append(_coeff_basis_text(c, e, pair))
-    if not pieces:
-        return "0"
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return out
+    return _join_terms((f"{l} # {r}", c) for (l, r), c in _sorted_tensor(t))
 
 
 # ---------------------------------------------------------------- parsing
@@ -315,31 +327,16 @@ def parse_qpoly(text: str) -> QPoly:
 def element_to_json(el: Element) -> dict:
     return {
         "algebra": el.family,
-        "terms": [
-            {"basis": render_basis(el.family, o), "coeff": to_pairs(c)}
-            for o, c in sorted(
-                el.terms.items(), key=lambda kv: render_basis(el.family, kv[0])
-            )
-        ],
+        "terms": [{"basis": text, "coeff": to_pairs(c)} for text, c in _sorted_element(el)],
         "unit": to_pairs(el.unit),
     }
 
 
 def tensor2_to_json(t: Tensor2) -> dict:
-    def slot_text(s):
-        return "1" if s is UNIT else render_basis(t.family, s)
-
     return {
         "algebra": t.family,
         "terms": [
-            {
-                "left": slot_text(l),
-                "right": slot_text(r),
-                "coeff": to_pairs(c),
-            }
-            for (l, r), c in sorted(
-                t.terms.items(),
-                key=lambda kv: (slot_text(kv[0][0]), slot_text(kv[0][1])),
-            )
+            {"left": l, "right": r, "coeff": to_pairs(c)}
+            for (l, r), c in _sorted_tensor(t)
         ],
     }

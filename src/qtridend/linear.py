@@ -28,8 +28,15 @@ both factors and the running sum are ints, and otherwise into a raw
 exponent dict with `qpoly.acc_add` or `qpoly.acc_mul_add`; `_wrap`
 settles each key's sum once, in canonical form.  `Element.sum`,
 `Tensor2.sum` and `sum_terms` expose it, and `+`, `-` and `scale` go
-through it.  It always builds fresh dicts: parts are often shared objects
-handed out by the module caches, and no part is ever mutated.  The family
+through it.  It always builds fresh dicts and never mutates a part.
+
+Elements, tensors and QPolys are immutable once built, so they are
+shared, never copied: the module caches hand out their results as they
+are, `bilinear_extend` of two lone basis terms (coefficient 1, no unit)
+returns the cached basis product itself, and `el_coproduct` of a lone
+basis term its cached coproduct.  Only the constructors here and in
+`qpoly` write `.terms`, `.unit` or `.m` (`tests/test_layering.py`); a
+write anywhere else would corrupt every later result.  The family
 kernels hand over q-monomials (obj, e) instead, filed by
 `file_monomial`, and `from_monomials` applies q^e, or sums qval**e as
 ints when specialized.  Only this module and `qpoly` read a QPoly's
@@ -38,6 +45,7 @@ exponent dict or branch on qval.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable
 
 from .qpoly import QPoly, _canon, acc_add, acc_mul_add, evaluate
@@ -124,9 +132,11 @@ def _monomial_terms(monomials, qval: int | None) -> dict:
 
 def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
     """File q^e * obj of the total product under STAR and under its kind,
-    one q less in the middle (STAR = < + q. + >)."""
-    monomials[kind].append((obj, e - 1 if kind == MIDDLE else e))
-    monomials[STAR].append((obj, e))
+    one q less in the middle (STAR = < + q. + >); outside the middle both
+    lists share one monomial."""
+    mono = (obj, e)
+    monomials[kind].append((obj, e - 1) if kind == MIDDLE else mono)
+    monomials[STAR].append(mono)
 
 
 def sum_terms(parts) -> dict:
@@ -255,15 +265,30 @@ class Element:
         return f"Element({self.family}, {len(self.terms)} terms)"
 
 
+def lone_basis(el: Element):
+    """x when el is the basis element x itself (one term, coefficient 1,
+    no unit), else None."""
+    if el.unit or len(el.terms) != 1:
+        return None
+    ((obj, c),) = el.terms.items()
+    return obj if c == 1 else None
+
+
 def bilinear_extend(
     rule: Callable, kind: str, a: Element, b: Element
 ) -> Element:
     """Extend a basis-level product rule bilinearly, with unit conventions.
 
     rule(x, y) -> Element for basis objects x, y; kind selects which unit
-    convention applies.  Raises on 1 o 1 for the partial kinds.
+    convention applies.  Raises on 1 o 1 for the partial kinds.  The
+    product of two lone basis terms is rule(x, y) itself, not a copy.
     """
     a._check(b)
+    x, y = lone_basis(a), lone_basis(b)
+    if x is not None and y is not None:
+        out = rule(x, y)
+        _same_family(a.family, out.family)
+        return out
     if a.unit and b.unit and kind != STAR:
         raise ValueError("1 o 1 undefined for partial products")
     parts = [
@@ -336,6 +361,16 @@ class Tensor2:
     def eval_q(self, q: int) -> "Tensor2":
         return Tensor2(self.family, {k: evaluate(c, q) for k, c in self.terms.items()})
 
+    def counit(self, side: str) -> Element:
+        """The counit on one leg: (eps (x) id) for side 'left', (id (x) eps)
+        for 'right'.  The terms with a unit on that leg have distinct other
+        legs, so they are filtered, not summed."""
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        killed = 0 if side == "left" else 1
+        terms = {k[1 - killed]: c for k, c in self.terms.items() if k[killed] is UNIT}
+        return _element(self.family, terms, terms.pop(UNIT, 0))
+
     def interior(self) -> "Tensor2":
         """Terms with no unit leg (the reduced part of a coproduct)."""
         return _tensor(
@@ -376,6 +411,20 @@ def tensor_of(a: Element, b: Element) -> Tensor2:
 _DELTA_UNIT = {(UNIT, UNIT): 1}
 
 
+def _flatten_parts(t: Tensor2, side: str, coproduct: Callable):
+    """The accumulator parts of (Delta (x) Id) t for side 'left', of
+    (Id (x) Delta) t for side 'right'."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    for (l, r), c in t.terms.items():
+        target = l if side == "left" else r
+        delta = _DELTA_UNIT if target is UNIT else coproduct(target).terms
+        if side == "left":
+            yield (((u, v, r), cc) for (u, v), cc in delta.items()), c
+        else:
+            yield (((l, u, v), cc) for (u, v), cc in delta.items()), c
+
+
 def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
     """Apply the coproduct to one leg of every term; rank-3 result.
 
@@ -383,16 +432,13 @@ def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
     coproduct maps a basis object to a Tensor2; Delta(1) = 1 (x) 1.
     Returns a plain dict (slot, slot, slot) -> canonical coefficient.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    return sum_terms(_flatten_parts(t, side, coproduct))
 
-    def parts():
-        for (l, r), c in t.terms.items():
-            target = l if side == "left" else r
-            delta = _DELTA_UNIT if target is UNIT else coproduct(target).terms
-            if side == "left":
-                yield (((u, v, r), cc) for (u, v), cc in delta.items()), c
-            else:
-                yield (((l, u, v), cc) for (u, v), cc in delta.items()), c
 
-    return sum_terms(parts())
+def is_coassociative(t: Tensor2, coproduct: Callable) -> bool:
+    """Whether (Delta (x) Id) t == (Id (x) Delta) t.  The difference is
+    summed in one accumulator pass and every raw sum must vanish, so
+    neither side is built on its own."""
+    right = ((items, -c) for items, c in _flatten_parts(t, "right", coproduct))
+    raw = _accumulate(chain(_flatten_parts(t, "left", coproduct), right))
+    return not any(raw.values())

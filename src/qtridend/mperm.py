@@ -25,8 +25,10 @@ filters; on a full window std_m reduces to a plain shift, which makes the
 window condition an equality.
 
 The brute-force route `_scan_mperms` enumerates every W of both sizes
-and files it under the pair (B, D) its two restrictions give.  Both routes
-file (W, r+s-l) q-monomials, which `Element.from_monomials` weighs.
+and files it under the pair (B, D) its two restrictions give;
+`_scan_mperm_pair` runs the same scan for one pair, at its one split.
+Both routes file (W, r+s-l) q-monomials, which `Element.from_monomials`
+weighs.
 
 The coproduct splits the block sequence at every position and applies
 std_m to both sides.
@@ -225,10 +227,26 @@ def _scan_mperms(total: int) -> dict:
     return buckets
 
 
+def _scan_mperm_pair(B: MPerm, D: MPerm) -> dict:
+    """The monomial lists of `_scan_mperms` for the one pair (B, D), in the
+    same order: only the split at n = size(B) is tested."""
+    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
+    n = mperm_size(B)
+    total = n + mperm_size(D)
+    left_set = frozenset(range(1, n + 1))
+    for size, shift in ((total, 0), (total - 1, 1)):
+        window = frozenset(range(n + 1 - shift, size + 1))
+        for w in mpermutations(size):
+            if restrict_blocks(w, left_set) == B and std_m(restrict_blocks(w, window)) == D:
+                kind = _kind_of(w[-1], left_set, window)
+                file_monomial(monos, kind, w, len(B) + len(D) - len(w))
+    return monos
+
+
 def mperm_product_oracle(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
-    """All four products of B and D, read off the scan of every
+    """All four products of B and D, by the brute-force scan of every
     multipermutation of both target sizes."""
-    monos = _scan_mperms(mperm_size(B) + mperm_size(D))[(B, D)]
+    monos = _scan_mperm_pair(B, D)
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
-from .st import _scan_words, _word_kind
+from .st import _scan_pair, _word_kind
 from .words import Word, is_parking, is_surjection, park, parking_functions, render_word, std
 
 FAMILY = "pqsym"
@@ -115,9 +115,9 @@ def pf_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
 
 
 def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
-    """All four products of f and g, read off the scan of every parking
-    function of length n+m."""
-    monos = _scan_words(len(f) + len(g), parking_functions, park)[(f, g)]
+    """All four products of f and g, by the brute-force scan of every
+    parking function of length n+m."""
+    monos = _scan_pair(f, g, parking_functions, park)
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 

@@ -13,7 +13,12 @@ stays closed (QPoly op QPoly is a QPoly, constant or not); it mixes with
 ints in +, - and *, and a constant QPoly equals and hashes like its int.
 
 The QPoly class is immutable by convention: no method mutates self, and the
-internal dict is never handed out for writing.  Only this module and
+internal dict is never handed out for writing.  `_canon` interns the
+single powers q^e (e >= 1) that most sums of the family kernels reduce
+to: each exponent has one shared QPoly in `_Q_POWERS`, so equal
+coefficients are usually the same object and compare by identity, and
+the module caches hold one object per power instead of one per term.
+The table is bounded by the largest degree in use.  Only this module and
 `linear` read the exponent dict or branch on a specialization qval (None
 for symbolic q, an int for q set to that value); every other module goes
 through QPoly methods, the ring-neutral helpers, `q_scalar` and the
@@ -138,12 +143,24 @@ def _raw(c) -> dict[int, int]:
     return {0: c} if isinstance(c, int) else c.m
 
 
+# One shared QPoly q^e per exponent e >= 1 met so far; bounded by the
+# largest degree in use.
+_Q_POWERS: dict[int, QPoly] = {}
+
+
 def _canon(m: dict[int, int]):
     """The canonical coefficient of a zero-free exponent dict that is never
-    mutated afterwards: an int when m is constant (0 when empty), else a
-    QPoly adopting m."""
-    if len(m) == 1 and 0 in m:
-        return m[0]
+    mutated afterwards: an int when m is constant (0 when empty), the
+    interned q^e when m is {e: 1}, else a QPoly adopting m."""
+    if len(m) == 1:
+        ((e, c),) = m.items()
+        if not e:
+            return c
+        if c == 1:
+            p = _Q_POWERS.get(e)
+            if p is None:
+                p = _Q_POWERS[e] = _adopt({e: 1})
+            return p
     return _adopt(m) if m else 0
 
 

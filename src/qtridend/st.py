@@ -17,8 +17,10 @@ is read off from which side contains r.
 
 The brute-force route `_scan_words` enumerates every word of length n+m
 and files each split h k under (std(h), std(k)); with park in place of
-std it is also the brute-force route for parking functions.  Both routes
-file (word, overlap) q-monomials, which `Element.from_monomials` weighs.
+std it is also the brute-force route for parking functions.  The
+per-pair oracle `_scan_pair` runs the same scan for one pair (f, g),
+testing only the split at len(f).  Both routes file (word, overlap)
+q-monomials, which `Element.from_monomials` weighs.
 
 The coproduct cuts the image at j: Delta(f) = sum over j = 0..max(f) of
 f|^{1..j} (x) std(f|^{j+1..max}), with co-restriction by letter values.
@@ -97,10 +99,22 @@ def _scan_words(total: int, enumerate_all, standardize) -> dict:
     return buckets
 
 
+def _scan_pair(f: Word, g: Word, enumerate_all, standardize) -> dict:
+    """The monomial lists of `_scan_words` for the one pair (f, g), in the
+    same order: only the split of each word at len(f) is tested."""
+    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
+    i = len(f)
+    for w in enumerate_all(i + len(g)):
+        h, k = w[:i], w[i:]
+        if standardize(h) == f and standardize(k) == g:
+            file_monomial(monos, _word_kind(max(h), max(k)), w, image_overlap(h, k))
+    return monos
+
+
 def st_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
-    """All four products of f and g, read off the scan of every surjective
-    word of length n+m."""
-    monos = _scan_words(len(f) + len(g), surjections, std)[(f, g)]
+    """All four products of f and g, by the brute-force scan of every
+    surjective word of length n+m."""
+    monos = _scan_pair(f, g, surjections, std)
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 

@@ -51,3 +51,65 @@ def test_only_linear_calls_from_raw():
         or (isinstance(node, ast.Name) and node.id == "from_raw")
     ]
     assert callers == []
+
+
+# Elements, tensors and QPolys are shared once built: the module caches and
+# the lone-basis shortcuts hand them out without a copy.  So only their
+# constructors may write the fields that hold their content.
+SHARED_FIELDS = {"terms", "unit", "m"}
+DICT_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+CONSTRUCTORS = {
+    ("linear.py", "__init__"),
+    ("linear.py", "_element"),
+    ("linear.py", "_tensor"),
+    ("qpoly.py", "__init__"),
+    ("qpoly.py", "_adopt"),
+}
+
+
+def _written(node) -> list:
+    """The expressions that node assigns into, deletes or mutates in place."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in DICT_MUTATORS
+    ):
+        targets = [node.func.value]
+    else:
+        return []
+    out = []
+    while targets:
+        t = targets.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            targets.extend(t.elts)
+        elif isinstance(t, ast.Starred):
+            targets.append(t.value)
+        else:
+            out.append(t)
+    return out
+
+
+def _is_shared_field(t) -> bool:
+    if isinstance(t, ast.Subscript):
+        t = t.value
+    return isinstance(t, ast.Attribute) and t.attr in SHARED_FIELDS
+
+
+def test_only_the_constructors_write_shared_fields():
+    writers = []
+
+    def visit(name, node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (name, func) not in CONSTRUCTORS and any(map(_is_shared_field, _written(node))):
+            writers.append(f"{name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(name, child, func)
+
+    for path in sorted(Path(qtridend.__file__).parent.glob("*.py")):
+        visit(path.name, ast.parse(path.read_text()), None)
+    assert writers == []

@@ -9,6 +9,8 @@ import pytest
 from qtridend.grammar import parse_mperm, render_element, render_tensor2
 from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR
 from qtridend.mperm import (
+    _scan_mperm_pair,
+    _scan_mperms,
     is_mperm,
     lift_word,
     mperm_coproduct,
@@ -96,6 +98,17 @@ def test_fast_equals_oracle_small():
                     oracle = mperm_product_oracle(B, D, qval)
                     for kind in (*KINDS, STAR):
                         assert mperm_product(kind, B, D, qval) == oracle[kind]
+
+
+def test_pair_scan_equals_the_full_scan():
+    # the per-pair oracle files the monomials of the full scan for its one
+    # pair, in the same order
+    for total in range(2, 6):
+        scan = _scan_mperms(total)
+        for n in range(1, total):
+            for B in mpermutations(n):
+                for D in mpermutations(total - n):
+                    assert _scan_mperm_pair(B, D) == scan[(B, D)], (B, D)
 
 
 def test_worked_star_product():

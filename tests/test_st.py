@@ -14,6 +14,8 @@ from qtridend.grammar import render_element, render_tensor2
 from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR, UNIT, Element
 from qtridend.qpoly import QPoly
 from qtridend.st import (
+    _scan_pair,
+    _scan_words,
     st_basis,
     st_coproduct,
     st_degree,
@@ -21,6 +23,8 @@ from qtridend.st import (
     st_product_oracle,
     st_validate,
 )
+
+from qtridend.words import park, parking_functions, std, surjections
 
 H = get_algebra("st")
 
@@ -66,6 +70,19 @@ def test_fast_equals_oracle_small():
                     oracle = st_product_oracle(f, g, qval)
                     for kind in (*KINDS, STAR):
                         assert st_product(kind, f, g, qval) == oracle[kind]
+
+
+def test_pair_scan_equals_the_full_scan():
+    # the per-pair oracle files the monomials of the full scan for its one
+    # pair, in the same order, for surjections and for parking functions
+    for enumerate_all, standardize in ((surjections, std), (parking_functions, park)):
+        for total in range(2, 6):
+            scan = _scan_words(total, enumerate_all, standardize)
+            for n in range(1, total):
+                for f in enumerate_all(n):
+                    for g in enumerate_all(total - n):
+                        got = _scan_pair(f, g, enumerate_all, standardize)
+                        assert got == scan[(f, g)], (f, g)
 
 
 def test_products_are_graded():
