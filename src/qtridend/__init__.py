@@ -99,46 +99,18 @@ from .grammar import (
     tensor2_to_json,
 )
 
-from importlib import import_module as _import_module
-
-from . import mperm as _mperm, pqsym as _pqsym, st as _st, trees as _trees, words as _words
-
-_brace = _import_module(".brace", __name__)  # the name brace is the function
+from .memo import CACHES as _CACHES
 
 __version__ = "0.1.0"
 
-# Every memo the package keeps; all of them grow with use and never shrink.
-_MODULE_CACHES = (
-    _st._pair_cache,
-    _st._cop_cache,
-    _pqsym._pair_cache,
-    _pqsym._cop_cache,
-    _pqsym._cand_cache,
-    _trees._prod_cache,
-    _trees._star_cache,
-    _trees._cop_cache,
-    _mperm._pair_cache,
-    _mperm._cop_cache,
-    _brace._etri_cache,
-)
-_LRU_CACHES = (
-    _words.park,
-    _words.surjections,
-    _words.parking_functions,
-    _words.ndpf,
-    _trees.enumerate_trees,
-    _mperm.mpermutations,
-)
-
 
 def clear_caches() -> None:
-    """Empty every product, coproduct, candidate and projector cache and
-    every enumeration lru_cache, so a long-lived process can bound its memory.
+    """Empty every memo and enumeration cache of the package (the registry
+    `qtridend.memo.CACHES`), so a long-lived process can bound its memory.
     Results computed afterwards are equal to those computed before."""
-    for cache in _MODULE_CACHES:
-        cache.clear()
-    for fn in _LRU_CACHES:
-        fn.cache_clear()
+    for cache in _CACHES:
+        cache.cache_clear()
+
 
 __all__ = [
     "clear_caches",

@@ -1,16 +1,19 @@
-"""Uniform handles over the four bialgebras and element-level operations.
+"""The common surface of the four bialgebras, and element-level operations.
 
-An AlgebraHandle bundles the basis enumerator, degree, the basis-level
-products (by kind) and the coproduct of one family behind a common
-signature, so the brace/projector layer and the verification harness can
-be written once.  qval = None means symbolic coefficients in q; an int
-specializes every weight at that value (applied in `qpoly` and `linear`).
+Each family module (`st`, `pqsym`, `trees`, `mperm`) is its own handle:
+it defines `name`, `graded`, `basis`, `degree`, `validate`,
+`product(kind, x, y, qval)`, `coproduct(x, qval)` and `scan`, each an
+alias of the module's own function, so the brace/projector layer and the
+verification harness can be written once.  Callers look the functions up
+on the module at each call, so rebinding one (as a tracer or a test's
+monkeypatch does) reaches them all.  qval = None means symbolic
+coefficients in q; an int specializes every weight at that value
+(applied in `qpoly` and `linear`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Protocol
 
 from . import mperm, pqsym, st, trees
 from .linear import (
@@ -27,80 +30,31 @@ from .linear import (
 from .qpoly import q_scalar
 
 
-@dataclass(frozen=True)
-class AlgebraHandle:
+class AlgebraHandle(Protocol):
+    """What `get_algebra` hands out: a family module."""
+
     name: str
-    basis: Callable
-    degree: Callable
-    product: Callable      # (kind, x, y, qval) -> Element
-    coproduct: Callable    # (x, qval) -> Tensor2
-    validate: Callable
-    graded: bool = True
+    graded: bool
+    scan: Callable[[int], dict] | None  # brute-force products by total degree
+
+    def basis(self, n: int) -> tuple: ...
+    def degree(self, x) -> int: ...
+    def validate(self, x): ...
+    def product(self, kind: str, x, y, qval: int | None = None) -> Element: ...
+    def coproduct(self, x, qval: int | None = None) -> Tensor2: ...
 
 
-def _st_handle() -> AlgebraHandle:
-    return AlgebraHandle(
-        name="st",
-        basis=st.st_basis,
-        degree=st.st_degree,
-        product=lambda kind, x, y, qval=None: st.st_product(kind, x, y, qval),
-        coproduct=lambda x, qval=None: st.st_coproduct(x),
-        validate=st.st_validate,
-    )
+_FAMILIES = {family.name: family for family in (st, pqsym, trees, mperm)}
 
-
-def _pqsym_handle() -> AlgebraHandle:
-    return AlgebraHandle(
-        name="pqsym",
-        basis=pqsym.pf_basis,
-        degree=pqsym.pf_degree,
-        product=lambda kind, x, y, qval=None: pqsym.pf_product(kind, x, y, qval),
-        coproduct=lambda x, qval=None: pqsym.pf_coproduct(x),
-        validate=pqsym.pf_validate,
-    )
-
-
-def _tree_handle() -> AlgebraHandle:
-    return AlgebraHandle(
-        name="tree",
-        basis=trees.tree_basis,
-        degree=trees.tree_degree,
-        product=lambda kind, x, y, qval=None: trees.tree_product(kind, x, y, qval),
-        coproduct=lambda x, qval=None: trees.tree_coproduct(x, qval),
-        validate=trees.tree_validate,
-    )
-
-
-def _mperm_handle() -> AlgebraHandle:
-    return AlgebraHandle(
-        name="mperm",
-        basis=mperm.mperm_basis,
-        degree=mperm.mperm_degree,
-        product=lambda kind, x, y, qval=None: mperm.mperm_product(kind, x, y, qval),
-        coproduct=lambda x, qval=None: mperm.mperm_coproduct(x),
-        validate=mperm.mperm_validate,
-        graded=False,
-    )
-
-
-_REGISTRY: dict[str, AlgebraHandle] = {}
+ALGEBRA_NAMES = tuple(_FAMILIES)
 
 
 def get_algebra(name: str) -> AlgebraHandle:
-    if name not in _REGISTRY:
-        maker = {
-            "st": _st_handle,
-            "pqsym": _pqsym_handle,
-            "tree": _tree_handle,
-            "mperm": _mperm_handle,
-        }.get(name)
-        if maker is None:
-            raise ValueError(f"unknown algebra {name!r}")
-        _REGISTRY[name] = maker()
-    return _REGISTRY[name]
-
-
-ALGEBRA_NAMES = ("st", "pqsym", "tree", "mperm")
+    """The family module of the named algebra."""
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown algebra {name!r}") from None
 
 
 def el_product(

@@ -32,10 +32,13 @@ from .algebras import (
 )
 from .grammar import render_element
 from .linear import LEFT, MIDDLE, RIGHT, UNIT, Element, Tensor2, sum_terms
+from .memo import Memo
 from .qpoly import evaluate, q_scalar
 from .rank import rational_nullspace, rational_rank
 
-_etri_cache: dict = {}
+# The most basis objects of one degree that the rank routines take on;
+# pqsym degree 6 has 16,807 and degree 7 has 262,144.
+BASIS_CEILING = 20_000
 
 
 def omega_left(h: AlgebraHandle, ys: list, qval: int | None = None) -> Element:
@@ -153,19 +156,20 @@ def brace_relation_check(
     return lhs == Element.sum(h.name, parts())
 
 
-def e_tri_basis(h: AlgebraHandle, obj, qval: int | None = None) -> Element:
+@Memo
+def _etri_cache(h: AlgebraHandle, qval: int | None, obj) -> Element:
     """e on a basis object, by the recursion e(x) = x - x_(1) > e(x_(2))."""
-    key = (h.name, qval, obj)
-    hit = _etri_cache.get(key)
-    if hit is not None:
-        return hit
     parts = [(Element.basis(h.name, obj), 1)]
     for (o1, o2), c in reduced_coproduct(h, obj, qval).terms.items():
         e2 = e_tri_basis(h, o2, qval)
         if not e2.is_zero():
             parts.append((el_product(h, RIGHT, Element.basis(h.name, o1), e2, qval), -c))
-    out = _etri_cache[key] = Element.sum(h.name, parts)
-    return out
+    return Element.sum(h.name, parts)
+
+
+def e_tri_basis(h: AlgebraHandle, obj, qval: int | None = None) -> Element:
+    """e on a basis object, memoized per handle and qval."""
+    return _etri_cache[h, qval, obj]
 
 
 def e_tri(h: AlgebraHandle, x: Element, qval: int | None = None) -> Element:
@@ -260,6 +264,9 @@ def _coefficient_rows(h: AlgebraHandle, n: int, q: int, image) -> tuple:
     sends each basis object o to image(h, o, q): one column per object."""
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
+    for k in range(1, n + 1):  # stop at the first degree past the ceiling
+        if (size := len(h.basis(k))) > BASIS_CEILING:
+            raise ValueError(f"{h.name} degree {k} has {size} basis objects, over {BASIS_CEILING}")
     basis = h.basis(n)
     images = [image(h, o, q) for o in basis]
     row_index: dict = {}

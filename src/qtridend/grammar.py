@@ -19,12 +19,10 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 
+from .algebras import get_algebra
 from .linear import UNIT, Element, Tensor2
-from .mperm import mperm_validate
 from .qpoly import QPoly, to_pairs
-from .st import st_validate
-from .pqsym import pf_validate
-from .trees import LEAF, tree_validate
+from .trees import LEAF
 from .words import Word, render_word
 
 
@@ -188,14 +186,6 @@ def parse_mperm(text: str):
     return tuple(blocks)
 
 
-_VALIDATORS = {
-    "st": st_validate,
-    "pqsym": pf_validate,
-    "tree": tree_validate,
-    "mperm": mperm_validate,
-}
-
-
 def parse_basis(family: str, text: str):
     if family in ("st", "pqsym"):
         obj = parse_word(text)
@@ -206,31 +196,38 @@ def parse_basis(family: str, text: str):
     else:
         raise ValueError(f"unknown family {family!r}")
     try:
-        return _VALIDATORS[family](obj)
+        return get_algebra(family).validate(obj)
     except ValueError as e:
         raise ValueError(f"{e}: {render_basis(family, obj)}") from None
 
 
-def _split_top(text: str, seps: str) -> list[tuple[str, str]]:
-    """Split on +/- at bracket depth 0; returns (sign, chunk) pairs."""
+def _split_top(text: str) -> list[tuple[str, str]]:
+    """Split on +/- at bracket depth 0; returns (sign, chunk) pairs.  Only
+    a leading sign may have no term before it."""
     out = []
     depth = 0
     cur = []
-    sign = "+"
+    sign = None  # of the chunk in cur; None until the first sign
+
+    def flush():
+        chunk = "".join(cur).strip()
+        if chunk:
+            out.append((sign or "+", chunk))
+        elif sign is not None:
+            raise ValueError(f"empty term in {text!r}")
+
     for ch in text:
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if depth == 0 and ch in seps:
-            if "".join(cur).strip():
-                out.append((sign, "".join(cur).strip()))
+        if depth == 0 and ch in "+-":
+            flush()
             sign = ch
             cur = []
         else:
             cur.append(ch)
-    if "".join(cur).strip():
-        out.append((sign, "".join(cur).strip()))
+    flush()
     return out
 
 
@@ -288,7 +285,7 @@ def _parse_term(family: str, chunk: str):
 
 def parse_element(family: str, text: str) -> Element:
     parts = []
-    for sign, chunk in _split_top(text.strip(), "+-"):
+    for sign, chunk in _split_top(text.strip()):
         coeff, obj = _parse_term(family, chunk)
         parts.append((Element.slot(family, obj), -coeff if sign == "-" else coeff))
     return Element.sum(family, parts)
@@ -299,7 +296,7 @@ def parse_tensor2(family: str, text: str) -> Tensor2:
     if text == "0":
         return Tensor2(family)
     parts = []
-    for sign, chunk in _split_top(text, "+-"):
+    for sign, chunk in _split_top(text):
         if " # " not in chunk:
             raise ValueError(f"tensor term without separator: {chunk!r}")
         lpart, rpart = chunk.split(" # ", 1)
@@ -313,7 +310,7 @@ def parse_tensor2(family: str, text: str) -> Tensor2:
 
 def parse_qpoly(text: str) -> QPoly:
     out = QPoly.zero()
-    for sign, chunk in _split_top(text.strip(), "+-"):
+    for sign, chunk in _split_top(text.strip()):
         coeff = QPoly.one()
         for f in _split_factors(chunk):
             scalar = _scalar_factor(f)

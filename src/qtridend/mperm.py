@@ -31,23 +31,22 @@ Both routes file (W, r+s-l) q-monomials, which `Element.from_monomials`
 weighs.
 
 The coproduct splits the block sequence at every position and applies
-std_m to both sides.
+std_m to both sides.  The module is the "mperm" handle of
+`algebras.get_algebra`; products and coproducts are kept in `memo.Memo`s.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
+from .memo import Memo, enumeration
 from .words import run_compress, std, surjections
 
-FAMILY = "mperm"
+name = FAMILY = "mperm"
+graded = False  # a filtered quotient: products may drop one in size
 
 MPerm = tuple  # of frozensets
-
-_pair_cache: dict = {}
-_cop_cache: dict = {}
 
 
 def mperm_size(w: MPerm) -> int:
@@ -105,7 +104,7 @@ def std_m_sequential(blocks) -> MPerm:
         bs = [b for b in bs if b]
 
 
-@lru_cache(maxsize=None)
+@enumeration
 def mpermutations(n: int) -> tuple[MPerm, ...]:
     """Recursive construction: insert n into a block away from n-1, or as
     a new singleton block anywhere."""
@@ -168,11 +167,8 @@ def _kind_of(last: frozenset, left_set: frozenset, window: frozenset) -> str:
     return LEFT
 
 
-def mperm_pair_products(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
-    key = (B, D, qval)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
+@Memo
+def _pair_cache(B: MPerm, D: MPerm, qval: int | None) -> dict:
     n, m = mperm_size(B), mperm_size(D)
     r, s = len(B), len(D)
     left_set = frozenset(range(1, n + 1))
@@ -195,13 +191,11 @@ def mperm_pair_products(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
             if mixed != overlap:
                 raise RuntimeError(f"{mixed} mixed blocks in a quasi-shuffle, not {overlap}")
             file_monomial(monos, _kind_of(w[-1], left_set, window), w, overlap)
-    out = {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
-    _pair_cache[key] = out
-    return out
+    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
 def mperm_product(kind: str, B: MPerm, D: MPerm, qval: int | None = None) -> Element:
-    return mperm_pair_products(B, D, qval)[kind]
+    return _pair_cache[B, D, qval][kind]
 
 
 def _scan_mperms(total: int) -> dict:
@@ -250,19 +244,22 @@ def mperm_product_oracle(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
-def mperm_coproduct(B: MPerm) -> Tensor2:
-    hit = _cop_cache.get(B)
-    if hit is not None:
-        return hit
+@Memo
+def _cop_cache(*B: frozenset) -> Tensor2:
+    """Every split of the blocks of B, each side standardized; the Memo
+    key B arrives as its blocks."""
     l = len(B)
     terms = []
     for i in range(l + 1):
         left = UNIT if i == 0 else std_m(B[:i])
         right = UNIT if i == l else std_m(B[i:])
         terms.append(((left, right), 0))
-    out = Tensor2.from_monomials(FAMILY, terms)
-    _cop_cache[B] = out
-    return out
+    return Tensor2.from_monomials(FAMILY, terms)
+
+
+def mperm_coproduct(B: MPerm, qval: int | None = None) -> Tensor2:
+    """The coproduct of B; it has no q, so qval is ignored."""
+    return _cop_cache[B]
 
 
 def phi(f) -> MPerm:
@@ -298,12 +295,9 @@ def lift_word(f, hbar):
     return tuple(out)
 
 
-def mperm_basis(n: int) -> tuple[MPerm, ...]:
-    return mpermutations(n)
-
-
-def mperm_degree(w: MPerm) -> int:
-    return mperm_size(w)
+mperm_basis = basis = mpermutations
+mperm_degree = degree = mperm_size
+scan = _scan_mperms
 
 
 def mperm_validate(w) -> MPerm:
@@ -311,3 +305,6 @@ def mperm_validate(w) -> MPerm:
     if not is_mperm(w):
         raise ValueError("not a multipermutation")
     return w
+
+
+product, coproduct, validate = mperm_product, mperm_coproduct, mperm_validate

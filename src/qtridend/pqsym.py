@@ -22,6 +22,9 @@ factors are parking functions.
 alpha embeds the surjection algebra by sending f to the sum of parking
 functions whose standardization is f; iota is the plain inclusion (an
 algebra map that is not a coalgebra map).
+
+The module is the "pqsym" handle of `algebras.get_algebra`; products,
+coproducts and candidates are kept in `memo.Memo`s.
 """
 
 from __future__ import annotations
@@ -29,14 +32,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
-from .st import _scan_pair, _word_kind
+from .memo import Memo
+from .st import _scan_pair, _scan_words, _word_kind
 from .words import Word, is_parking, is_surjection, park, parking_functions, render_word, std
 
-FAMILY = "pqsym"
-
-_pair_cache: dict = {}
-_cop_cache: dict = {}
-_cand_cache: dict = {}
+name = FAMILY = "pqsym"
+graded = True
 
 
 def _candidates(f: Word, N: int) -> tuple:
@@ -44,10 +45,6 @@ def _candidates(f: Word, N: int) -> tuple:
     set A_1 < ... < A_a, each as (h, value-set bitmask, max(h), prefix
     counts packed into `_field_width(N)`-bit fields, field i - 1 holding
     #{letters <= i})."""
-    key = (f, N)
-    hit = _cand_cache.get(key)
-    if hit is not None:
-        return hit
     u = std(f)
     d = sorted(set(f))
     mult = [f.count(x) for x in d]
@@ -76,9 +73,10 @@ def _candidates(f: Word, N: int) -> tuple:
 
     for first in range(1, N - d[-1] + 2):
         grow([first])
-    out = tuple(out)
-    _cand_cache[key] = out
-    return out
+    return tuple(out)
+
+
+_cand_cache = Memo(_candidates)
 
 
 def _field_width(N: int) -> int:
@@ -87,31 +85,26 @@ def _field_width(N: int) -> int:
     return N.bit_length() + 1
 
 
-def pf_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
-    key = (f, g, qval)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
+@Memo
+def _pair_cache(f: Word, g: Word, qval: int | None) -> dict:
     N = len(f) + len(g)
     w = _field_width(N)
     # h k parks iff every field i - 1 of pre(h) + pre(k) reaches i; adding
     # 2^(w-1) - i to each field leaves its top bit set exactly then
     top = sum(1 << (w * i + w - 1) for i in range(N))
     offset = top - sum(i << (w * (i - 1)) for i in range(1, N + 1))
-    ks = _candidates(g, N)
+    ks = _cand_cache[g, N]
     monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
-    for h, hmask, hmax, hpre in _candidates(f, N):
+    for h, hmask, hmax, hpre in _cand_cache[f, N]:
         hpre += offset
         for k, kmask, kmax, kpre in ks:
             if (hpre + kpre) & top == top:
                 file_monomial(monos, _word_kind(hmax, kmax), h + k, (hmask & kmask).bit_count())
-    out = {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
-    _pair_cache[key] = out
-    return out
+    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
 def pf_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
-    return pf_pair_products(f, g, qval)[kind]
+    return _pair_cache[f, g, qval][kind]
 
 
 def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
@@ -121,10 +114,9 @@ def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
-def pf_coproduct(f: Word) -> Tensor2:
-    hit = _cop_cache.get(f)
-    if hit is not None:
-        return hit
+@Memo
+def _cop_cache(*f: int) -> Tensor2:
+    """The positional cuts of f; the Memo key f arrives as its letters."""
     n = len(f)
     terms = [((UNIT, f), 0), ((f, UNIT), 0)]
     for j in range(1, n):
@@ -135,9 +127,17 @@ def pf_coproduct(f: Word) -> Tensor2:
         right = tuple(f[i] - j for i in range(n) if f[i] > j)
         if is_parking(left) and is_parking(right):
             terms.append(((left, right), 0))
-    out = Tensor2.from_monomials(FAMILY, terms)
-    _cop_cache[f] = out
-    return out
+    return Tensor2.from_monomials(FAMILY, terms)
+
+
+def pf_coproduct(f: Word, qval: int | None = None) -> Tensor2:
+    """The coproduct of f; it has no q, so qval is ignored."""
+    return _cop_cache[f]
+
+
+def scan(total: int) -> dict:
+    """The brute-force scan of every parking function of the given length."""
+    return _scan_words(total, parking_functions, park)
 
 
 def alpha(f: Word) -> Element:
@@ -182,15 +182,14 @@ def pirr_count(n: int) -> int:
     return sum(1 for f in parking_functions(n) if not any(True for _ in _splits(f)))
 
 
-def pf_basis(n: int) -> tuple[Word, ...]:
-    return parking_functions(n)
-
-
-def pf_degree(f: Word) -> int:
-    return len(f)
+pf_basis = basis = parking_functions
+pf_degree = degree = len  # a word has degree its length
 
 
 def pf_validate(f: Word) -> Word:
     if not f or not is_parking(f):
         raise ValueError("not a parking function")
     return f
+
+
+product, coproduct, validate = pf_product, pf_coproduct, pf_validate

@@ -24,6 +24,9 @@ q-monomials, which `Element.from_monomials` weighs.
 
 The coproduct cuts the image at j: Delta(f) = sum over j = 0..max(f) of
 f|^{1..j} (x) std(f|^{j+1..max}), with co-restriction by letter values.
+
+The module is the "st" handle of `algebras.get_algebra`; products and
+coproducts are kept in `memo.Memo`s.
 """
 
 from __future__ import annotations
@@ -32,20 +35,16 @@ from collections import defaultdict
 from itertools import combinations
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
+from .memo import Memo
 from .words import Word, corestrict, image_overlap, is_surjection, std, surjections
 
-FAMILY = "st"
-
-_pair_cache: dict = {}
-_cop_cache: dict = {}
+name = FAMILY = "st"
+graded = True
 
 
-def st_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
-    """All four products of basis surjections f, g, memoized per qval."""
-    key = (f, g, qval)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
+@Memo
+def _pair_cache(f: Word, g: Word, qval: int | None) -> dict:
+    """All four products of basis surjections f, g."""
     a, b = max(f), max(g)
     monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
     for r in range(max(a, b), a + b + 1):
@@ -66,13 +65,11 @@ def st_pair_products(f: Word, g: Word, qval: int | None = None) -> dict:
                 else:
                     kind = RIGHT
                 file_monomial(monos, kind, h + k, s)
-    out = {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
-    _pair_cache[key] = out
-    return out
+    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
 def st_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
-    return st_pair_products(f, g, qval)[kind]
+    return _pair_cache[f, g, qval][kind]
 
 
 def _word_kind(hmax: int, kmax: int) -> str:
@@ -118,11 +115,10 @@ def st_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
-def st_coproduct(f: Word) -> Tensor2:
-    """Image-cut coproduct including both boundary terms."""
-    hit = _cop_cache.get(f)
-    if hit is not None:
-        return hit
+@Memo
+def _cop_cache(*f: int) -> Tensor2:
+    """Image-cut coproduct including both boundary terms; the Memo key f
+    arrives as its letters."""
     r = max(f)
     terms = [((UNIT, f), 0), ((f, UNIT), 0)]
     for j in range(1, r):
@@ -132,20 +128,27 @@ def st_coproduct(f: Word) -> Tensor2:
             raise RuntimeError(f"left factor {left} of {f} is not standard")
         right = std(corestrict(f, range(j + 1, r + 1)))
         terms.append(((left, right), 0))
-    out = Tensor2.from_monomials(FAMILY, terms)
-    _cop_cache[f] = out
-    return out
+    return Tensor2.from_monomials(FAMILY, terms)
 
 
-def st_basis(n: int) -> tuple[Word, ...]:
-    return surjections(n)
+def st_coproduct(f: Word, qval: int | None = None) -> Tensor2:
+    """The coproduct of f; it has no q, so qval is ignored."""
+    return _cop_cache[f]
 
 
-def st_degree(f: Word) -> int:
-    return len(f)
+def scan(total: int) -> dict:
+    """The brute-force scan of every surjection of the given length."""
+    return _scan_words(total, surjections, std)
+
+
+st_basis = basis = surjections
+st_degree = degree = len  # a word has degree its length
 
 
 def st_validate(f: Word) -> Word:
     if not is_surjection(f):
         raise ValueError("not a surjective word")
     return f
+
+
+product, coproduct, validate = st_product, st_coproduct, st_validate

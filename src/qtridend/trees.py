@@ -12,8 +12,9 @@ Products are defined by mutual recursion with the total product
     t . w = graft(t1, ..., t_{r-1}, tr * w1, w2, ..., wl)
     t > w = graft(t * w1, w2, ..., wl)
 
-Every product is an Element, kept per qval in the module caches; * is the
-`Element.sum` of the three partial products.
+Every product is an Element, kept per qval in `memo.Memo`s; * is the
+`Element.sum` of the three partial products.  The module is the "tree"
+handle of `algebras.get_algebra`.
 
 The coproduct picks a coproduct term for every child (a leaf child
 contributes 1 (x) leaf), multiplies the left parts with *, grafts the
@@ -22,22 +23,20 @@ right parts (a unit right part becomes a leaf), and adds t (x) 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
+from .memo import Memo, enumeration
 from .qpoly import q_scalar
 
-FAMILY = "tree"
+name = FAMILY = "tree"
+graded = True
+scan = None  # no brute-force product scan
 
 LEAF: tuple = ()
 
 Tree = tuple
-
-_prod_cache: dict = {}
-_star_cache: dict = {}
-_cop_cache: dict = {}
 
 
 def is_tree(t) -> bool:
@@ -67,7 +66,7 @@ def corolla(n: int) -> Tree:
     return (LEAF,) * (n + 1)
 
 
-@lru_cache(maxsize=None)
+@enumeration
 def enumerate_trees(n: int) -> tuple[Tree, ...]:
     """All trees of degree n (leaf alone for n = 0), deterministic order."""
     if n == 0:
@@ -96,27 +95,26 @@ def _star(u: Tree, v: Tree, qval: int | None) -> Element:
         return Element.basis(FAMILY, v)
     if v == LEAF:
         return Element.basis(FAMILY, u)
-    key = (u, v, qval)
-    hit = _star_cache.get(key)
-    if hit is None:
-        hit = _star_cache[key] = Element.sum(
-            FAMILY,
-            (
-                (_prod(LEFT, u, v, qval), 1),
-                (_prod(RIGHT, u, v, qval), 1),
-                (_prod(MIDDLE, u, v, qval), q_scalar(qval)),
-            ),
-        )
-    return hit
+    return _star_cache[u, v, qval]
 
 
-def _prod(kind: str, t: Tree, w: Tree, qval: int | None) -> Element:
+@Memo
+def _star_cache(u: Tree, v: Tree, qval: int | None) -> Element:
+    """u * v of real trees."""
+    return Element.sum(
+        FAMILY,
+        (
+            (_prod_cache[LEFT, u, v, qval], 1),
+            (_prod_cache[RIGHT, u, v, qval], 1),
+            (_prod_cache[MIDDLE, u, v, qval], q_scalar(qval)),
+        ),
+    )
+
+
+@Memo
+def _prod_cache(kind: str, t: Tree, w: Tree, qval: int | None) -> Element:
     """Partial product of real trees.  Each rule grafts the terms s of one
     * product between fixed children, so distinct s give distinct trees."""
-    key = (kind, t, w, qval)
-    hit = _prod_cache.get(key)
-    if hit is not None:
-        return hit
     if kind == LEFT:
         head, star, tail = t[:-1], _star(t[-1], w, qval), ()
     elif kind == MIDDLE:
@@ -125,22 +123,18 @@ def _prod(kind: str, t: Tree, w: Tree, qval: int | None) -> Element:
         head, star, tail = (), _star(t, w[0], qval), w[1:]
     else:
         raise ValueError(f"unknown kind {kind}")
-    out = _prod_cache[key] = Element(FAMILY, {head + (s,) + tail: c for s, c in star.terms.items()})
-    return out
+    return Element(FAMILY, {head + (s,) + tail: c for s, c in star.terms.items()})
 
 
 def tree_product(kind: str, t: Tree, w: Tree, qval: int | None = None) -> Element:
     if t == LEAF or w == LEAF:
         raise ValueError("tree products take trees of degree >= 1")
-    return _star(t, w, qval) if kind == STAR else _prod(kind, t, w, qval)
+    return _star_cache[t, w, qval] if kind == STAR else _prod_cache[kind, t, w, qval]
 
 
-def tree_coproduct(t: Tree, qval: int | None = None) -> Tensor2:
+@Memo
+def _cop_cache(t: Tree, qval: int | None) -> Tensor2:
     """Recursive coproduct; includes both boundary terms."""
-    key = (t, qval)
-    hit = _cop_cache.get(key)
-    if hit is not None:
-        return hit
     per_child = []
     for c in t:
         if c == LEAF:
@@ -156,9 +150,11 @@ def tree_coproduct(t: Tree, qval: int | None = None) -> Tensor2:
         right = Element.basis(FAMILY, tuple(r for (_, r, _) in combo))
         parts.append(((_star_elements(lefts, qval), right), prod(c for (_, _, c) in combo)))
     parts.append(((Element.basis(FAMILY, t), UNIT), 1))
-    out = Tensor2.sum(FAMILY, parts)
-    _cop_cache[key] = out
-    return out
+    return Tensor2.sum(FAMILY, parts)
+
+
+def tree_coproduct(t: Tree, qval: int | None = None) -> Tensor2:
+    return _cop_cache[t, qval]
 
 
 def _star_elements(ts: list, qval: int | None) -> Element:
@@ -171,11 +167,13 @@ def _star_elements(ts: list, qval: int | None) -> Element:
     return acc
 
 
-def tree_basis(n: int) -> tuple[Tree, ...]:
-    return enumerate_trees(n)
+tree_basis = basis = enumerate_trees
 
 
 def tree_validate(t) -> Tree:
     if t == LEAF or not is_tree(t):
         raise ValueError("not a tree of degree >= 1")
     return t
+
+
+product, coproduct, degree, validate = tree_product, tree_coproduct, tree_degree, tree_validate

@@ -15,7 +15,7 @@ Families enumerated here:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from .memo import enumeration
 
 Word = tuple[int, ...]
 
@@ -31,7 +31,7 @@ def std(w: Word) -> Word:
     return tuple(rank[v] for v in w)
 
 
-@lru_cache(maxsize=None)
+@enumeration
 def park(w: Word) -> Word:
     """Parkization: the parking function with the same relative order.
 
@@ -63,7 +63,7 @@ def is_surjection(w: Word) -> bool:
     return set(w) == set(range(1, max(w) + 1))
 
 
-@lru_cache(maxsize=None)
+@enumeration
 def surjections(n: int) -> tuple[Word, ...]:
     """All surjective words of length n, in lexicographic order.
 
@@ -102,7 +102,7 @@ def surjections(n: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@enumeration
 def parking_functions(n: int) -> tuple[Word, ...]:
     """All parking functions of length n, in lexicographic order.
 
@@ -134,7 +134,7 @@ def parking_functions(n: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@enumeration
 def ndpf(n: int) -> tuple[Word, ...]:
     if n == 0:
         return ((),)

@@ -249,3 +249,51 @@ def test_bad_choice_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--algebra", "nosuch"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("eval", "--algebra", "st", "--op", "left", "(1) - - (1,1)", "(1)"), "(1) - - (1,1)"),
+        (("eval", "--algebra", "st", "--op", "left", "(1)", "(1,1) +"), "(1,1) +"),
+        (("coproduct", "--algebra", "pqsym", "(1,1) + - (1)"), "(1,1) + - (1)"),
+        (("coproduct", "--algebra", "st", "-"), "-"),
+    ],
+)
+def test_doubled_and_trailing_signs_exit_two(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: empty term in {text!r}\n"
+
+
+def test_a_single_leading_sign_stays_valid(capsys):
+    code, out, _ = run(capsys, "eval", "--algebra", "st", "--op", "left", "--", "-(1)", "(1)")
+    assert code == 0
+    assert out.strip() == "-(2,1)"
+
+
+@pytest.mark.parametrize(
+    "algebra, degree, message",
+    [
+        ("pqsym", "7", "pqsym degree 7 has 262144 basis objects, over 20000"),
+        ("pqsym", "9", "pqsym degree 7 has 262144 basis objects, over 20000"),
+        ("st", "7", "st degree 7 has 47293 basis objects, over 20000"),
+        ("mperm", "7", "mperm degree 7 has 25988 basis objects, over 20000"),
+        ("tree", "8", "tree degree 8 has 20793 basis objects, over 20000"),
+    ],
+)
+def test_primitives_refuses_a_basis_past_the_ceiling(capsys, algebra, degree, message):
+    code, out, err = run(capsys, "primitives", "--algebra", algebra, "--degree", degree, "--q", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_the_ceiling_admits_pqsym_degree_six():
+    from qtridend.brace import BASIS_CEILING
+    from qtridend.pqsym import pf_basis
+    from qtridend.trees import tree_basis
+
+    assert len(pf_basis(6)) == 16807 <= BASIS_CEILING
+    assert len(tree_basis(7)) <= BASIS_CEILING

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from qtridend.grammar import (
@@ -121,3 +123,19 @@ def test_json_shapes():
     t = parse_tensor2("st", "(1) # (1) + q*(2,1) # 1")
     jt = tensor2_to_json(t)
     assert {"left": "(2,1)", "right": "1", "coeff": [[1, 1]]} in jt["terms"]
+
+
+@pytest.mark.parametrize("text", ["q - - 1", "q +", "- - q", "-"])
+def test_parse_qpoly_refuses_an_empty_term(text):
+    with pytest.raises(ValueError, match=re.escape(f"empty term in {text!r}")):
+        parse_qpoly(text)
+
+
+def test_parse_qpoly_keeps_a_single_leading_sign():
+    assert parse_qpoly("-q + 1") == -QPoly.q_power(1) + QPoly.one()
+
+
+@pytest.mark.parametrize("text", ["(1) # 1 - - 1 # (1)", "(1) # 1 +"])
+def test_parse_tensor2_refuses_an_empty_term(text):
+    with pytest.raises(ValueError, match=re.escape(f"empty term in {text!r}")):
+        parse_tensor2("st", text)

@@ -113,3 +113,60 @@ def test_only_the_constructors_write_shared_fields():
     for path in sorted(Path(qtridend.__file__).parent.glob("*.py")):
         visit(path.name, ast.parse(path.read_text()), None)
     assert writers == []
+
+
+# Memos are `qtridend.memo.Memo`s, which register themselves for
+# `clear_caches`; a hand-written memo would escape that registry.  The
+# interned powers q^e are exempt: a table bounded by the largest degree in
+# use, not a memo of a computation.
+INTERN_TABLES = {("qpoly.py", "_Q_POWERS")}
+
+
+def _memo_writes(path: Path) -> list:
+    """Lines that bind a *_cache name to a dict literal, and functions that
+    look a key up in a module-level dict with .get(key) and store under that
+    same key."""
+    tree = ast.parse(path.read_text())
+    module_names = {
+        t.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(t, ast.Name) and (path.name, t.id) not in INTERN_TABLES
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            literal = isinstance(node.value, (ast.Dict, ast.DictComp)) or (
+                isinstance(node.value, ast.Call) and getattr(node.value.func, "id", "") == "dict"
+            )
+            if literal and any(isinstance(t, ast.Name) and t.id.endswith("_cache") for t in targets):
+                out.append(f"{path.name}:{node.lineno}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            gets = {
+                (c.func.value.id, ast.dump(c.args[0]))
+                for c in ast.walk(node)
+                if isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Attribute)
+                and c.func.attr == "get"
+                and isinstance(c.func.value, ast.Name)
+                and c.func.value.id in module_names
+                and len(c.args) == 1
+            }
+            stores = {
+                (t.value.id, ast.dump(t.slice))
+                for a in ast.walk(node)
+                if isinstance(a, ast.Assign)
+                for t in a.targets
+                if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)
+            }
+            if gets & stores:
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_hand_written_memos_outside_memo_py():
+    package = Path(qtridend.__file__).parent
+    found = [w for p in sorted(package.glob("*.py")) if p.name != "memo.py" for w in _memo_writes(p)]
+    assert found == []

@@ -5,9 +5,11 @@ must give what the accumulator route gives."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from qtridend.algebras import ALGEBRA_NAMES, AlgebraHandle, el_coproduct, get_algebra
+from qtridend.algebras import ALGEBRA_NAMES, el_coproduct, get_algebra
 from qtridend.linear import (
     KINDS,
     STAR,
@@ -148,7 +150,7 @@ def test_shared_results_keep_the_family_checks_and_unit_conventions():
     with pytest.raises(ValueError):
         bilinear_extend(foreign, STAR, x, Element.basis("tree", ((), ())))
     h = get_algebra("st")
-    wrong = AlgebraHandle(
+    wrong = SimpleNamespace(
         name="st",
         basis=h.basis,
         degree=h.degree,

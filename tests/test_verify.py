@@ -144,13 +144,15 @@ def test_failure_witnesses_parse_back(monkeypatch):
             out = out + Element.basis("st", (1, 1, 1))
         return out
 
-    def wrong_coproduct(f):
+    def wrong_coproduct(f, qval=None):
         return fast_coproduct(f).scale(2) if f == (1, 1) else fast_coproduct(f)
 
     for module in (st, verify):
         monkeypatch.setattr(module, "st_product", wrong_product)
+    monkeypatch.setattr(st, "product", wrong_product)
     for module in (pqsym, verify):
         monkeypatch.setattr(module, "pf_coproduct", wrong_coproduct)
+    monkeypatch.setattr(pqsym, "coproduct", wrong_coproduct)
     reports = [verify_oracles(3, 2, 1, 2, 1), verify_morphisms(3, alpha_inj_degree=1)]
     failures = [msg for r in reports for msg in r["failures"]]
     assert "st middle disagrees with scan at x=(1,2) y=(1)" in failures
