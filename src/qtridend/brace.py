@@ -33,7 +33,7 @@ from .algebras import (
 from .grammar import render_element
 from .linear import LEFT, MIDDLE, RIGHT, UNIT, Element, Tensor2, sum_terms
 from .memo import Memo
-from .qpoly import evaluate, q_scalar
+from .qpoly import q_scalar
 from .rank import rational_nullspace, rational_rank
 
 # The most basis objects of one degree that the rank routines take on;
@@ -76,7 +76,7 @@ def brace(h: AlgebraHandle, x: Element, ys: list, qval: int | None = None) -> El
     for arg in [x, *ys]:
         if arg.unit:
             raise ValueError(
-                f"brace arguments must have no unit term, got {render_element(arg)}"
+                f"brace arguments must have no unit term, got {render_element(arg, qval)}"
             )
     n = len(ys)
     if n == 0:
@@ -276,7 +276,7 @@ def _coefficient_rows(h: AlgebraHandle, n: int, q: int, image) -> tuple:
     rows = [[0] * len(basis) for _ in range(len(row_index))]
     for j, img in enumerate(images):
         for k, c in img.terms.items():
-            rows[row_index[k]][j] = evaluate(c, q)
+            rows[row_index[k]][j] = c
     return basis, rows
 
 

@@ -12,6 +12,8 @@ Examples:
 Every subcommand accepts --format text|json.  --q takes "symbolic" (the
 default: exact polynomial coefficients in q) or an integer N, which sets
 q = N in the inputs too; primitives requires an integer (ranks over Q).
+Symbolic q is computed at q = 2^64 (`qpoly`): eval, coproduct and brace
+first bound their result and refuse a bound of 2^63 or more.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 from .algebras import ALGEBRA_NAMES, el_coproduct, el_product, get_algebra
 from .brace import brace, primitive_kernel_basis, primitive_rank
@@ -30,9 +33,10 @@ from .grammar import (
     render_tensor2,
     tensor2_to_json,
 )
-from .linear import Element
+from .linear import Element, Tensor2
 from .mperm import phi_element
 from .pqsym import alpha, iota
+from .qpoly import HALF, coefficient_ceiling, to_pairs
 from .verify import (
     SUITE_NAMES,
     build_plan,
@@ -53,43 +57,67 @@ def _q_arg(text: str):
         )
 
 
-def _emit_element(el: Element, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(element_to_json(el)))
+def _emit(x, fmt: str, qval: int | None = None) -> None:
+    """Print an Element or a Tensor2 in the chosen format."""
+    if isinstance(x, Tensor2):
+        print(json.dumps(tensor2_to_json(x, qval)) if fmt == "json" else render_tensor2(x, qval))
     else:
-        print(render_element(el))
+        print(json.dumps(element_to_json(x, qval)) if fmt == "json" else render_element(x, qval))
 
 
-def _parse_at_q(args, text: str) -> Element:
-    """Parse an element, with q set to N under --q N."""
-    el = parse_element(args.algebra, text)
-    return el if args.q is None else el.eval_q(args.q)
+def _norm(coeffs) -> int:
+    """The sum of the magnitudes of the true coefficients in coeffs."""
+    return sum(abs(c) for coeff in coeffs for _, c in to_pairs(coeff))
+
+
+def _el_norm(el: Element) -> int:
+    return _norm((*el.terms.values(), el.unit))
+
+
+def _refuse_past_bound(bound: int, texts, els) -> None:
+    """Refuse a symbolic request whose coefficient bound reaches X/2
+    (`qpoly`), naming its largest input."""
+    if bound >= HALF:
+        _, text = max(zip(map(_el_norm, els), texts))
+        raise ValueError(
+            f"coefficients of {text!r} are too large for symbolic q: the result may reach 2^63"
+        )
+
+
+def _ceiling(h, els) -> int:
+    """coefficient_ceiling at the total degree of els."""
+    return coefficient_ceiling(sum(max(map(h.degree, el.terms), default=0) for el in els))
 
 
 def _cmd_eval(args) -> int:
     h = get_algebra(args.algebra)
-    f = _parse_at_q(args, args.f)
-    g = _parse_at_q(args, args.g)
-    _emit_element(el_product(h, args.op, f, g, args.q), args.format)
+    f, g = (parse_element(args.algebra, text, args.q) for text in (args.f, args.g))
+    if args.q is None:
+        bound = _el_norm(f) * _el_norm(g) * _ceiling(h, (f, g))
+        _refuse_past_bound(bound, (args.f, args.g), (f, g))
+    _emit(el_product(h, args.op, f, g, args.q), args.format, args.q)
     return 0
 
 
 def _cmd_coproduct(args) -> int:
     h = get_algebra(args.algebra)
-    f = _parse_at_q(args, args.f)
-    t = el_coproduct(h, f, args.q)
-    if args.format == "json":
-        print(json.dumps(tensor2_to_json(t)))
-    else:
-        print(render_tensor2(t))
+    f = parse_element(args.algebra, args.f, args.q)
+    if args.q is None:
+        cops = (_norm((c,)) * _norm(h.coproduct(o).terms.values()) for o, c in f.terms.items())
+        _refuse_past_bound(_norm((f.unit,)) + sum(cops), (args.f,), (f,))
+    _emit(el_coproduct(h, f, args.q), args.format, args.q)
     return 0
 
 
 def _cmd_brace(args) -> int:
     h = get_algebra(args.algebra)
-    x = _parse_at_q(args, args.x)
-    ys = [_parse_at_q(args, y) for y in args.ys]
-    _emit_element(brace(h, x, ys, args.q), args.format)
+    els = [parse_element(args.algebra, text, args.q) for text in (args.x, *args.ys)]
+    if args.q is None:
+        # n + 1 terms of n products each; rtilde = > + q. counts twice
+        n = len(args.ys)
+        bound = (n + 1) * (2 * _ceiling(h, els)) ** n * prod(map(_el_norm, els))
+        _refuse_past_bound(bound, (args.x, *args.ys), els)
+    _emit(brace(h, els[0], els[1:], args.q), args.format, args.q)
     return 0
 
 
@@ -108,7 +136,7 @@ def _cmd_primitives(args) -> int:
                     "q": args.q,
                     "projector_rank": rank,
                     "kernel_dim": len(kernel),
-                    "kernel_basis": [element_to_json(el) for el in kernel],
+                    "kernel_basis": [element_to_json(el, args.q) for el in kernel],
                 }
             )
         )
@@ -117,7 +145,7 @@ def _cmd_primitives(args) -> int:
         print(f"projector rank: {rank}")
         print(f"ker of reduced coproduct: dimension {len(kernel)}")
         for el in kernel:
-            print(f"  {render_element(el)}")
+            print(f"  {render_element(el, args.q)}")
     return 0
 
 
@@ -130,7 +158,7 @@ _MORPHISMS = {
 
 def _cmd_morphism(args) -> int:
     f = parse_basis("st", args.word)
-    _emit_element(_MORPHISMS[args.which](f), args.format)
+    _emit(_MORPHISMS[args.which](f), args.format)
     return 0
 
 

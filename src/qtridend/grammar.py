@@ -11,7 +11,9 @@ Grammar summary:
   * rank-2 tensors: terms  coeff*left # right  with ' # ' the separator.
 
 Terms of an element render sorted by the text form of the basis object,
-exponents descending inside one basis term.
+exponents descending inside one basis term.  Parsing encodes each term's
+coefficient at q = X (or at q = qval when given), and rendering decodes
+it unless a qval says the coefficients are plain values (`qpoly`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from operator import itemgetter
 
 from .algebras import get_algebra
 from .linear import UNIT, Element, Tensor2
-from .qpoly import QPoly, to_pairs
+from .qpoly import HALF, MAX_EXPONENT, join_terms, q_power, term_text, to_pairs
 from .trees import LEAF
 from .words import Word, render_word
 
@@ -66,55 +68,32 @@ def _sorted_tensor(t: Tensor2) -> list:
     return sorted((((fn(l), fn(r)), c) for (l, r), c in t.terms.items()), key=itemgetter(0))
 
 
-def _coeff_basis_text(c: int, e: int, basis_text: str) -> str:
-    """One rendered monomial term; never carries a leading +."""
-    parts = []
-    if e == 0:
-        if abs(c) != 1 or basis_text is None:
-            parts.append(str(abs(c)))
-    else:
-        if abs(c) != 1:
-            parts.append(str(abs(c)))
-        parts.append("q" if e == 1 else f"q^{e}")
-    if basis_text is not None:
-        parts.append(basis_text)
-    if not parts:
-        parts.append("1")
-    body = "*".join(parts)
-    return "-" + body if c < 0 else body
+def _monomial_text(c: int, e: int, text: str) -> str:
+    """One rendered term c*q^e*text; never carries a leading +."""
+    if e == 0 and abs(c) == 1:
+        return text if c > 0 else "-" + text
+    return f"{term_text(c, e)}*{text}"
 
 
-def _join_terms(terms) -> str:
+def _join_terms(terms, qval: int | None) -> str:
     """Render (text, coeff) terms in the given order, exponents descending
-    inside one term; an int coefficient is formatted directly."""
-    pieces: list[str] = []
-    for text, coeff in terms:
-        if isinstance(coeff, int):
-            if coeff == 1:
-                pieces.append(text)
-            elif coeff == -1:
-                pieces.append("-" + text)
-            else:
-                pieces.append(f"{coeff}*{text}")
-        else:
-            for e, c in reversed(to_pairs(coeff)):
-                pieces.append(_coeff_basis_text(c, e, text))
-    if not pieces:
-        return "0"
-    return pieces[0] + "".join(
-        " - " + p[1:] if p[0] == "-" else " + " + p for p in pieces[1:]
+    inside one term."""
+    return join_terms(
+        [_monomial_text(c, e, text) for text, coeff in terms for e, c in reversed(to_pairs(coeff, qval))]
     )
 
 
-def render_element(el: Element) -> str:
+def render_element(el: Element, qval: int | None = None) -> str:
+    """The text form of el; qval None decodes symbolic coefficients, an
+    int qval prints them as the plain values they are."""
     terms = _sorted_element(el)
     if el.unit:
         terms.append(("1", el.unit))
-    return _join_terms(terms)
+    return _join_terms(terms, qval)
 
 
-def render_tensor2(t: Tensor2) -> str:
-    return _join_terms((f"{l} # {r}", c) for (l, r), c in _sorted_tensor(t))
+def render_tensor2(t: Tensor2, qval: int | None = None) -> str:
+    return _join_terms(((f"{l} # {r}", c) for (l, r), c in _sorted_tensor(t)), qval)
 
 
 # ---------------------------------------------------------------- parsing
@@ -202,8 +181,8 @@ def parse_basis(family: str, text: str):
 
 
 def _split_top(text: str) -> list[tuple[str, str]]:
-    """Split on +/- at bracket depth 0; returns (sign, chunk) pairs.  Only
-    a leading sign may have no term before it."""
+    """Split on +/- at bracket depth 0 that does not follow a ^; returns
+    (sign, chunk) pairs.  Only a leading sign may have no term before it."""
     out = []
     depth = 0
     cur = []
@@ -221,7 +200,7 @@ def _split_top(text: str) -> list[tuple[str, str]]:
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if depth == 0 and ch in "+-":
+        if depth == 0 and ch in "+-" and cur[-1:] != ["^"]:
             flush()
             sign = ch
             cur = []
@@ -252,88 +231,94 @@ def _split_factors(text: str) -> list[str]:
 _QPOW_RE = re.compile(r"q(?:\^(\d+))?$")
 
 
-def _scalar_factor(f: str) -> QPoly | None:
-    """The QPoly of a factor q, q^e or n; None for any other factor."""
-    m = _QPOW_RE.match(f)
-    if m:
-        return QPoly.q_power(int(m.group(1) or 1))
-    if re.fullmatch(r"\d+", f):
-        return QPoly.const(int(f))
-    return None
-
-
-def _parse_term(family: str, chunk: str):
-    """One term -> (QPoly coefficient, basis object or UNIT).
+def _parse_term(family: str, chunk: str) -> tuple:
+    """One term -> (c, e, basis object or UNIT) for c*q^e times the object.
 
     A term with no basis literal is a scalar multiple of the unit, so
     both `q*1` and a bare integer parse as unit terms.
     """
-    coeff = QPoly.one()
+    c, e = 1, 0
     obj = UNIT
     for f in _split_factors(chunk):
         if not f:
             raise ValueError(f"empty factor in {chunk!r}")
-        scalar = _scalar_factor(f)
-        if scalar is not None:
-            coeff = coeff * scalar
+        if f.isdecimal():
+            c *= int(f)
+        elif f.startswith("q"):
+            m = _QPOW_RE.match(f)
+            if not m:
+                raise ValueError(f"bad q factor {f!r}")
+            e += int(m.group(1) or 1)
         elif obj is not UNIT:
             raise ValueError(f"two basis literals in {chunk!r}")
         else:
             obj = parse_basis(family, f)
-    return coeff, obj
+    if e > MAX_EXPONENT:
+        raise ValueError(f"q exponent over {MAX_EXPONENT} in {chunk!r}")
+    return c, e, obj
 
 
-def parse_element(family: str, text: str) -> Element:
-    parts = []
+def _encoded_terms(family: str, text: str, qval: int | None, split):
+    """(coefficient, object) per term of text, where split(family, chunk)
+    gives (c, e, object) for c*q^e times the object and the coefficient is
+    signed and encoded under qval.  Symbolic coefficients whose
+    magnitudes sum to X/2 or more are refused, as no digit could hold
+    their sum."""
+    norm = 0
     for sign, chunk in _split_top(text.strip()):
-        coeff, obj = _parse_term(family, chunk)
-        parts.append((Element.slot(family, obj), -coeff if sign == "-" else coeff))
+        c, e, objs = split(family, chunk)
+        norm += c
+        if qval is None and norm >= HALF:
+            raise ValueError(f"coefficients of {text!r} reach 2^63, too large for symbolic q")
+        yield (-c if sign == "-" else c) * q_power(e, qval), objs
+
+
+def parse_element(family: str, text: str, qval: int | None = None) -> Element:
+    """The Element of text, with q = qval unless qval is None."""
+    parts = (
+        (Element.slot(family, obj), c)
+        for c, obj in _encoded_terms(family, text, qval, _parse_term)
+    )
     return Element.sum(family, parts)
 
 
-def parse_tensor2(family: str, text: str) -> Tensor2:
-    text = text.strip()
-    if text == "0":
+def _tensor_term(family: str, chunk: str) -> tuple:
+    """One tensor term coeff*left # right -> (c, e, (left, right))."""
+    if " # " not in chunk:
+        raise ValueError(f"tensor term without separator: {chunk!r}")
+    lpart, rpart = chunk.split(" # ", 1)
+    c, e, left = _parse_term(family, lpart.strip())
+    rtext = rpart.strip()
+    right = UNIT if rtext == "1" else parse_basis(family, rtext)
+    return c, e, (left, right)
+
+
+def parse_tensor2(family: str, text: str, qval: int | None = None) -> Tensor2:
+    """The Tensor2 of text, with q = qval unless qval is None."""
+    if text.strip() == "0":
         return Tensor2(family)
-    parts = []
-    for sign, chunk in _split_top(text):
-        if " # " not in chunk:
-            raise ValueError(f"tensor term without separator: {chunk!r}")
-        lpart, rpart = chunk.split(" # ", 1)
-        coeff, left = _parse_term(family, lpart.strip())
-        rtext = rpart.strip()
-        right = UNIT if rtext == "1" else parse_basis(family, rtext)
-        pair = (Element.slot(family, left), Element.slot(family, right))
-        parts.append((pair, -coeff if sign == "-" else coeff))
+    parts = (
+        ((Element.slot(family, left), Element.slot(family, right)), c)
+        for c, (left, right) in _encoded_terms(family, text, qval, _tensor_term)
+    )
     return Tensor2.sum(family, parts)
 
 
-def parse_qpoly(text: str) -> QPoly:
-    out = QPoly.zero()
-    for sign, chunk in _split_top(text.strip()):
-        coeff = QPoly.one()
-        for f in _split_factors(chunk):
-            scalar = _scalar_factor(f)
-            if scalar is None:
-                raise ValueError(f"bad scalar factor {f!r}")
-            coeff = coeff * scalar
-        out = out + (-coeff if sign == "-" else coeff)
-    return out
-
-
-def element_to_json(el: Element) -> dict:
+def element_to_json(el: Element, qval: int | None = None) -> dict:
     return {
         "algebra": el.family,
-        "terms": [{"basis": text, "coeff": to_pairs(c)} for text, c in _sorted_element(el)],
-        "unit": to_pairs(el.unit),
+        "terms": [
+            {"basis": text, "coeff": to_pairs(c, qval)} for text, c in _sorted_element(el)
+        ],
+        "unit": to_pairs(el.unit, qval),
     }
 
 
-def tensor2_to_json(t: Tensor2) -> dict:
+def tensor2_to_json(t: Tensor2, qval: int | None = None) -> dict:
     return {
         "algebra": t.family,
         "terms": [
-            {"left": l, "right": r, "coeff": to_pairs(c)}
+            {"left": l, "right": r, "coeff": to_pairs(c, qval)}
             for (l, r), c in _sorted_tensor(t)
         ],
     }

@@ -4,13 +4,10 @@ An Element is a finite Z[q]-combination of basis objects from one
 combinatorial family plus an optional multiple of the unit 1.  Basis
 objects are plain hashable values (tuples for words and trees, tuples of
 frozensets for multipermutations); the family tag on the Element keeps
-different bases from being mixed.
-
-Every stored coefficient is in the canonical form of `qpoly`: a nonzero
-int when constant, else a QPoly with a positive power of q.  So
-`Element.coeff` may return an int, and does for every coefficient under
-a specialization.  The public constructors `Element(...)` and
-`Tensor2(...)` take int or QPoly coefficients and canonicalize them.
+different bases from being mixed.  Every stored coefficient is a nonzero
+int: the value at q = qval under a specialization, else the value at
+q = X (`qpoly`), which `qpoly.decode` reads back.  The constructors,
+`sum` and `scale` also take QPolys, which they encode.
 
 Tensor slots use the UNIT sentinel for the unit leg, so a Tensor2 term is
 keyed by a pair whose entries are basis objects or UNIT.
@@ -23,32 +20,28 @@ Unit conventions for the three partial products (x a basis element):
 1 o 1 is undefined for the partial products and raises.
 
 Every sum of scaled parts in the package is built by one accumulator,
-`_accumulate`: it adds scale * coeff, key by key, as a plain int while
-both factors and the running sum are ints, and otherwise into a raw
-exponent dict with `qpoly.acc_add` or `qpoly.acc_mul_add`; `_wrap`
-settles each key's sum once, in canonical form.  `Element.sum`,
-`Tensor2.sum` and `sum_terms` expose it, and `+`, `-` and `scale` go
-through it.  It always builds fresh dicts and never mutates a part.
+`_accumulate`, which adds scale * coeff key by key as ints into fresh
+dicts; `Element.sum`, `Tensor2.sum` and `sum_terms` expose it, and `+`,
+`-` and `scale` go through it.
 
-Elements, tensors and QPolys are immutable once built, so they are
-shared, never copied: the module caches hand out their results as they
-are, `bilinear_extend` of two lone basis terms (coefficient 1, no unit)
-returns the cached basis product itself, and `el_coproduct` of a lone
-basis term its cached coproduct.  Only the constructors here and in
-`qpoly` write `.terms`, `.unit` or `.m` (`tests/test_layering.py`); a
-write anywhere else would corrupt every later result.  The family
-kernels hand over q-monomials (obj, e) instead, filed by
-`file_monomial`, and `from_monomials` applies q^e, or sums qval**e as
-ints when specialized.  Only this module and `qpoly` read a QPoly's
-exponent dict or branch on qval.
+Elements and tensors are immutable once built, so they are shared, never
+copied: the module caches hand out their results as they are, and
+`bilinear_extend` and `el_coproduct` of a lone basis term (coefficient 1,
+no unit) return the cached basis result itself.  Only the constructors
+here write `.terms` or `.unit` (`tests/test_layering.py`).  The family
+kernels hand over q-monomials (obj, e), filed by `file_monomial`, and
+`from_monomials` sums q^e over them: the shared X^e of `qpoly.X_POWERS`,
+or qval**e when specialized.  Only this module and `qpoly` branch on
+qval.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import index
 from typing import Callable
 
-from .qpoly import QPoly, _canon, acc_add, acc_mul_add, evaluate
+from .qpoly import X_POWERS, QPoly, evaluate
 
 LEFT = "left"      # <
 MIDDLE = "middle"  # .
@@ -69,65 +62,38 @@ UNIT = _Unit()
 
 
 def _accumulate(parts) -> dict:
-    """Sum scale * coeff over parts, key by key, into fresh raw sums.
+    """Sum scale * coeff over parts, key by key, into fresh int sums.
 
     parts iterates (items, scale): items iterates (key, coeff) pairs and
-    is read to the end before the next part is drawn; coeff and scale are
-    ints or QPolys.  Returns key -> raw sum: an int while every term of
-    the key was an int product, else a zero-free exponent dict.  A key
-    whose sum cancels maps to 0 or to an empty dict.
+    is read to the end before the next part is drawn; coeff is an int,
+    scale an int or a QPoly, which is encoded.  A key whose sum cancels
+    maps to 0.
     """
     raw: dict = {}
     get = raw.get
     for items, s in parts:
-        s_int = s.__class__ is int
+        s = index(s)
         for k, c in items:
-            m = get(k, 0)
-            c_int = c.__class__ is int
-            if c_int and s_int and m.__class__ is int:
-                raw[k] = m + c * s
-                continue
-            if m.__class__ is int:
-                m = raw[k] = {0: m} if m else {}
-            if s_int:
-                acc_add(m, {0: c} if c_int else c.m, 0, s)
-            elif c_int:
-                acc_add(m, s.m, 0, c)
-            else:
-                acc_mul_add(m, c.m, s.m)
+            raw[k] = get(k, 0) + c * s
     return raw
 
 
-def _wrap(raw: dict) -> dict:
-    """The canonical coefficient per key of the accumulator's raw sums;
-    a cancelled sum (0 or an empty dict) is dropped."""
-    return {k: m if m.__class__ is int else _canon(m) for k, m in raw.items() if m}
-
-
-def _coeff(c):
-    """A caller's int or QPoly coefficient in canonical form."""
-    return c if c.__class__ is int else _canon(c.m)
-
-
 def _monomial_terms(monomials, qval: int | None) -> dict:
-    """Count (key, e) monomials into key -> coefficient: the sum of q^e,
-    or the int sum of qval**e when specialized.  Keys whose sum vanishes
-    are dropped."""
+    """Count (key, e) monomials into key -> coefficient: the sum of q^e
+    at q = X, a key filed once holding the shared X^e itself, or the sum
+    of qval**e when specialized.  Keys whose sum vanishes (only under a
+    specialization) are dropped."""
     raw: dict = {}
     get = raw.get
     if qval is not None:
         for k, e in monomials:
             raw[k] = get(k, 0) + qval**e
-        return _wrap(raw)
+        return {k: c for k, c in raw.items() if c}
+    xp = X_POWERS
     for k, e in monomials:
-        m = get(k, 0)
-        if m.__class__ is int:
-            if not e:
-                raw[k] = m + 1
-                continue
-            m = raw[k] = {0: m} if m else {}
-        m[e] = m.get(e, 0) + 1
-    return _wrap(raw)
+        c = get(k)
+        raw[k] = xp[e] if c is None else c + xp[e]
+    return raw
 
 
 def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
@@ -141,9 +107,9 @@ def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
 
 def sum_terms(parts) -> dict:
     """Sum of scaled coefficient maps: parts iterates (items, scale) with
-    items an iterable of (key, coeff) and coeff, scale ints or QPolys.
-    Returns a fresh dict key -> canonical coefficient without zeros."""
-    return _wrap(_accumulate(parts))
+    items an iterable of (key, coeff), coeff an int and scale an int or
+    QPoly.  Returns a fresh dict key -> coefficient without zeros."""
+    return {k: c for k, c in _accumulate(parts).items() if c}
 
 
 def _same_family(family: str, other: str) -> None:
@@ -152,7 +118,7 @@ def _same_family(family: str, other: str) -> None:
 
 
 def _element(family: str, terms: dict, unit=0) -> "Element":
-    """An Element that takes terms and unit as they are: canonical,
+    """An Element that takes terms and unit as they are: int coefficients,
     zero-free, and never mutated afterwards."""
     el = object.__new__(Element)
     el.family, el.terms, el.unit = family, terms, unit
@@ -160,8 +126,8 @@ def _element(family: str, terms: dict, unit=0) -> "Element":
 
 
 def _tensor(family: str, terms: dict) -> "Tensor2":
-    """A Tensor2 that takes terms as they are: canonical, zero-free, and
-    never mutated afterwards."""
+    """A Tensor2 that takes terms as they are: int coefficients, zero-free,
+    and never mutated afterwards."""
     t = object.__new__(Tensor2)
     t.family, t.terms = family, terms
     return t
@@ -169,15 +135,14 @@ def _tensor(family: str, terms: dict) -> "Tensor2":
 
 class Element:
     """terms: dict basis-object -> coefficient; unit: coefficient of 1.
-    Coefficients are canonical: nonzero ints, or QPolys with a positive
-    power of q."""
+    Coefficients are nonzero ints (see `qpoly`)."""
 
     __slots__ = ("family", "terms", "unit")
 
     def __init__(self, family: str, terms: dict | None = None, unit: QPoly | int = 0):
         self.family = family
-        self.terms = {o: _coeff(c) for o, c in (terms or {}).items() if c}
-        self.unit = _coeff(unit) if unit else 0
+        self.terms = {o: index(c) for o, c in (terms or {}).items() if c}
+        self.unit = index(unit) if unit else 0
 
     @classmethod
     def basis(cls, family: str, obj) -> "Element":
@@ -213,7 +178,7 @@ class Element:
                 if el.unit:
                     yield ((UNIT, el.unit),), s
 
-        terms = _wrap(_accumulate(items()))
+        terms = sum_terms(items())
         return _element(family, terms, terms.pop(UNIT, 0))
 
     def is_zero(self) -> bool:
@@ -247,15 +212,16 @@ class Element:
         return Element.sum(self.family, ((self, s),))
 
     def eval_q(self, q: int) -> "Element":
-        """Specialize every coefficient at an integer q."""
+        """Specialize every symbolic coefficient at an integer q."""
         return Element(
             self.family,
             {o: evaluate(c, q) for o, c in self.terms.items()},
             evaluate(self.unit, q),
         )
 
-    def coeff(self, obj) -> QPoly | int:
-        """The canonical coefficient of obj: an int when constant, 0 when absent."""
+    def coeff(self, obj) -> int:
+        """The coefficient of obj, 0 when absent: the int of `qpoly`, which
+        `qpoly.decode` reads back when symbolic."""
         return self.terms.get(obj, 0)
 
     def support(self):
@@ -304,14 +270,14 @@ def bilinear_extend(
 
 
 class Tensor2:
-    """Rank-2 tensor: dict (slot, slot) -> canonical coefficient, with
-    UNIT for unit legs."""
+    """Rank-2 tensor: dict (slot, slot) -> int coefficient, with UNIT for
+    unit legs."""
 
     __slots__ = ("family", "terms")
 
     def __init__(self, family: str, terms: dict | None = None):
         self.family = family
-        self.terms = {k: _coeff(c) for k, c in (terms or {}).items() if c}
+        self.terms = {k: index(c) for k, c in (terms or {}).items() if c}
 
     @classmethod
     def from_monomials(cls, family: str, monomials, qval: int | None = None) -> "Tensor2":
@@ -339,7 +305,7 @@ class Tensor2:
                 for sl, cl in _slot_items(a):
                     yield (((sl, sr), cr) for sr, cr in right), cl * s
 
-        return _tensor(family, _wrap(_accumulate(items())))
+        return _tensor(family, sum_terms(items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -430,7 +396,7 @@ def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
 
     side 'left' computes (Delta (x) Id), side 'right' (Id (x) Delta).
     coproduct maps a basis object to a Tensor2; Delta(1) = 1 (x) 1.
-    Returns a plain dict (slot, slot, slot) -> canonical coefficient.
+    Returns a plain dict (slot, slot, slot) -> int coefficient.
     """
     return sum_terms(_flatten_parts(t, side, coproduct))
 

@@ -87,23 +87,6 @@ def std_m(blocks) -> MPerm:
             raise RuntimeError("a block lost its minimum to successor deletion")
 
 
-def std_m_sequential(blocks) -> MPerm:
-    """Oracle variant: delete one smallest cohabiting successor at a time."""
-    bs = [frozenset(b) for b in blocks]
-    if not bs or not all(bs):
-        raise ValueError("std_m needs a sequence of non-empty blocks")
-    while True:
-        support = sorted(set().union(*bs))
-        rank = {v: i + 1 for i, v in enumerate(support)}
-        bs = [frozenset(rank[v] for v in b) for b in bs]
-        hits = sorted(v + 1 for b in bs for v in b if v + 1 in b)
-        if not hits:
-            return tuple(bs)
-        kill = hits[0]
-        bs = [frozenset(v for v in b if v != kill) for b in bs]
-        bs = [b for b in bs if b]
-
-
 @enumeration
 def mpermutations(n: int) -> tuple[MPerm, ...]:
     """Recursive construction: insert n into a block away from n-1, or as

@@ -1,36 +1,104 @@
-"""Exact univariate polynomials in the parameter q with integer coefficients.
+"""The coefficient ring Z[q], held as integers by Kronecker substitution.
 
-A polynomial is stored sparsely as a dict mapping exponent -> coefficient,
-with zero coefficients never stored.  Coefficients are arbitrary-precision
-Python ints, so every computation in the package is exact.
+Every coefficient stored in an Element or a Tensor2 is a plain int: the
+value at q = qval under a specialization, and for symbolic q (qval None)
+the value p(X) of the polynomial p at q = X = 2^K, K = 64.  When every
+coefficient of p is below X/2 in magnitude, the balanced base-X digits of
+p(X) are the coefficients of p, so integer + and * are polynomial + and *
+and symbolic q runs the specialized code at q = X.  Every identity the
+harness checks is an equality of such ints, and if p(X) = 0 with every
+coefficient of p below X/2, then p = 0.  (Kronecker 1882; Harvey,
+J. Symb. Comp. 44, 2009.)
 
-Every coefficient stored in an Element or a Tensor2 has one canonical
-form: a constant is a plain nonzero Python int, and a QPoly holds only
-polynomials with a positive power of q.  So every coefficient under a
-specialization qval is an int.  `_canon` turns a zero-free exponent dict
-into that form; `evaluate` and `to_pairs` read either form.  QPoly itself
-stays closed (QPoly op QPoly is a QPoly, constant or not); it mixes with
-ints in +, - and *, and a constant QPoly equals and hashes like its int.
+`X_POWERS` holds each X^e once, so a lone q^e filed by a family kernel is
+one shared int; `q_scalar` and `q_power` give q and q^e under a qval.
+`decode` reads the digits into a QPoly; `to_pairs`, `evaluate` (decode,
+then Horner's rule) and the renders go through it, and decoding any
+|c| < X/2 is the identity.  Only this module and `linear` know the format.
 
-The QPoly class is immutable by convention: no method mutates self, and the
-internal dict is never handed out for writing.  `_canon` interns the
-single powers q^e (e >= 1) that most sums of the family kernels reduce
-to: each exponent has one shared QPoly in `_Q_POWERS`, so equal
-coefficients are usually the same object and compare by identity, and
-the module caches hold one object per power instead of one per term.
-The table is bounded by the largest degree in use.  Only this module and
-`linear` read the exponent dict or branch on a specialization qval (None
-for symbolic q, an int for q set to that value); every other module goes
-through QPoly methods, the ring-neutral helpers, `q_scalar` and the
-constructors of `linear`.  The public constructor drops zero coefficients;
-results built here and in `linear` from fresh zero-free dicts skip that
-pass through `_adopt` or `_canon`.
+Why no true coefficient reaches X/2.  Let |E| be the sum of the
+magnitudes of all true coefficients of an Element or Tensor2 (|q^k| = 1).
+Then |A + B| <= |A| + |B|, a product of combinations is at most |A| |B|
+times the largest |x o y| over the basis pairs it uses, and every
+coefficient is at most the norm.
+  1. A basis product files one q-monomial per output object and kind, so
+     |x o y| counts them; a coproduct's coefficients are positive counts.
+     Running every kernel on every basis pair of total degree N <= 6 (the
+     harness's range) gives at most 175 (pqsym products at N = 6; the
+     largest coproduct, trees at 6, has 78): each operation is below
+     2^8, and rtilde = > + q. below 2^9.
+  2. The deepest checks, `brace_relation_check` (n, m <= 2) and
+     `check_gvq` (n <= 2) on degree-1 generators of norm 1, sum at most
+     T < 2^10 nested products of depth d <= 4 per side: M(M(x; y1, y2);
+     z1, z2) nests 2 + 2, and its right side sums 15 nestings of braces
+     of at most 5 terms each.
+  3. So every true coefficient is below 2^(9d) T <= 2^46 < 2^63 = X/2.
+     After the default plan the largest digit in any memo is 25 and the
+     largest exponent 3 (tests/test_acceptance.py checks < 2^32, <= 8).
+For inputs with their own coefficients, `coefficient_ceiling` bounds
+|x o y| at any degree, and the CLI refuses a symbolic request whose
+bound reaches X/2.
 """
 
 from __future__ import annotations
 
+from operator import add, index, mul, sub
+
+K = 64
+X = 1 << K
+HALF = X >> 1
+MASK = X - 1
+# The largest q exponent the grammar takes from its input.
+MAX_EXPONENT = 64
+
+
+class _Powers(dict):
+    """X^e by exponent e >= 0, each made once and then shared."""
+
+    def __missing__(self, e: int) -> int:
+        if e < 0:
+            raise ValueError("negative q exponent")
+        p = self[e] = X**e
+        return p
+
+
+X_POWERS = _Powers()
+
+
+def q_scalar(qval: int | None) -> int:
+    """The scalar q under the specialization qval: X, or qval itself."""
+    return X if qval is None else qval
+
+
+def q_power(e: int, qval: int | None) -> int:
+    """q^e under the specialization qval."""
+    return X_POWERS[e] if qval is None else qval**e
+
+
+def coefficient_ceiling(n: int) -> int:
+    """A bound on |x o y| for a basis-level product of total degree n: it
+    files at most one monomial per output object and kind, and no family
+    has more outputs (of degree n, or n - 1 for mperm) than the (n+1)^(n-1)
+    parking functions, so it is at most 3 (n+1)^(n-1) <= (n+1)^n."""
+    return (n + 1) ** n
+
+
+def _through_ints(op):
+    """A QPoly operator that applies op to the encodings; an int operand
+    is taken as the polynomial it encodes."""
+    return lambda p, other: decode(op(int(p), int(other)))
+
 
 class QPoly:
+    """A polynomial in q with integer coefficients, by its exponent dict m.
+
+    It is what `decode` returns, and `int(p)` encodes it, refusing a
+    coefficient not below X/2.  Arithmetic goes through the encoding, so it
+    holds while every coefficient of the result stays below X/2; an int
+    operand stands for the polynomial it encodes, and a QPoly equals and
+    hashes like its encoding.
+    """
+
     __slots__ = ("m",)
 
     def __init__(self, m: dict[int, int] | None = None):
@@ -54,6 +122,12 @@ class QPoly:
     def one(cls) -> "QPoly":
         return cls({0: 1})
 
+    def __index__(self) -> int:
+        """The encoding p(X), refused when a coefficient is not below X/2."""
+        if any(abs(c) >= HALF for c in self.m.values()):
+            raise ValueError(f"a coefficient of {self} is too large for symbolic q")
+        return sum(c * X_POWERS[e] for e, c in self.m.items())
+
     def is_zero(self) -> bool:
         return not self.m
 
@@ -62,52 +136,30 @@ class QPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.m == ({0: other} if other else {})
-        if isinstance(other, QPoly):
-            return self.m == other.m
-        return NotImplemented
+            other = decode(other)
+        return self.m == other.m if isinstance(other, QPoly) else NotImplemented
 
     def __hash__(self):
-        m = self.m
-        if len(m) == 1 and 0 in m:
-            return hash(m[0])
-        return hash(frozenset(m.items())) if m else hash(0)
+        return hash(sum(c * X_POWERS[e] for e, c in self.m.items()))
 
-    def __add__(self, other) -> "QPoly":
-        out = dict(self.m)
-        acc_add(out, _raw(other))
-        return _adopt(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QPoly":
-        out = dict(self.m)
-        acc_add(out, _raw(other), scale=-1)
-        return _adopt(out)
-
-    def __rsub__(self, other: int) -> "QPoly":
-        return -self + other
+    __add__ = __radd__ = _through_ints(add)
+    __sub__ = _through_ints(sub)
+    __rsub__ = _through_ints(lambda a, b: b - a)
+    __mul__ = __rmul__ = _through_ints(mul)
 
     def __neg__(self) -> "QPoly":
-        return _adopt({e: -c for e, c in self.m.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _adopt({e: c * other for e, c in self.m.items()} if other else {})
-        out: dict[int, int] = {}
-        acc_mul_add(out, self.m, other.m)
-        return _adopt(out)
-
-    __rmul__ = __mul__
+        return decode(-int(self))
 
     def shift(self, e: int) -> "QPoly":
         """Multiply by q^e."""
-        if e == 0:
-            return self
-        return _adopt({ex + e: c for ex, c in self.m.items()})
+        return self if e == 0 else QPoly({ex + e: c for ex, c in self.m.items()})
 
-    def eval(self, q: int):
-        return qp_eval(self.m, q)
+    def eval(self, q: int) -> int:
+        """The value at the integer q, by Horner's rule."""
+        acc = 0
+        for e in range(self.degree(), -1, -1):
+            acc = acc * q + self.m.get(e, 0)
+        return acc
 
     def degree(self) -> int:
         """Largest exponent, or -1 for the zero polynomial."""
@@ -119,10 +171,7 @@ class QPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "QPoly":
-        out: dict[int, int] = {}
-        for e, c in pairs:
-            out[int(e)] = out.get(int(e), 0) + int(c)
-        return cls(out)
+        return decode(sum(int(c) * X_POWERS[int(e)] for e, c in pairs))
 
     def __str__(self) -> str:
         return render_qpoly(self)
@@ -131,93 +180,35 @@ class QPoly:
         return f"QPoly({self.m!r})"
 
 
-def _adopt(m: dict[int, int]) -> QPoly:
-    """A QPoly that takes m as it is: m must be fresh and zero-free."""
-    p = object.__new__(QPoly)
-    p.m = m
-    return p
-
-
-def _raw(c) -> dict[int, int]:
-    """The exponent dict of an int or a QPoly, for reading only."""
-    return {0: c} if isinstance(c, int) else c.m
-
-
-# One shared QPoly q^e per exponent e >= 1 met so far; bounded by the
-# largest degree in use.
-_Q_POWERS: dict[int, QPoly] = {}
-
-
-def _canon(m: dict[int, int]):
-    """The canonical coefficient of a zero-free exponent dict that is never
-    mutated afterwards: an int when m is constant (0 when empty), the
-    interned q^e when m is {e: 1}, else a QPoly adopting m."""
-    if len(m) == 1:
-        ((e, c),) = m.items()
-        if not e:
-            return c
-        if c == 1:
-            p = _Q_POWERS.get(e)
-            if p is None:
-                p = _Q_POWERS[e] = _adopt({e: 1})
-            return p
-    return _adopt(m) if m else 0
+def decode(c: int) -> QPoly:
+    """The polynomial whose value at X is c: its balanced base-X digits."""
+    m = {}
+    e = 0
+    while c:
+        d = c & MASK
+        if d >= HALF:
+            d -= X
+        m[e] = d
+        c = (c - d) >> K
+        e += 1
+    return QPoly(m)
 
 
 def evaluate(c, q: int) -> int:
-    """An int or QPoly coefficient at the integer q."""
-    return c if isinstance(c, int) else c.eval(q)
+    """A symbolic coefficient (an int or a QPoly) at the integer q: decode,
+    then Horner."""
+    c = index(c)
+    return c if -HALF < c < HALF else decode(c).eval(q)
 
 
-def to_pairs(c) -> list[list[int]]:
-    """JSON form of an int or QPoly coefficient: [exponent, coefficient]
-    pairs sorted by exponent, [[0, c]] for a nonzero int c."""
-    if isinstance(c, int):
+def to_pairs(c, qval: int | None = None) -> list[list[int]]:
+    """JSON form of a coefficient (an int or a QPoly): [exponent,
+    coefficient] pairs sorted by exponent; a coefficient at an integer
+    qval is the pair [0, c]."""
+    c = index(c)
+    if qval is not None or -HALF < c < HALF:
         return [[0, c]] if c else []
-    return c.to_pairs()
-
-
-def q_scalar(qval: int | None):
-    """The scalar q itself, under the specialization qval: the QPoly q,
-    or the int qval."""
-    return QPoly.q_power(1) if qval is None else qval
-
-
-def qp_eval(m: dict[int, int], q: int) -> int:
-    """Horner evaluation over the sparse exponent list."""
-    if not m:
-        return 0
-    acc = 0
-    prev = None
-    for e in sorted(m, reverse=True):
-        if prev is not None:
-            acc *= q ** (prev - e)
-        acc += m[e]
-        prev = e
-    return acc * q ** prev
-
-
-def acc_add(dst: dict[int, int], src: dict[int, int], shift: int = 0, scale: int = 1) -> None:
-    """dst += q^shift * scale * src, in place on a raw exponent dict."""
-    for e, c in src.items():
-        k = e + shift
-        nc = dst.get(k, 0) + c * scale
-        if nc:
-            dst[k] = nc
-        elif k in dst:
-            del dst[k]
-
-
-def acc_mul_add(dst: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
-    """dst += a * b, in place on a raw exponent dict."""
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            k = ea + eb
-            nc = dst.get(k, 0) + ca * cb
-            if nc:
-                dst[k] = nc
-            elif k in dst:
-                del dst[k]
+    return decode(c).to_pairs()
 
 
 def term_text(c: int, e: int) -> str:
@@ -232,16 +223,13 @@ def term_text(c: int, e: int) -> str:
     return f"{c}*{q}"
 
 
-def render_qpoly(p: QPoly) -> str:
-    if not p.m:
+def join_terms(pieces: list) -> str:
+    """Join rendered terms, each with its own leading - if negative, into
+    one sum; 0 when there are none."""
+    if not pieces:
         return "0"
-    parts = []
-    for e, c in sorted(p.m.items(), reverse=True):
-        t = term_text(c, e)
-        if not parts:
-            parts.append(t)
-        elif t.startswith("-"):
-            parts.append("- " + t[1:])
-        else:
-            parts.append("+ " + t)
-    return " ".join(parts)
+    return pieces[0] + "".join(" - " + t[1:] if t[0] == "-" else " + " + t for t in pieces[1:])
+
+
+def render_qpoly(p: QPoly) -> str:
+    return join_terms([term_text(c, e) for e, c in sorted(p.m.items(), reverse=True)])

@@ -13,8 +13,10 @@ Three independent routes agree on the asserted values: the projector rank
 at each q in {0, 1, 5}, the kernel dimension of the reduced coproduct, and
 the tensor-algebra recursion applied to the basis counts.
 
-A last test, outside the nine criteria, pins the check count of every
-plan entry, so that a change that drops checks fails here.
+Two last tests, outside the nine criteria, pin the check count of every
+plan entry, so that a change that drops checks fails here, and check the
+headroom of the symbolic ring: every coefficient the plan leaves in a
+memo decodes to digits far below X/2 = 2^63 (`qtridend.qpoly`).
 """
 
 from __future__ import annotations
@@ -23,11 +25,16 @@ import time
 
 import pytest
 
+import qtridend
+from qtridend.linear import Element, Tensor2
+from qtridend.memo import CACHES, Memo
+from qtridend.qpoly import decode
 from qtridend.verify import DEFAULT_PLAN, reports_ok, run_plan
 
 
 @pytest.fixture(scope="module")
 def full_run():
+    qtridend.clear_caches()  # so the memos hold what the plan computes
     t0 = time.perf_counter()
     reports = run_plan(DEFAULT_PLAN, jobs=1)
     elapsed = time.perf_counter() - t0
@@ -172,3 +179,29 @@ PLAN_CHECKS = [27, 4496, 680, 80, 56, 16759, 55927, 886, 1165, 1160, 27339, 1810
 
 def test_default_plan_check_counts(full_run):
     assert [r["checks"] for r in full_run["reports"]] == PLAN_CHECKS
+
+
+def _coefficients(value):
+    """The coefficients of a memo value: an Element, a Tensor2, or a dict
+    of them by kind (other memos hold no coefficients)."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _coefficients(v)
+    elif isinstance(value, (Element, Tensor2)):
+        yield from value.terms.values()
+        if isinstance(value, Element) and value.unit:
+            yield value.unit
+
+
+def test_plan_coefficients_leave_headroom(full_run):
+    digits = [
+        decode(c).m
+        for memo in CACHES
+        if isinstance(memo, Memo)
+        for value in memo.values()
+        for c in _coefficients(value)
+    ]
+    assert digits
+    largest = max(abs(d) for m in digits for d in m.values())
+    top = max(max(m) for m in digits)
+    assert largest < 2**32 and top <= 8, (largest, top)

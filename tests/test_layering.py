@@ -1,8 +1,9 @@
-"""The coefficient format (a QPoly's exponent dict `m`, and the canonical
-int-or-QPoly form) is known to two modules only: `qpoly` defines it and
-`linear` accumulates into it.  Every other module goes through QPoly
-methods, the ring-neutral `evaluate` and `to_pairs`, and the constructors
-of `linear`."""
+"""The coefficient format (an int that encodes a polynomial by its value at
+q = X, its base-X digits, and a QPoly's exponent dict `m`) is known to two
+modules only: `qpoly` defines it and `linear` files q-powers into it.
+Every other module goes through `q_scalar`, `q_power`, `decode`, the
+ring-neutral `evaluate` and `to_pairs`, and the constructors of
+`linear`."""
 
 from __future__ import annotations
 
@@ -12,9 +13,8 @@ from pathlib import Path
 import qtridend
 
 FORMAT_OWNERS = {"qpoly.py", "linear.py"}
-# The in-place accumulators, the dict adopter, the normalizer of raw sums
-# and the raw view of an int-or-QPoly coefficient.
-RAW_HELPERS = {"acc_add", "acc_mul_add", "_adopt", "_canon", "_raw"}
+# The digit width and mask of the encoding and the tables of powers.
+RAW_HELPERS = {"K", "MASK", "X_POWERS", "_Powers"}
 
 
 def _nodes_outside(owners):
@@ -63,7 +63,6 @@ CONSTRUCTORS = {
     ("linear.py", "_element"),
     ("linear.py", "_tensor"),
     ("qpoly.py", "__init__"),
-    ("qpoly.py", "_adopt"),
 }
 
 
@@ -117,9 +116,9 @@ def test_only_the_constructors_write_shared_fields():
 
 # Memos are `qtridend.memo.Memo`s, which register themselves for
 # `clear_caches`; a hand-written memo would escape that registry.  The
-# interned powers q^e are exempt: a table bounded by the largest degree in
+# shared powers X^e are exempt: a table bounded by the largest degree in
 # use, not a memo of a computation.
-INTERN_TABLES = {("qpoly.py", "_Q_POWERS")}
+INTERN_TABLES = {("qpoly.py", "X_POWERS")}
 
 
 def _memo_writes(path: Path) -> list:

@@ -24,9 +24,9 @@ from qtridend.mperm import (
     phi_element,
     restrict_blocks,
     std_m,
-    std_m_sequential,
 )
 from qtridend.words import surjections
+from reference import std_m_sequential
 
 fs = frozenset
 ONE = (fs({1}),)

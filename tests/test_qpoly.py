@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
 from qtridend.qpoly import (
+    HALF,
+    X,
     QPoly,
-    acc_add,
-    acc_mul_add,
-    qp_eval,
+    decode,
+    evaluate,
     render_qpoly,
     term_text,
 )
@@ -62,7 +64,7 @@ def test_eval_degree():
     assert p.eval(2) == 2 * 8 - 2 + 5
     assert p.degree() == 3
     assert QPoly.zero().degree() == -1
-    assert qp_eval({}, 7) == 0
+    assert QPoly.zero().eval(7) == 0
 
 
 @given(polys, polys)
@@ -97,16 +99,21 @@ def test_pairs_round_trip():
     assert QPoly.from_pairs([[1, 2], [1, -2]]).is_zero()
 
 
-def test_raw_dict_helpers():
-    d = {0: 1}
-    acc_add(d, {0: -1, 2: 3})
-    assert d == {2: 3}
-    acc_add(d, {1: 1}, shift=1, scale=2)
-    assert d == {2: 5}
-    acc_mul_add(d, {1: 1}, {1: -5})
-    assert d == {}
+def test_encoding_round_trips_through_balanced_digits():
+    assert int(QPoly.q_power(1)) == X and int(QPoly({0: 3, 2: -1})) == 3 - X * X
+    assert decode(X - 1).m == {1: 1, 0: -1}
+    assert decode(-X).m == {1: -1}
+    assert decode(HALF - 1).m == {0: HALF - 1} and decode(-HALF + 1).m == {0: 1 - HALF}
+    assert decode(HALF).m == {1: 1, 0: -HALF}  # the first value that is not a constant
+    assert decode(0).is_zero()
+    assert evaluate(X * X - 2 * X + 7, 3) == 9 - 6 + 7 and evaluate(-7, 2) == -7
     assert (QPoly({0: 1}) + QPoly({0: -1})).is_zero()
     assert QPoly({1: 2}) * QPoly({2: 3}) == QPoly({3: 6})
+
+
+@given(polys)
+def test_decode_inverts_int(p):
+    assert decode(int(p)).m == p.m
 
 
 def test_render():
@@ -116,3 +123,12 @@ def test_render():
     assert term_text(5, 0) == "5"
     assert term_text(-1, 2) == "-q^2"
     assert term_text(2, 1) == "2*q"
+
+
+def test_encoding_refuses_a_coefficient_past_half_of_x():
+    assert int(QPoly({3: HALF - 1, 0: 1 - HALF})) == (HALF - 1) * X**3 + 1 - HALF
+    for c in (HALF, -HALF, 2**70):
+        with pytest.raises(ValueError, match="too large for symbolic q"):
+            int(QPoly({1: c}))
+    big = QPoly({0: 2**70})
+    assert big != 2**70 and big == QPoly({0: 2**70}) and hash(big) == hash(QPoly({0: 2**70}))

@@ -1,4 +1,4 @@
-"""Immutable results are shared, not copied: interned q-powers, cached basis
+"""Immutable results are shared, not copied: the powers X^e, cached basis
 products and coproducts handed out as they are, the counit as a key
 filter, and coassociativity summed as one difference.  Each shortcut
 must give what the accumulator route gives."""
@@ -21,7 +21,7 @@ from qtridend.linear import (
     lone_basis,
     tensor_flatten,
 )
-from qtridend.qpoly import _Q_POWERS, QPoly, _canon
+from qtridend.qpoly import X, X_POWERS, QPoly
 from qtridend.verify import verify_bialgebra
 
 QS = (None, 0, 1, 5)
@@ -96,14 +96,23 @@ def test_coassociativity_flags_a_perturbed_leg_coproduct():
         assert tensor_flatten(d, "left", cop) != tensor_flatten(d, "right", cop)
 
 
-def test_q_powers_are_interned_and_never_mutated():
-    for e in range(1, 8):
-        assert _canon({e: 1}) is _canon({e: 1})
-        assert _canon({e: 1}) == QPoly.q_power(e)
-    assert _canon({0: 1}) == 1 and _canon({}) == 0
-    assert _canon({2: 3}) is not _canon({2: 3})
+def test_x_powers_are_shared():
+    # a lone q^e filed by a kernel is the one X^e of the table, not a copy
     assert verify_bialgebra("tree", 4, 5)["ok"]
-    assert _Q_POWERS and all(p.m == {e: 1} for e, p in _Q_POWERS.items())
+    assert X_POWERS and all(p == X**e for e, p in X_POWERS.items())
+    for name in ("st", "pqsym", "mperm"):
+        h = get_algebra(name)
+        lone = [
+            c
+            for n in range(1, 4)
+            for x in h.basis(n)
+            for y in h.basis(4 - n)
+            for c in h.product(STAR, x, y).terms.values()
+            if c in (X, X * X)
+        ]
+        assert lone and all(c is X_POWERS[1] or c is X_POWERS[2] for c in lone), name
+    with pytest.raises(ValueError):
+        X_POWERS[-1]
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
