@@ -7,7 +7,13 @@ frozensets for multipermutations); the family tag on the Element keeps
 different bases from being mixed.  Every stored coefficient is a nonzero
 int: the value at q = qval under a specialization, else the value at
 q = X (`qpoly`), which `qpoly.decode` reads back.  The constructors,
-`sum` and `scale` also take QPolys, which they encode.
+`sum` and `scale` also take QPolys, which they encode.  For symbolic q
+this is exact only while every coefficient of every polynomial stays
+below X/2 = 2^63 in magnitude, and nothing here checks it: an int
+coefficient of X/2 or more is read as an encoded polynomial (X is q),
+and a product or sum whose true coefficient reaches X/2 decodes wrong.
+The harness stays far below the limit (`qpoly`), and the CLI bounds its
+symbolic requests before computing.
 
 Tensor slots use the UNIT sentinel for the unit leg, so a Tensor2 term is
 keyed by a pair whose entries are basis objects or UNIT.

@@ -42,7 +42,7 @@ bound reaches X/2.
 
 from __future__ import annotations
 
-from operator import add, index, mul, sub
+from operator import index
 
 K = 64
 X = 1 << K
@@ -83,20 +83,19 @@ def coefficient_ceiling(n: int) -> int:
     return (n + 1) ** n
 
 
-def _through_ints(op):
-    """A QPoly operator that applies op to the encodings; an int operand
-    is taken as the polynomial it encodes."""
-    return lambda p, other: decode(op(int(p), int(other)))
+def _digits(p) -> dict[int, int]:
+    """The exponent dict of a QPoly, or of the polynomial an int encodes."""
+    return decode(p).m if isinstance(p, int) else p.m
 
 
 class QPoly:
     """A polynomial in q with integer coefficients, by its exponent dict m.
 
     It is what `decode` returns, and `int(p)` encodes it, refusing a
-    coefficient not below X/2.  Arithmetic goes through the encoding, so it
-    holds while every coefficient of the result stays below X/2; an int
-    operand stands for the polynomial it encodes, and a QPoly equals and
-    hashes like its encoding.
+    coefficient not below X/2.  Arithmetic is exact on the exponent dicts,
+    whatever the size of the coefficients; an int operand stands for the
+    polynomial it encodes (a constant when below X/2), and a QPoly equals
+    and hashes like its encoding.
     """
 
     __slots__ = ("m",)
@@ -142,13 +141,31 @@ class QPoly:
     def __hash__(self):
         return hash(sum(c * X_POWERS[e] for e, c in self.m.items()))
 
-    __add__ = __radd__ = _through_ints(add)
-    __sub__ = _through_ints(sub)
-    __rsub__ = _through_ints(lambda a, b: b - a)
-    __mul__ = __rmul__ = _through_ints(mul)
+    def __add__(self, other) -> "QPoly":
+        out = dict(self.m)
+        for e, c in _digits(other).items():
+            out[e] = out.get(e, 0) + c
+        return QPoly(out)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return decode(-int(self))
+        return QPoly({e: -c for e, c in self.m.items()})
+
+    def __sub__(self, other) -> "QPoly":
+        return self + -QPoly(_digits(other))
+
+    def __rsub__(self, other) -> "QPoly":
+        return -self + other
+
+    def __mul__(self, other) -> "QPoly":
+        out: dict[int, int] = {}
+        for e, c in _digits(other).items():
+            for f, d in self.m.items():
+                out[e + f] = out.get(e + f, 0) + c * d
+        return QPoly(out)
+
+    __rmul__ = __mul__
 
     def shift(self, e: int) -> "QPoly":
         """Multiply by q^e."""
@@ -171,7 +188,10 @@ class QPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "QPoly":
-        return decode(sum(int(c) * X_POWERS[int(e)] for e, c in pairs))
+        out: dict[int, int] = {}
+        for e, c in pairs:
+            out[int(e)] = out.get(int(e), 0) + int(c)
+        return cls(out)
 
     def __str__(self) -> str:
         return render_qpoly(self)

@@ -132,3 +132,31 @@ def test_encoding_refuses_a_coefficient_past_half_of_x():
             int(QPoly({1: c}))
     big = QPoly({0: 2**70})
     assert big != 2**70 and big == QPoly({0: 2**70}) and hash(big) == hash(QPoly({0: 2**70}))
+
+
+def test_arithmetic_stays_exact_past_half_of_x():
+    assert QPoly.const(2**32) * QPoly.const(2**32) == QPoly.const(2**64)
+    assert (QPoly.const(2**32) * QPoly.const(2**32)).m == {0: 2**64}
+    assert (QPoly.const(HALF - 1) + QPoly.const(HALF - 1)).m == {0: X - 2}
+    assert (QPoly.const(-HALF) - QPoly.const(HALF)).m == {0: -X}
+    assert (-QPoly({2: 2**70})).m == {2: -(2**70)}
+    assert QPoly.from_pairs([[0, 2**64]]).m == {0: 2**64}
+    # An int operand is the polynomial it encodes: a constant below X/2.
+    assert (QPoly.const(HALF - 1) + (HALF - 1)).m == {0: X - 2}
+    assert (QPoly.q_power(1) * X).m == {2: 1}
+    assert (1 - QPoly.q_power(1)).m == {0: 1, 1: -1}
+
+
+big_polys = st_.dictionaries(
+    st_.integers(min_value=0, max_value=4),
+    st_.integers(min_value=-(2**80), max_value=2**80),
+    max_size=4,
+).map(QPoly)
+
+
+@given(big_polys, big_polys)
+def test_big_coefficient_arithmetic_matches_eval(a, b):
+    for q in (-2, 0, 1, 3):
+        assert (a + b).eval(q) == a.eval(q) + b.eval(q)
+        assert (a - b).eval(q) == a.eval(q) - b.eval(q)
+        assert (a * b).eval(q) == a.eval(q) * b.eval(q)
