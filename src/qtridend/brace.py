@@ -260,35 +260,32 @@ def omega_coproduct_check(
 
 
 def _coefficient_rows(h: AlgebraHandle, n: int, q: int, image) -> tuple:
-    """The degree-n basis and the dense integer rows, at q, of the map that
-    sends each basis object o to image(h, o, q): one column per object."""
+    """The degree-n basis and the sparse integer rows ({column: entry}), at
+    q, of the map that sends basis[j] to image(h, basis[j], q): column j,
+    and one row per term key of the images."""
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
     for k in range(1, n + 1):  # stop at the first degree past the ceiling
         if (size := len(h.basis(k))) > BASIS_CEILING:
             raise ValueError(f"{h.name} degree {k} has {size} basis objects, over {BASIS_CEILING}")
     basis = h.basis(n)
-    images = [image(h, o, q) for o in basis]
-    row_index: dict = {}
-    for img in images:
-        for k in img.terms:
-            row_index.setdefault(k, len(row_index))
-    rows = [[0] * len(basis) for _ in range(len(row_index))]
-    for j, img in enumerate(images):
-        for k, c in img.terms.items():
-            rows[row_index[k]][j] = c
-    return basis, rows
+    rows: dict = {}
+    for j, o in enumerate(basis):
+        for k, c in image(h, o, q).terms.items():
+            rows.setdefault(k, {})[j] = c
+    return basis, list(rows.values())
 
 
 def primitive_rank(h: AlgebraHandle, n: int, q: int) -> int:
     """Rank of e_tri on the degree-n basis, over Q at integer q."""
-    return rational_rank(_coefficient_rows(h, n, q, e_tri_basis)[1])
+    basis, rows = _coefficient_rows(h, n, q, e_tri_basis)
+    return rational_rank(rows, len(basis))
 
 
 def primitive_kernel_basis(h: AlgebraHandle, n: int, q: int) -> list[Element]:
     """Basis of ker of the reduced coproduct on the degree-n basis at q."""
     basis, rows = _coefficient_rows(h, n, q, reduced_coproduct)
     return [
-        Element(h.name, {basis[j]: x for j, x in enumerate(v) if x})
+        Element(h.name, {basis[j]: x for j, x in v.items()})
         for v in rational_nullspace(rows, len(basis))
     ]

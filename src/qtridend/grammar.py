@@ -19,6 +19,7 @@ it unless a qval says the coefficients are plain values (`qpoly`).
 from __future__ import annotations
 
 import re
+import sys
 from operator import itemgetter
 
 from .algebras import get_algebra
@@ -101,6 +102,14 @@ def render_tensor2(t: Tensor2, qval: int | None = None) -> str:
 _WORD_RE = re.compile(r"\(\s*\d+(?:\s*,\s*\d+)*\s*\)$")
 
 
+def _refuse_long_numbers(text: str) -> None:
+    """Refuse a run of more digits than int() converts: 4,300 by default
+    (`sys.set_int_max_str_digits`), no limit before Python 3.10.7."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text) > limit and re.search(rf"\d{{{limit + 1}}}", text):
+        raise ValueError(f"number too long in {text!r}")
+
+
 def parse_word(text: str) -> Word:
     text = text.strip()
     if not _WORD_RE.match(text):
@@ -166,6 +175,7 @@ def parse_mperm(text: str):
 
 
 def parse_basis(family: str, text: str):
+    _refuse_long_numbers(text)
     if family in ("st", "pqsym"):
         obj = parse_word(text)
     elif family == "tree":
@@ -237,6 +247,7 @@ def _parse_term(family: str, chunk: str) -> tuple:
     A term with no basis literal is a scalar multiple of the unit, so
     both `q*1` and a bare integer parse as unit terms.
     """
+    _refuse_long_numbers(chunk)
     c, e = 1, 0
     obj = UNIT
     for f in _split_factors(chunk):

@@ -218,7 +218,11 @@ class Element:
         return Element.sum(self.family, ((self, s),))
 
     def eval_q(self, q: int) -> "Element":
-        """Specialize every symbolic coefficient at an integer q."""
+        """Specialize every symbolic coefficient at an integer q.
+
+        Every int coefficient is read as X-encoded (`qpoly`), so this is
+        only for an element computed with symbolic q: on one computed at
+        an integer q, a coefficient of 2^63 or more decodes wrong."""
         return Element(
             self.family,
             {o: evaluate(c, q) for o, c in self.terms.items()},
@@ -331,6 +335,7 @@ class Tensor2:
         return Tensor2.sum(self.family, ((self, s),))
 
     def eval_q(self, q: int) -> "Tensor2":
+        """As `Element.eval_q`: only for a tensor computed with symbolic q."""
         return Tensor2(self.family, {k: evaluate(c, q) for k, c in self.terms.items()})
 
     def counit(self, side: str) -> Element:

@@ -1,7 +1,9 @@
 """Exact rank and nullspace of integer matrices over the rationals.
 
-The work is sparse Gauss-Jordan elimination modulo a 61-bit prime p, and
-every answer is certified over Q, never taken as probably right:
+A matrix has one format: sparse rows {column: entry} and a column count;
+kernel vectors are {column: entry} too.  The work is sparse Gauss-Jordan
+elimination modulo a 61-bit prime p, and every answer is certified over
+Q, never taken as probably right:
 
 - the rank mod p is at most the rank over Q;
 - each vector of the RREF kernel basis mod p is lifted to Q by rational
@@ -13,9 +15,9 @@ every answer is certified over Q, never taken as probably right:
 With both bounds met, the free columns mod p are the free columns over Q,
 and the lifted vectors are the rational RREF kernel basis itself.  When a
 lift fails (p divides a minor the elimination needs, or an RREF entry is
-too large to reconstruct), the second prime is tried, then the dense
-Fraction elimination, which is also the reference the tests compare
-against.
+too large to reconstruct), the second prime is tried, then Fraction
+elimination, which alone builds a dense matrix: it is the exact fallback
+and the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ class NotCertified(ArithmeticError):
     """A modular kernel basis failed to lift to an exact one."""
 
 
-def rational_rank(rows: list[list[int]]) -> int:
+def rational_rank(rows: list[dict], ncols: int) -> int:
     """Rank over Q: the column count minus the certified nullity."""
-    ncols = len(rows[0]) if rows else 0
     return ncols - len(_nullspace(rows, ncols))
 
 
-def rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
+def rational_nullspace(rows: list[dict], ncols: int) -> list[dict]:
     """Basis of the right kernel: the reduced row echelon kernel basis, one
     vector per free column, each scaled to integer entries with content 1
     and a positive entry on its free column."""
@@ -45,19 +46,18 @@ def rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 # rational_rank calls this, not rational_nullspace, so that each elimination
 # is one call of exactly one of the two public routines
-def _nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+def _nullspace(rows: list[dict], ncols: int) -> list[dict]:
     for p in PRIMES:
         try:
-            return modular_nullspace(sparse, ncols, p)
+            return modular_nullspace(rows, ncols, p)
         except NotCertified:
             pass
     return fraction_nullspace(rows, ncols)
 
 
-def modular_nullspace(rows: list[dict], ncols: int, p: int) -> list[list[int]]:
-    """The kernel basis of sparse integer rows ({column: entry}) found mod p,
-    lifted and checked exactly; raises NotCertified when it does not lift."""
+def modular_nullspace(rows: list[dict], ncols: int, p: int) -> list[dict]:
+    """The kernel basis found mod p, lifted and checked exactly; raises
+    NotCertified when it does not lift."""
     pivots = _rref_mod(rows, ncols, p)
     bound = isqrt(p // 2)
     kernel = {f: {f: 1} for f in range(ncols) if f not in pivots}
@@ -78,7 +78,7 @@ def modular_nullspace(rows: list[dict], ncols: int, p: int) -> list[list[int]]:
                 image[i] = image.get(i, 0) + x * vj
         if any(image.values()):
             raise NotCertified(f"a kernel vector lifted from mod {p} fails M.v = 0")
-        basis.append([v.get(j, 0) for j in range(ncols)])
+        basis.append(v)
     return basis
 
 
@@ -142,10 +142,10 @@ def _primitive(v: dict) -> dict:
     return {j: x // g for j, x in ints.items()}
 
 
-def fraction_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
+def fraction_nullspace(rows: list[dict], ncols: int) -> list[dict]:
     """The same kernel basis by dense Gauss-Jordan elimination over
     Fraction: the exact fallback, and the reference for the tests."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
@@ -170,6 +170,5 @@ def fraction_nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
             for r, pc in enumerate(pivots):
                 if m[r][fc]:
                     v[pc] = -m[r][fc]
-            v = _primitive(v)
-            basis.append([v.get(j, 0) for j in range(ncols)])
+            basis.append(_primitive(v))
     return basis

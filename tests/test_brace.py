@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import pytest
 
-from qtridend.algebras import el_coproduct, el_product, get_algebra
+from qtridend.algebras import el_coproduct, el_product, get_algebra, reduced_coproduct
 from qtridend.brace import (
+    _coefficient_rows,
     brace,
     brace_relation_check,
     check_gvq,
     e_tri,
+    e_tri_basis,
     e_tri_oracle,
     filtration_degree,
     omega_coproduct_check,
@@ -24,6 +26,7 @@ from qtridend.brace import (
 from qtridend.grammar import parse_element, parse_mperm, render_element
 from qtridend.linear import MIDDLE, Element
 from qtridend.pqsym import pirr_count
+from qtridend.rank import fraction_nullspace
 from qtridend.trees import corolla
 
 ST = get_algebra("st")
@@ -157,6 +160,20 @@ def test_kernel_basis_is_primitive():
                     assert el_coproduct(h, el, q).interior().is_zero()
                 if h.graded:
                     assert len(kernel) == primitive_rank(h, n, q)
+
+
+@pytest.mark.parametrize("h, top", [(ST, 4), (PQ, 3), (TREE, 4), (MPERM, 4)], ids=lambda x: getattr(x, "name", x))
+@pytest.mark.parametrize("q", [0, 1])
+def test_primitives_match_the_fraction_elimination_of_the_same_rows(h, top, q):
+    """The glue from basis images to sparse rows and back to Elements
+    gives what the dense Fraction reference gives on the same rows."""
+    for n in range(1, top + 1):
+        basis, rows = _coefficient_rows(h, n, q, e_tri_basis)
+        assert primitive_rank(h, n, q) == len(basis) - len(fraction_nullspace(rows, len(basis)))
+        basis, rows = _coefficient_rows(h, n, q, reduced_coproduct)
+        ref = [Element(h.name, {basis[j]: x for j, x in v.items()})
+               for v in fraction_nullspace(rows, len(basis))]
+        assert primitive_kernel_basis(h, n, q) == ref
 
 
 def test_primitives_closed_under_dot_and_brace():

@@ -322,6 +322,26 @@ def test_q_exponent_past_the_cap_exits_two(capsys, q):
     assert out.strip() == ("q^64*(2,1)" if not q else "(2,1)")
 
 
+_LONG = "7" * 4301  # one digit past what int() converts by default
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("eval", "--op", "left", f"{_LONG}*(1)", "(1)"), f"{_LONG}*(1)"),
+        (("eval", "--op", "left", f"q^{_LONG}*(1)", "(1)"), f"q^{_LONG}*(1)"),
+        (("morphism", "--which", "alpha", f"(1,{_LONG})"), f"(1,{_LONG})"),
+        (("eval", "--algebra", "mperm", "--op", "left", f"[(1,{_LONG})]", "[1]"), f"[(1,{_LONG})]"),
+    ],
+    ids=["coefficient", "q exponent", "word letter", "mperm value"],
+)
+def test_a_number_too_long_to_convert_exits_two(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: number too long in {text!r}\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exits_two(capsys, jobs):
     code, out, err = run(capsys, "verify", "--suite", "golden", "--jobs", jobs)

@@ -139,3 +139,9 @@ def test_parse_qpoly_keeps_a_single_leading_sign():
 def test_parse_tensor2_refuses_an_empty_term(text):
     with pytest.raises(ValueError, match=re.escape(f"empty term in {text!r}")):
         parse_tensor2("st", text)
+
+
+@pytest.mark.parametrize("family, text", [("st", f"(1,{'7' * 4301})"), ("mperm", f"[1,{'7' * 4301}]")])
+def test_parse_basis_refuses_a_number_too_long_to_convert(family, text):
+    with pytest.raises(ValueError, match="^number too long in '"):
+        parse_basis(family, text)

@@ -14,7 +14,8 @@ import pytest
 
 import qtridend.verify  # noqa: F401  (the tracer spans functions of the harness)
 from qtridend import words
-from qtridend.algebras import get_algebra
+from qtridend.algebras import get_algebra, reduced_coproduct
+from qtridend.brace import _coefficient_rows, e_tri_basis, primitive_kernel_basis, primitive_rank
 from qtridend.memo import CACHES
 from qtridend.verify import verify_axioms, verify_oracles
 
@@ -74,3 +75,19 @@ def test_the_harness_runs_through_the_family_spans(tr):
     calls, _, _ = tracer.self_times()
     for span in ("st.product", "pqsym.product", "st.oracle", "pqsym.oracle", "mperm.oracle"):
         assert calls.get(span, 0) > 0, span
+
+
+def test_the_tracer_reads_the_shape_of_each_sparse_matrix(tr):
+    """rank.cols is the second positional argument of both rank routines,
+    and rank.rows the length of the first."""
+    h = get_algebra("st")
+    tracer = tr.Tracer()
+    tracer.install()
+    try:
+        primitive_rank(h, 3, 1)
+        primitive_kernel_basis(h, 3, 1)
+    finally:
+        assert tracer.uninstall() == []
+    rows = [_coefficient_rows(h, 3, 1, image)[1] for image in (e_tri_basis, reduced_coproduct)]
+    assert tracer.matrix["cols"] == 2 * len(h.basis(3))
+    assert tracer.matrix["rows"] == sum(map(len, rows))
