@@ -75,6 +75,7 @@ from .algebras import (
     el_coproduct,
     reduced_coproduct,
     compat_rhs,
+    compat_holds,
 )
 from .brace import (
     brace,
@@ -173,6 +174,7 @@ __all__ = [
     "el_coproduct",
     "reduced_coproduct",
     "compat_rhs",
+    "compat_holds",
     "brace",
     "check_gvq",
     "brace_relation_check",

@@ -17,6 +17,7 @@ from typing import Callable, Protocol
 
 from . import mperm, pqsym, st, trees
 from .linear import (
+    KINDS,
     MIDDLE,
     RIGHT,
     STAR,
@@ -73,6 +74,15 @@ def el_rtilde(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None)
     return Element.sum(h.name, ((right, 1), (mid, q_scalar(qval))))
 
 
+def _coproduct_parts(h: AlgebraHandle, el: Element, qval: int | None) -> list:
+    """The accumulator parts of the coproduct of el: (Delta(o), c) for
+    each term c * o, and 1 (x) 1 for the unit."""
+    parts = [(h.coproduct(o, qval), c) for o, c in el.terms.items()]
+    if el.unit:
+        parts.append(((UNIT, UNIT), el.unit))
+    return parts
+
+
 def el_coproduct(h: AlgebraHandle, el: Element, qval: int | None = None) -> Tensor2:
     """Linear extension of the coproduct, with Delta(1) = 1 (x) 1.  The
     coproduct of a lone basis term is the cached tensor itself."""
@@ -81,10 +91,7 @@ def el_coproduct(h: AlgebraHandle, el: Element, qval: int | None = None) -> Tens
         out = h.coproduct(x, qval)
         _same_family(h.name, out.family)
         return out
-    parts = [(h.coproduct(o, qval), c) for o, c in el.terms.items()]
-    if el.unit:
-        parts.append(((UNIT, UNIT), el.unit))
-    return Tensor2.sum(h.name, parts)
+    return Tensor2.sum(h.name, _coproduct_parts(h, el, qval))
 
 
 def reduced_coproduct(h: AlgebraHandle, obj, qval: int | None = None) -> Tensor2:
@@ -92,24 +99,41 @@ def reduced_coproduct(h: AlgebraHandle, obj, qval: int | None = None) -> Tensor2
     return h.coproduct(obj, qval).interior()
 
 
+def _compat_parts(h: AlgebraHandle, kind: str, x, y, qval: int | None, stars: dict):
+    """The parts ((x_(1) * y_(1), x_(2) o y_(2)), cx * cy) of `compat_rhs`.
+    The star legs x_(1) * y_(1) are kept in stars under (x_(1), y_(1)), so
+    the kinds of one pair compute each once."""
+    slot = Element.slot
+    for (x1, x2), cx in h.coproduct(x, qval).terms.items():
+        for (y1, y2), cy in h.coproduct(y, qval).terms.items():
+            if x2 is UNIT and y2 is UNIT:
+                pair = (el_product(h, kind, slot(h.name, x1), slot(h.name, y1), qval), UNIT)
+            else:
+                star = stars.get((x1, y1))
+                if star is None:
+                    star = stars[x1, y1] = el_star(h, slot(h.name, x1), slot(h.name, y1), qval)
+                pair = (star, el_product(h, kind, slot(h.name, x2), slot(h.name, y2), qval))
+            yield pair, cx * cy
+
+
 def compat_rhs(
     h: AlgebraHandle, kind: str, x, y, qval: int | None = None
 ) -> Tensor2:
     """(x_(1) * y_(1)) (x) (x_(2) o y_(2)) with the boundary convention
     (x * y) (x) (1 o 1) := (x o y) (x) 1, for basis objects x, y."""
-    dx = h.coproduct(x, qval)
-    dy = h.coproduct(y, qval)
-    unit = Element.unit_element(h.name)
+    return Tensor2.sum(h.name, _compat_parts(h, kind, x, y, qval, {}))
 
-    def parts():
-        for (x1, x2), cx in dx.terms.items():
-            for (y1, y2), cy in dy.terms.items():
-                a, b = Element.slot(h.name, x1), Element.slot(h.name, y1)
-                if x2 is UNIT and y2 is UNIT:
-                    pair = (el_product(h, kind, a, b, qval), unit)
-                else:
-                    a2, b2 = Element.slot(h.name, x2), Element.slot(h.name, y2)
-                    pair = (el_star(h, a, b, qval), el_product(h, kind, a2, b2, qval))
-                yield pair, cx * cy
 
-    return Tensor2.sum(h.name, parts())
+def compat_holds(h: AlgebraHandle, x, y, qval: int | None = None) -> tuple:
+    """For each kind of KINDS, whether Delta(x o y) == compat_rhs(h, kind,
+    x, y, qval), for basis objects x, y.  Each difference is summed in one
+    accumulator pass, and the three kinds share the star legs
+    x_(1) * y_(1) of the right-hand side."""
+    ex, ey = Element.basis(h.name, x), Element.basis(h.name, y)
+    stars: dict = {}
+    out = []
+    for kind in KINDS:
+        parts = _coproduct_parts(h, el_product(h, kind, ex, ey, qval), qval)
+        parts += ((pair, -c) for pair, c in _compat_parts(h, kind, x, y, qval, stars))
+        out.append(Tensor2.sum(h.name, parts).is_zero())
+    return tuple(out)

@@ -28,7 +28,9 @@ Unit conventions for the three partial products (x a basis element):
 Every sum of scaled parts in the package is built by one accumulator,
 `_accumulate`, which adds scale * coeff key by key as ints into fresh
 dicts; `Element.sum`, `Tensor2.sum` and `sum_terms` expose it, and `+`,
-`-` and `scale` go through it.
+`-` and `scale` go through it.  Rank-3 flattening, (Delta (x) Id) t or
+(Id (x) Delta) t, files straight into one dict (`_flatten_into`), so
+`is_coassociative` files both sides into the same dict.
 
 Elements and tensors are immutable once built, so they are shared, never
 copied: the module caches hand out their results as they are, and
@@ -43,7 +45,6 @@ qval.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import index
 from typing import Callable
 
@@ -388,18 +389,21 @@ def tensor_of(a: Element, b: Element) -> Tensor2:
 _DELTA_UNIT = {(UNIT, UNIT): 1}
 
 
-def _flatten_parts(t: Tensor2, side: str, coproduct: Callable):
-    """The accumulator parts of (Delta (x) Id) t for side 'left', of
-    (Id (x) Delta) t for side 'right'."""
+def _flatten_into(raw: dict, t: Tensor2, side: str, coproduct: Callable, sign: int) -> dict:
+    """Add sign * (Delta (x) Id) t for side 'left', sign * (Id (x) Delta) t
+    for side 'right', into raw key by key; a key whose sum cancels maps to
+    0.  Returns raw."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    left, get = side == "left", raw.get
     for (l, r), c in t.terms.items():
-        target = l if side == "left" else r
+        c *= sign
+        target = l if left else r
         delta = _DELTA_UNIT if target is UNIT else coproduct(target).terms
-        if side == "left":
-            yield (((u, v, r), cc) for (u, v), cc in delta.items()), c
-        else:
-            yield (((l, u, v), cc) for (u, v), cc in delta.items()), c
+        for (u, v), cc in delta.items():
+            k = (u, v, r) if left else (l, u, v)
+            raw[k] = get(k, 0) + cc * c
+    return raw
 
 
 def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
@@ -409,13 +413,12 @@ def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
     coproduct maps a basis object to a Tensor2; Delta(1) = 1 (x) 1.
     Returns a plain dict (slot, slot, slot) -> int coefficient.
     """
-    return sum_terms(_flatten_parts(t, side, coproduct))
+    return {k: c for k, c in _flatten_into({}, t, side, coproduct, 1).items() if c}
 
 
 def is_coassociative(t: Tensor2, coproduct: Callable) -> bool:
-    """Whether (Delta (x) Id) t == (Id (x) Delta) t.  The difference is
-    summed in one accumulator pass and every raw sum must vanish, so
+    """Whether (Delta (x) Id) t == (Id (x) Delta) t.  Both sides are filed
+    into one dict, the right one negated, and every sum must vanish, so
     neither side is built on its own."""
-    right = ((items, -c) for items, c in _flatten_parts(t, "right", coproduct))
-    raw = _accumulate(chain(_flatten_parts(t, "left", coproduct), right))
-    return not any(raw.values())
+    raw = _flatten_into({}, t, "left", coproduct, 1)
+    return not any(_flatten_into(raw, t, "right", coproduct, -1).values())

@@ -17,7 +17,9 @@ and tests that h k parks by comparing prefix counts: for every i,
 
 The coproduct admits at most one cut per j: take P = positions of letters
 <= j; the term f|_P (x) (f|_{P^c} - j) survives iff |P| = j and both
-factors are parking functions.
+factors are parking functions.  The count alone decides: when |P| = j,
+for i <= j, #{f|_P <= i} = #{f <= i} >= i, and for i <= n - j,
+#{f|_{P^c} - j <= i} = #{f <= j + i} - j >= i, so both factors park.
 
 alpha embeds the surjection algebra by sending f to the sum of parking
 functions whose standardization is f; iota is the plain inclusion (an
@@ -116,17 +118,13 @@ def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
 
 @Memo
 def _cop_cache(*f: int) -> Tensor2:
-    """The positional cuts of f; the Memo key f arrives as its letters."""
-    n = len(f)
+    """The positional cuts of f; the Memo key f arrives as its letters.
+    With u = sorted(f), #{f <= j} = j iff u[j] > j, as u[j - 1] <= j."""
+    u = sorted(f)
     terms = [((UNIT, f), 0), ((f, UNIT), 0)]
-    for j in range(1, n):
-        pos = [i for i, x in enumerate(f) if x <= j]
-        if len(pos) != j:
-            continue
-        left = tuple(f[i] for i in pos)
-        right = tuple(f[i] - j for i in range(n) if f[i] > j)
-        if is_parking(left) and is_parking(right):
-            terms.append(((left, right), 0))
+    for j in range(1, len(f)):
+        if u[j] > j:
+            terms.append(((tuple(x for x in f if x <= j), tuple(x - j for x in f if x > j)), 0))
     return Tensor2.from_monomials(FAMILY, terms)
 
 

@@ -16,14 +16,18 @@ onto A and B.  The overlap is |A n B| = max(f) + max(g) - r and the kind
 is read off from which side contains r.
 
 The brute-force route `_scan_words` enumerates every word of length n+m
-and files each split h k under (std(h), std(k)); with park in place of
-std it is also the brute-force route for parking functions.  The
-per-pair oracle `_scan_pair` runs the same scan for one pair (f, g),
-testing only the split at len(f).  Both routes file (word, overlap)
-q-monomials, which `Element.from_monomials` weighs.
+and files each split h k under (std(h), std(k)), standardizing each
+distinct subword once; with park in place of std it is also the
+brute-force route for parking functions.  The per-pair oracle
+`_scan_pair` runs the same scan for one pair (f, g), testing only the
+split at len(f).  Both routes file (word, overlap) q-monomials, which
+`Element.from_monomials` weighs.
 
 The coproduct cuts the image at j: Delta(f) = sum over j = 0..max(f) of
 f|^{1..j} (x) std(f|^{j+1..max}), with co-restriction by letter values.
+Since f is surjective, the letters <= j are exactly 1..j and the letters
+> j exactly j+1..max(f), so the left factor is already standard and std
+of the right one is a shift by j: the kernel filters f twice per cut.
 
 The module is the "st" handle of `algebras.get_algebra`; products and
 coproducts are kept in `memo.Memo`s.
@@ -36,7 +40,7 @@ from itertools import combinations
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
 from .memo import Memo
-from .words import Word, corestrict, image_overlap, is_surjection, std, surjections
+from .words import Word, image_overlap, is_surjection, std, surjections
 
 name = FAMILY = "st"
 graded = True
@@ -86,13 +90,22 @@ def _scan_words(total: int, enumerate_all, standardize) -> dict:
     length (surjections or parking functions).  Each split w = h k is filed
     under (standardize(h), standardize(k)) with its kind and overlap, so the
     result maps every pair (f, g) with len(f) + len(g) = total to the
-    monomial lists of its four products."""
+    monomial lists of its four products.  A memo local to the call reads
+    each distinct subword u once, as (standardize(u), max(u), letter-set
+    bitmask); the overlap of a split is the popcount of the masks' meet."""
     buckets = defaultdict(lambda: {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []})
+    seen: dict = {}
+
+    def read(u: Word) -> tuple:
+        seen[u] = out = (standardize(u), max(u), sum(1 << v for v in set(u)))
+        return out
+
     for w in enumerate_all(total):
         for i in range(1, total):
             h, k = w[:i], w[i:]
-            key = (standardize(h), standardize(k))
-            file_monomial(buckets[key], _word_kind(max(h), max(k)), w, image_overlap(h, k))
+            fh, mh, bh = seen.get(h) or read(h)
+            fk, mk, bk = seen.get(k) or read(k)
+            file_monomial(buckets[fh, fk], _word_kind(mh, mk), w, (bh & bk).bit_count())
     return buckets
 
 
@@ -117,17 +130,11 @@ def st_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
 
 @Memo
 def _cop_cache(*f: int) -> Tensor2:
-    """Image-cut coproduct including both boundary terms; the Memo key f
-    arrives as its letters."""
-    r = max(f)
+    """Image-cut coproduct including both boundary terms, two letter filters
+    per cut; the Memo key f arrives as its letters."""
     terms = [((UNIT, f), 0), ((f, UNIT), 0)]
-    for j in range(1, r):
-        left = corestrict(f, range(1, j + 1))
-        # the left factor is already standard: its letter set is {1..j}
-        if set(left) != set(range(1, j + 1)):
-            raise RuntimeError(f"left factor {left} of {f} is not standard")
-        right = std(corestrict(f, range(j + 1, r + 1)))
-        terms.append(((left, right), 0))
+    for j in range(1, max(f)):
+        terms.append(((tuple(v for v in f if v <= j), tuple(v - j for v in f if v > j)), 0))
     return Tensor2.from_monomials(FAMILY, terms)
 
 

@@ -26,6 +26,7 @@ from qtridend.pqsym import (
 from qtridend.st import _scan_words
 from qtridend.verify import _RELATIONS
 from qtridend.words import is_parking, park, parking_functions, std, surjections
+from reference import pf_coproduct_reference
 
 
 def test_degree_one_products():
@@ -154,6 +155,15 @@ def test_coproduct_split_lengths_unique():
                 seen.add(len(l))
                 assert pf_validate(l) == l
                 assert pf_validate(r) == r
+
+
+def test_coproduct_equals_the_definition():
+    # every parking function to degree 6, term order included: the count
+    # #{f <= j} = j alone decides a cut
+    for n in range(1, 7):
+        for f in pf_basis(n):
+            want = pf_coproduct_reference(f)
+            assert list(pf_coproduct(f).terms.items()) == list(want.terms.items()), f
 
 
 def test_alpha_examples():

@@ -25,6 +25,7 @@ from qtridend.st import (
 )
 
 from qtridend.words import park, parking_functions, std, surjections
+from reference import scan_words_reference, st_coproduct_reference
 
 H = get_algebra("st")
 
@@ -85,6 +86,16 @@ def test_pair_scan_equals_the_full_scan():
                         assert got == scan[(f, g)], (f, g)
 
 
+def test_word_scan_equals_the_memo_free_scan():
+    # the subword memo changes no bucket and no monomial order
+    for enumerate_all, standardize in ((surjections, std), (parking_functions, park)):
+        for total in range(2, 6):
+            got = _scan_words(total, enumerate_all, standardize)
+            want = scan_words_reference(total, enumerate_all, standardize)
+            assert list(got) == list(want)
+            assert got == want
+
+
 def test_products_are_graded():
     for f in st_basis(2):
         for g in st_basis(2):
@@ -142,6 +153,14 @@ def test_coproduct_legs_are_valid():
                 dr = 0 if r is UNIT else st_degree(st_validate(r))
                 assert dl + dr == n
                 assert c
+
+
+def test_coproduct_equals_the_definition():
+    # every surjection to degree 6, term order included
+    for n in range(1, 7):
+        for f in st_basis(n):
+            want = st_coproduct_reference(f)
+            assert list(st_coproduct(f).terms.items()) == list(want.terms.items()), f
 
 
 def test_coassociativity_degree_three():
