@@ -309,6 +309,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply to parse or compute", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ Grammar summary:
 
 Terms of an element render sorted by the text form of the basis object,
 exponents descending inside one basis term.  Parsing encodes each term's
-coefficient at q = X (or at q = qval when given), and rendering decodes
-it unless a qval says the coefficients are plain values (`qpoly`).
+coefficient at q = X (or at q = qval when given), and rendering reads its
+digits (`qpoly.digits`) unless a qval says the coefficients are plain
+values.  The memo `_text_cache` renders each basis object once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from operator import itemgetter
 
 from .algebras import get_algebra
 from .linear import UNIT, Element, Tensor2
-from .qpoly import HALF, MAX_EXPONENT, join_terms, q_power, term_text, to_pairs
+from .memo import Memo
+from .qpoly import HALF, MAX_EXPONENT, digits, join_terms, monomial_text, q_power, to_pairs
 from .trees import LEAF
 from .words import Word, render_word
 
@@ -44,43 +46,38 @@ def render_mperm(w) -> str:
 _RENDERERS = {"st": render_word, "pqsym": render_word, "tree": render_tree, "mperm": render_mperm}
 
 
-def _renderer(family: str):
+@Memo
+def _text_cache(family: str, obj) -> str:
+    """The text of a basis object of the family; the unit's is 1."""
     fn = _RENDERERS.get(family)
     if fn is None:
         raise ValueError(f"unknown family {family!r}")
-    return fn
+    return "1" if obj is UNIT else fn(obj)
 
 
 def render_basis(family: str, obj) -> str:
-    return _renderer(family)(obj)
+    return _text_cache[family, obj]
 
 
 def _sorted_element(el: Element) -> list:
-    """(basis text, coeff) per term, sorted by the text, each text rendered once."""
-    fn = _renderer(el.family)
-    return sorted(((fn(o), c) for o, c in el.terms.items()), key=itemgetter(0))
+    """(basis text, coeff) per term, sorted by the text."""
+    texts, family = _text_cache, el.family
+    return sorted(((texts[family, o], c) for o, c in el.terms.items()), key=itemgetter(0))
 
 
 def _sorted_tensor(t: Tensor2) -> list:
     """((left text, right text), coeff) per term, sorted by the texts; a
     unit leg renders as 1."""
-    basis = _renderer(t.family)
-    fn = lambda s: "1" if s is UNIT else basis(s)
-    return sorted((((fn(l), fn(r)), c) for (l, r), c in t.terms.items()), key=itemgetter(0))
-
-
-def _monomial_text(c: int, e: int, text: str) -> str:
-    """One rendered term c*q^e*text; never carries a leading +."""
-    if e == 0 and abs(c) == 1:
-        return text if c > 0 else "-" + text
-    return f"{term_text(c, e)}*{text}"
+    texts, family = _text_cache, t.family
+    terms = (((texts[family, l], texts[family, r]), c) for (l, r), c in t.terms.items())
+    return sorted(terms, key=itemgetter(0))
 
 
 def _join_terms(terms, qval: int | None) -> str:
     """Render (text, coeff) terms in the given order, exponents descending
     inside one term."""
     return join_terms(
-        [_monomial_text(c, e, text) for text, coeff in terms for e, c in reversed(to_pairs(coeff, qval))]
+        [monomial_text(c, e, text) for text, coeff in terms for e, c in reversed(digits(coeff, qval))]
     )
 
 

@@ -4,6 +4,8 @@ A `Memo` is a dict that computes a missing value from its key, so a hit
 is one dict lookup.  `enumeration` is `lru_cache(maxsize=None)` for the
 enumerators.  Both register themselves in `CACHES`, which
 `qtridend.clear_caches` empties; every cache grows with use until then.
+The memos hold basis products and coproducts, projector values, pqsym
+product candidates and (`grammar`) the text of each basis object rendered.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ J. Symb. Comp. 44, 2009.)
 
 `X_POWERS` holds each X^e once, so a lone q^e filed by a family kernel is
 one shared int; `q_scalar` and `q_power` give q and q^e under a qval.
-`decode` reads the digits into a QPoly; `to_pairs`, `evaluate` (decode,
-then Horner's rule) and the renders go through it, and decoding any
-|c| < X/2 is the identity.  Only this module and `linear` know the format.
+`decode` reads the digits into a QPoly in one pass that skips runs of
+zero digits; `digits` lists a coefficient's nonzero (exponent, digit)
+pairs, the one pair (0, c) for |c| < X/2 or under an int qval.
+`to_pairs`, `evaluate` and the renders read `digits`, and `monomial_text`
+formats each pair.  Only this module and `linear` know the format.
 
 Why no true coefficient reaches X/2.  Let |E| be the sum of the
 magnitudes of all true coefficients of an Element or Tensor2 (|q^k| = 1).
@@ -83,7 +85,7 @@ def coefficient_ceiling(n: int) -> int:
     return (n + 1) ** n
 
 
-def _digits(p) -> dict[int, int]:
+def _exponents(p) -> dict[int, int]:
     """The exponent dict of a QPoly, or of the polynomial an int encodes."""
     return decode(p).m if isinstance(p, int) else p.m
 
@@ -143,7 +145,7 @@ class QPoly:
 
     def __add__(self, other) -> "QPoly":
         out = dict(self.m)
-        for e, c in _digits(other).items():
+        for e, c in _exponents(other).items():
             out[e] = out.get(e, 0) + c
         return QPoly(out)
 
@@ -153,14 +155,14 @@ class QPoly:
         return QPoly({e: -c for e, c in self.m.items()})
 
     def __sub__(self, other) -> "QPoly":
-        return self + -QPoly(_digits(other))
+        return self + -QPoly(_exponents(other))
 
     def __rsub__(self, other) -> "QPoly":
         return -self + other
 
     def __mul__(self, other) -> "QPoly":
         out: dict[int, int] = {}
-        for e, c in _digits(other).items():
+        for e, c in _exponents(other).items():
             for f, d in self.m.items():
                 out[e + f] = out.get(e + f, 0) + c * d
         return QPoly(out)
@@ -201,46 +203,56 @@ class QPoly:
 
 
 def decode(c: int) -> QPoly:
-    """The polynomial whose value at X is c: its balanced base-X digits."""
+    """The polynomial whose value at X is c: its balanced base-X digits,
+    filed by ascending exponent."""
     m = {}
     e = 0
     while c:
+        # skip the zero digits below the lowest set bit of c
+        z = ((c & -c).bit_length() - 1) // K
+        c >>= K * z
         d = c & MASK
         if d >= HALF:
             d -= X
-        m[e] = d
+        m[e + z] = d
         c = (c - d) >> K
-        e += 1
+        e += z + 1
     return QPoly(m)
 
 
-def evaluate(c, q: int) -> int:
-    """A symbolic coefficient (an int or a QPoly) at the integer q: decode,
-    then Horner."""
+def digits(c, qval: int | None = None) -> list[tuple[int, int]]:
+    """The nonzero (exponent, digit) pairs of a coefficient (an int or a
+    QPoly), exponents ascending: the one pair (0, c) under an int qval or
+    when |c| < X/2 (none for 0), else the digits `decode` files."""
     c = index(c)
-    return c if -HALF < c < HALF else decode(c).eval(q)
+    if qval is not None or -HALF < c < HALF:
+        return [(0, c)] if c else []
+    return list(decode(c).m.items())
+
+
+def evaluate(c, q: int) -> int:
+    """A symbolic coefficient (an int or a QPoly) at the integer q."""
+    return sum(d * q**e for e, d in digits(c))
 
 
 def to_pairs(c, qval: int | None = None) -> list[list[int]]:
     """JSON form of a coefficient (an int or a QPoly): [exponent,
     coefficient] pairs sorted by exponent; a coefficient at an integer
     qval is the pair [0, c]."""
-    c = index(c)
-    if qval is not None or -HALF < c < HALF:
-        return [[0, c]] if c else []
-    return decode(c).to_pairs()
+    return [[e, d] for e, d in digits(c, qval)]
 
 
-def term_text(c: int, e: int) -> str:
-    """Render one monomial c*q^e without a leading sign for c > 0."""
-    if e == 0:
-        return str(c)
-    q = "q" if e == 1 else f"q^{e}"
-    if c == 1:
-        return q
-    if c == -1:
-        return f"-{q}"
-    return f"{c}*{q}"
+def monomial_text(c: int, e: int, text: str = "") -> str:
+    """One rendered term c*q^e*text, or c*q^e when text is empty; only a
+    negative c gives it a leading sign."""
+    if e:
+        q = "q" if e == 1 else f"q^{e}"
+        head = q if c == 1 else "-" + q if c == -1 else f"{c}*{q}"
+    elif text and c in (1, -1):
+        return text if c == 1 else "-" + text
+    else:
+        head = str(c)
+    return f"{head}*{text}" if text else head
 
 
 def join_terms(pieces: list) -> str:
@@ -252,4 +264,4 @@ def join_terms(pieces: list) -> str:
 
 
 def render_qpoly(p: QPoly) -> str:
-    return join_terms([term_text(c, e) for e, c in sorted(p.m.items(), reverse=True)])
+    return join_terms([monomial_text(c, e) for e, c in sorted(p.m.items(), reverse=True)])

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 
-from qtridend.grammar import parse_element
+from qtridend.grammar import parse_element, render_mperm, render_tree
 from qtridend.linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Tensor2, file_monomial
-from qtridend.qpoly import QPoly, decode
+from qtridend.qpoly import HALF, K, MASK, X, QPoly, decode
 from qtridend.st import _word_kind
-from qtridend.words import corestrict, image_overlap, is_parking, std
+from qtridend.words import corestrict, image_overlap, is_parking, render_word, std
 
 
 def parse_qpoly(text: str) -> QPoly:
@@ -74,3 +75,105 @@ def scan_words_reference(total: int, enumerate_all, standardize) -> dict:
             key = (standardize(h), standardize(k))
             file_monomial(buckets[key], _word_kind(max(h), max(k)), w, image_overlap(h, k))
     return buckets
+
+
+# ------------------------------------------------------------- rendering
+# Element and tensor texts by the long route: render each basis object
+# afresh, read every balanced base-X digit into a QPoly, sort its pairs,
+# and format each monomial by hand.
+
+_BASIS_TEXT = {"st": render_word, "pqsym": render_word, "tree": render_tree, "mperm": render_mperm}
+
+
+def decode_reference(c: int) -> QPoly:
+    """The balanced base-X digits of c, one loop step per digit."""
+    m = {}
+    e = 0
+    while c:
+        d = c & MASK
+        if d >= HALF:
+            d -= X
+        m[e] = d
+        c = (c - d) >> K
+        e += 1
+    return QPoly(m)
+
+
+def to_pairs_reference(c: int, qval: int | None = None) -> list:
+    if qval is not None or -HALF < c < HALF:
+        return [[0, c]] if c else []
+    return decode_reference(c).to_pairs()
+
+
+def _term_text(c: int, e: int) -> str:
+    if e == 0:
+        return str(c)
+    q = "q" if e == 1 else f"q^{e}"
+    if c == 1:
+        return q
+    if c == -1:
+        return f"-{q}"
+    return f"{c}*{q}"
+
+
+def _monomial_text(c: int, e: int, text: str) -> str:
+    if e == 0 and abs(c) == 1:
+        return text if c > 0 else "-" + text
+    return f"{_term_text(c, e)}*{text}"
+
+
+def _join_terms(pieces: list) -> str:
+    if not pieces:
+        return "0"
+    return pieces[0] + "".join(" - " + t[1:] if t[0] == "-" else " + " + t for t in pieces[1:])
+
+
+def _render_terms(terms, qval) -> str:
+    return _join_terms(
+        [
+            _monomial_text(c, e, text)
+            for text, coeff in terms
+            for e, c in reversed(to_pairs_reference(coeff, qval))
+        ]
+    )
+
+
+def _element_terms(el) -> list:
+    fn = _BASIS_TEXT[el.family]
+    return sorted(((fn(o), c) for o, c in el.terms.items()), key=itemgetter(0))
+
+
+def _tensor_terms(t) -> list:
+    fn = lambda s: "1" if s is UNIT else _BASIS_TEXT[t.family](s)
+    return sorted((((fn(l), fn(r)), c) for (l, r), c in t.terms.items()), key=itemgetter(0))
+
+
+def render_element_reference(el, qval: int | None = None) -> str:
+    terms = _element_terms(el)
+    if el.unit:
+        terms.append(("1", el.unit))
+    return _render_terms(terms, qval)
+
+
+def render_tensor2_reference(t, qval: int | None = None) -> str:
+    return _render_terms(((f"{l} # {r}", c) for (l, r), c in _tensor_terms(t)), qval)
+
+
+def element_to_json_reference(el, qval: int | None = None) -> dict:
+    return {
+        "algebra": el.family,
+        "terms": [
+            {"basis": text, "coeff": to_pairs_reference(c, qval)} for text, c in _element_terms(el)
+        ],
+        "unit": to_pairs_reference(el.unit, qval),
+    }
+
+
+def tensor2_to_json_reference(t, qval: int | None = None) -> dict:
+    return {
+        "algebra": t.family,
+        "terms": [
+            {"left": l, "right": r, "coeff": to_pairs_reference(c, qval)}
+            for (l, r), c in _tensor_terms(t)
+        ],
+    }

@@ -392,12 +392,39 @@ def test_symbolic_input_past_the_bound_exits_two(capsys):
     assert code == 0
 
 
-def test_python_dash_m_runs_the_cli():
+def python_dash_m(*argv):
+    """Run `python -m qtridend` in a fresh interpreter, as a user would."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "qtridend", "eval", "--op", "star", "(1)", "(1)"],
+    return subprocess.run(
+        [sys.executable, "-m", "qtridend", *argv],
         capture_output=True, text=True, env=env, check=False,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = python_dash_m("eval", "--op", "star", "(1)", "(1)")
     assert done.returncode == 0
     assert done.stdout.strip() == "q*(1,1) + (1,2) + (2,1)"
+
+
+def chain_tree(depth: int) -> str:
+    """A tree of the given depth: each graft but the last grafts again on
+    its last child."""
+    return "V(|," * depth + "|,|" + ")" * depth
+
+
+def test_a_tree_of_depth_200_keeps_its_coproduct():
+    t = chain_tree(200)
+    done = python_dash_m("coproduct", "--algebra", "tree", t)
+    terms = done.stdout.strip().split(" + ")
+    assert done.returncode == 0 and done.stderr == ""
+    assert len(terms) == 201 and terms[:2] == [f"1 # {t}", f"{t} # 1"]
+    assert terms[2] == f"{chain_tree(199)} # V(|,|)"
+
+
+@pytest.mark.parametrize("depth", [250, 1200], ids=["compute", "parse"])
+def test_too_deep_a_tree_exits_two_with_one_line(depth):
+    done = python_dash_m("coproduct", "--algebra", "tree", chain_tree(depth))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: input nested too deeply to parse or compute\n"

@@ -10,8 +10,8 @@ from qtridend.qpoly import (
     QPoly,
     decode,
     evaluate,
+    monomial_text,
     render_qpoly,
-    term_text,
 )
 
 polys = st_.dictionaries(
@@ -120,9 +120,9 @@ def test_render():
     assert render_qpoly(QPoly.zero()) == "0"
     assert str(QPoly({2: 1, 1: -1, 0: 3})) == "q^2 - q + 3"
     assert str(QPoly({1: -1})) == "-q"
-    assert term_text(5, 0) == "5"
-    assert term_text(-1, 2) == "-q^2"
-    assert term_text(2, 1) == "2*q"
+    assert monomial_text(5, 0) == "5"
+    assert monomial_text(-1, 2) == "-q^2"
+    assert monomial_text(2, 1) == "2*q"
 
 
 def test_encoding_refuses_a_coefficient_past_half_of_x():
