@@ -9,12 +9,18 @@ Grammar summary:
   * elements: q-monomial-scaled basis terms joined by + and -, the unit
     spelled 1, e.g.  3*q^2*(1,2,1) + (2,1,1) + q*1
   * rank-2 tensors: terms  coeff*left # right  with ' # ' the separator.
+Numbers are ASCII digits, and the items of a literal are separated by
+one comma each; spaces may surround numbers, commas and brackets.
 
 Terms of an element render sorted by the text form of the basis object,
 exponents descending inside one basis term.  Parsing encodes each term's
 coefficient at q = X (or at q = qval when given), and rendering reads its
 digits (`qpoly.digits`) unless a qval says the coefficients are plain
-values.  The memo `_text_cache` renders each basis object once.
+values.  The memo `_text_cache` renders each basis object once, and the
+memo `_term_cache` parses each term text once: keyed by the family and
+the term as the client wrote it, it holds the q-free (c, e, object), so
+the sign and the encoding under qval are applied per call.  Both grow
+with their input until `qtridend.clear_caches()`.
 """
 
 from __future__ import annotations
@@ -96,20 +102,25 @@ def render_tensor2(t: Tensor2, qval: int | None = None) -> str:
 
 # ---------------------------------------------------------------- parsing
 
-_WORD_RE = re.compile(r"\(\s*\d+(?:\s*,\s*\d+)*\s*\)$")
+# A word is one tuple; an mperm block is a tuple or a bare singleton.
+_TUPLE = r"\(\s*[0-9]+(?:\s*,\s*[0-9]+)*\s*\)"
+_BLOCK = rf"(?:{_TUPLE}|[0-9]+)"
+_WORD_RE = re.compile(_TUPLE, re.ASCII)
+_MPERM_RE = re.compile(rf"\[\s*{_BLOCK}(?:\s*,\s*{_BLOCK})*\s*\]", re.ASCII)
+_BLOCK_RE = re.compile(r"\(([^)]*)\)|([0-9]+)")
 
 
 def _refuse_long_numbers(text: str) -> None:
     """Refuse a run of more digits than int() converts: 4,300 by default
     (`sys.set_int_max_str_digits`), no limit before Python 3.10.7."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and len(text) > limit and re.search(rf"\d{{{limit + 1}}}", text):
+    if limit and len(text) > limit and re.search(rf"[0-9]{{{limit + 1}}}", text):
         raise ValueError(f"number too long in {text!r}")
 
 
 def parse_word(text: str) -> Word:
     text = text.strip()
-    if not _WORD_RE.match(text):
+    if not _WORD_RE.fullmatch(text):
         raise ValueError(f"bad word literal: {text!r}")
     return tuple(int(v) for v in text[1:-1].split(","))
 
@@ -143,32 +154,14 @@ def _parse_tree_at(s: str):
 
 def parse_mperm(text: str):
     text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"bad multipermutation literal: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
+    if "".join(text.split()) == "[]":
         raise ValueError("empty multipermutation")
-    blocks = []
-    i = 0
-    try:  # int() and index() failures are malformed literals too
-        while i < len(body):
-            if body[i] == "(":
-                j = body.index(")", i)
-                blocks.append(frozenset(int(v) for v in body[i + 1 : j].split(",")))
-                i = j + 1
-            elif body[i].isdigit():
-                j = i
-                while j < len(body) and body[j].isdigit():
-                    j += 1
-                blocks.append(frozenset({int(body[i:j])}))
-                i = j
-            elif body[i] in ", ":
-                i += 1
-            else:
-                raise ValueError
-    except ValueError:
-        raise ValueError(f"bad multipermutation literal: {text!r}") from None
-    return tuple(blocks)
+    if not _MPERM_RE.fullmatch(text):
+        raise ValueError(f"bad multipermutation literal: {text!r}")
+    return tuple(
+        frozenset(int(v) for v in (inner or bare).split(","))
+        for inner, bare in _BLOCK_RE.findall(text)
+    )
 
 
 def parse_basis(family: str, text: str):
@@ -184,7 +177,8 @@ def parse_basis(family: str, text: str):
     try:
         return get_algebra(family).validate(obj)
     except ValueError as e:
-        raise ValueError(f"{e}: {render_basis(family, obj)}") from None
+        # rendered afresh: an invalid object must not enter _text_cache
+        raise ValueError(f"{e}: {_RENDERERS[family](obj)}") from None
 
 
 def _split_top(text: str) -> list[tuple[str, str]]:
@@ -235,14 +229,17 @@ def _split_factors(text: str) -> list[str]:
     return out
 
 
-_QPOW_RE = re.compile(r"q(?:\^(\d+))?$")
+_QPOW_RE = re.compile(r"q(?:\^([0-9]+))?")
 
 
-def _parse_term(family: str, chunk: str) -> tuple:
+@Memo
+def _term_cache(family: str, chunk: str) -> tuple:
     """One term -> (c, e, basis object or UNIT) for c*q^e times the object.
 
     A term with no basis literal is a scalar multiple of the unit, so
-    both `q*1` and a bare integer parse as unit terms.
+    both `q*1` and a bare integer parse as unit terms.  The result is
+    q-free, so one entry serves every qval; it is keyed by the client's
+    text, and an invalid term raises and stores nothing.
     """
     _refuse_long_numbers(chunk)
     c, e = 1, 0
@@ -250,10 +247,10 @@ def _parse_term(family: str, chunk: str) -> tuple:
     for f in _split_factors(chunk):
         if not f:
             raise ValueError(f"empty factor in {chunk!r}")
-        if f.isdecimal():
+        if f.isascii() and f.isdigit():
             c *= int(f)
         elif f.startswith("q"):
-            m = _QPOW_RE.match(f)
+            m = _QPOW_RE.fullmatch(f)
             if not m:
                 raise ValueError(f"bad q factor {f!r}")
             e += int(m.group(1) or 1)
@@ -279,6 +276,11 @@ def _encoded_terms(family: str, text: str, qval: int | None, split):
         if qval is None and norm >= HALF:
             raise ValueError(f"coefficients of {text!r} reach 2^63, too large for symbolic q")
         yield (-c if sign == "-" else c) * q_power(e, qval), objs
+
+
+def _parse_term(family: str, chunk: str) -> tuple:
+    """(c, e, object) of one term, from the memo."""
+    return _term_cache[family, chunk]
 
 
 def parse_element(family: str, text: str, qval: int | None = None) -> Element:

@@ -239,6 +239,33 @@ def test_malformed_mperm_literal_is_named_in_the_grammar(capsys, literal):
 
 
 @pytest.mark.parametrize(
+    "algebra, text, message",
+    [
+        ("mperm", "[1 2]", "bad multipermutation literal: '[1 2]'"),
+        ("mperm", "[(1)(2)]", "bad multipermutation literal: '[(1)(2)]'"),
+        ("mperm", "[(1),,(2)]", "bad multipermutation literal: '[(1),,(2)]'"),
+        ("st", "(\u0661)", "bad word literal: '(\u0661)'"),
+        ("st", "\uff13*(1)", "bad word literal: '\uff13'"),
+        ("st", "q^\uff13*(1)", "bad q factor 'q^\uff13'"),
+    ],
+    ids=["space", "no comma", "two commas", "arabic digit", "fullwidth coefficient", "fullwidth exponent"],
+)
+def test_literals_outside_the_grammar_exit_two(capsys, algebra, text, message):
+    code, out, err = run(capsys, "coproduct", "--algebra", algebra, text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_bare_singletons_and_spaces_stay_valid(capsys):
+    want = run(capsys, "eval", "--algebra", "mperm", "--op", "left", "[(1,3),(2)]", "[(1)]")
+    assert want[0] == 0
+    for text in ("[(1,3),2]", " [ ( 1 , 3 ) , 2 ] "):
+        assert run(capsys, "eval", "--algebra", "mperm", "--op", "left", text, "[ 1 ]") == want
+    assert run(capsys, "coproduct", "--algebra", "st", "( 1 , 2 )") == run(capsys, "coproduct", "--algebra", "st", "(1,2)")
+
+
+@pytest.mark.parametrize(
     "args, bad",
     [(["1", "(1)"], "1"), (["(1) + 1", "(1)"], "(1) + 1"), (["(1)", "2 + (1)"], "(1) + 2*1")],
 )

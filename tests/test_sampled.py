@@ -1,7 +1,8 @@
 """The seven relations and associativity on seeded random basis triples,
-and the bialgebra laws and the morphisms alpha and phi on seeded random
-basis objects and pairs, all of total degree 7 to 9, past the exhaustive
-sweeps of the default plan."""
+the bialgebra laws and the morphisms alpha and phi on seeded random
+basis objects and pairs, and render -> parse round trips of elements and
+coproducts, all of total degree 7 to 9, past the exhaustive sweeps of the
+default plan."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ import random
 import pytest
 
 from qtridend.algebras import ALGEBRA_NAMES, compat_rhs, el_coproduct, el_product, get_algebra
+from qtridend.grammar import parse_element, parse_tensor2, render_element, render_tensor2
 from qtridend.linear import KINDS, Element, is_coassociative
 from qtridend.mperm import phi_element
 from qtridend.pqsym import alpha
+from qtridend.qpoly import QPoly
 from qtridend.st import st_coproduct, st_product
 from qtridend.trees import LEAF
 from qtridend.verify import _RELATIONS, _map_element, _unit_or
@@ -116,3 +119,17 @@ def test_sampled_morphisms_past_the_exhaustive_range():
         assert d.map_slots(_unit_or(phi_element), _unit_or(phi_element), "mperm") == el_coproduct(
             mm, phi_element(x)
         ), x
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_sampled_render_parse_round_trip_past_the_exhaustive_range(name):
+    h = get_algebra(name)
+    rng = random.Random(11)
+    for total in (7, 8, 9) * 4:
+        objs = [h.validate(SAMPLERS[name](rng, total)) for _ in range(3)]
+        el = Element(name, {o: int(QPoly({rng.randint(0, 3): rng.choice([-2, -1, 1, 3])})) for o in objs})
+        text = render_element(el)
+        # cold, then with every term in the memo
+        assert parse_element(name, text) == el == parse_element(name, text), text
+        d = h.coproduct(objs[0])
+        assert parse_tensor2(name, render_tensor2(d)) == d, text
