@@ -12,6 +12,8 @@ Examples:
 Every subcommand accepts --format text|json.  --q takes "symbolic" (the
 default: exact polynomial coefficients in q) or an integer N, which sets
 q = N in the inputs too; primitives requires an integer (ranks over Q).
+Integer options are written as in the element grammar: an optional '-'
+and ASCII digits.
 Symbolic q is computed at q = 2^64 (`qpoly`): eval, coproduct and brace
 first bound their result and refuse a bound of 2^63 or more.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from math import prod
 
@@ -46,15 +49,25 @@ from .verify import (
 )
 
 
-def _q_arg(text: str):
-    if text == "symbolic":
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _int_arg(text: str, symbolic: bool = False):
+    """An integer option as the element grammar writes numbers: an optional
+    '-' and ASCII digits; "symbolic" (None) too where symbolic is set."""
+    if symbolic and text == "symbolic":
         return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'symbolic' or an integer, got {text!r}"
-        )
+    if _INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the digit limit of int()
+            pass
+    expected = "'symbolic' or an integer" if symbolic else "an integer"
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+
+def _q_arg(text: str):
+    return _int_arg(text, symbolic=True)
 
 
 def _emit(x, fmt: str, qval: int | None = None) -> None:
@@ -266,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[alg, qflag, fmt],
         help="projector rank and a kernel basis of the reduced coproduct",
     )
-    pr.add_argument("--degree", type=int, required=True, help="basis degree n")
+    pr.add_argument("--degree", type=_int_arg, required=True, help="basis degree n")
     pr.set_defaults(fn=_cmd_primitives)
 
     m = sub.add_parser(
@@ -286,16 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--algebra", choices=ALGEBRA_NAMES, help="restrict to one algebra"
     )
     v.add_argument(
-        "--max-degree", type=int, help="clamp every degree budget to this"
+        "--max-degree", type=_int_arg, help="clamp every degree budget to this"
     )
-    v.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    v.add_argument("--jobs", type=_int_arg, default=1, help="parallel workers")
     v.set_defaults(fn=_cmd_verify)
 
     d = sub.add_parser(
         "dims", parents=[fmt], help="dimension and rank table with cross-checks"
     )
     d.add_argument(
-        "--max-degree", type=int, help="clamp count and rank degrees to this"
+        "--max-degree", type=_int_arg, help="clamp count and rank degrees to this"
     )
     d.set_defaults(fn=_cmd_dims)
 

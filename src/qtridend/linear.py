@@ -361,10 +361,14 @@ class Tensor2:
         )
 
     def map_slots(self, fn_left, fn_right, out_family: str) -> "Tensor2":
-        """Apply Element-valued maps to each leg (UNIT maps to UNIT)."""
+        """Apply Element-valued maps to each leg; a UNIT leg stays UNIT
+        and is not handed to the map."""
         return Tensor2.sum(
             out_family,
-            (((fn_left(l), fn_right(r)), c) for (l, r), c in self.terms.items()),
+            (
+                ((UNIT if l is UNIT else fn_left(l), UNIT if r is UNIT else fn_right(r)), c)
+                for (l, r), c in self.terms.items()
+            ),
         )
 
     def __repr__(self):

@@ -25,10 +25,10 @@ filters; on a full window std_m reduces to a plain shift, which makes the
 window condition an equality.
 
 The brute-force route `_scan_mperms` enumerates every W of both sizes
-and files it under the pair (B, D) its two restrictions give;
-`_scan_mperm_pair` runs the same scan for one pair, at its one split.
-Both routes file (W, r+s-l) q-monomials, which `Element.from_monomials`
-weighs.
+and files it under the pair (B, D) its two restrictions give; the
+per-pair oracle reads one bucket of the same scan, run on the one split
+at size(B).  Both routes file (W, r+s-l) q-monomials, which
+`Element.from_monomials` weighs.
 
 The coproduct splits the block sequence at every position and applies
 std_m to both sides.  The module is the "mperm" handle of
@@ -181,18 +181,20 @@ def mperm_product(kind: str, B: MPerm, D: MPerm, qval: int | None = None) -> Ele
     return _pair_cache[B, D, qval][kind]
 
 
-def _scan_mperms(total: int) -> dict:
+def _scan_mperms(total: int, at: int | None = None) -> dict:
     """Brute-force route: one pass over every multipermutation W of size
     total (window [n+1, total]) and of size total-1 (window [n, total-1]).
-    For each n, W is filed under (B, D) = (W restricted to [n], std_m of W
-    restricted to the window) when D keeps all total-n window values, so
-    the result maps every pair with size(B) + size(D) = total to the
-    monomial lists of its four products."""
+    For each n, or only n = `at` when given, W is filed under (B, D) =
+    (W restricted to [n], std_m of W restricted to the window) when D keeps
+    all total-n window values, so the result maps every pair with
+    size(B) + size(D) = total (and size(B) = at) to the monomial lists of
+    its four products."""
     buckets = defaultdict(lambda: {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []})
+    splits = range(1, total) if at is None else (at,)
     for size, shift in ((total, 0), (total - 1, 1)):
         for w in mpermutations(size):
             l = len(w)
-            for n in range(1, total):
+            for n in splits:
                 window = frozenset(range(n + 1 - shift, size + 1))
                 D = std_m(restrict_blocks(w, window))
                 if mperm_size(D) != total - n:
@@ -204,26 +206,11 @@ def _scan_mperms(total: int) -> dict:
     return buckets
 
 
-def _scan_mperm_pair(B: MPerm, D: MPerm) -> dict:
-    """The monomial lists of `_scan_mperms` for the one pair (B, D), in the
-    same order: only the split at n = size(B) is tested."""
-    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
-    n = mperm_size(B)
-    total = n + mperm_size(D)
-    left_set = frozenset(range(1, n + 1))
-    for size, shift in ((total, 0), (total - 1, 1)):
-        window = frozenset(range(n + 1 - shift, size + 1))
-        for w in mpermutations(size):
-            if restrict_blocks(w, left_set) == B and std_m(restrict_blocks(w, window)) == D:
-                kind = _kind_of(w[-1], left_set, window)
-                file_monomial(monos, kind, w, len(B) + len(D) - len(w))
-    return monos
-
-
 def mperm_product_oracle(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
-    """All four products of B and D, by the brute-force scan of every
-    multipermutation of both target sizes."""
-    monos = _scan_mperm_pair(B, D)
+    """All four products of B and D, read off the brute-force scan of every
+    multipermutation of both target sizes at its split size(B)."""
+    n = mperm_size(B)
+    monos = _scan_mperms(n + mperm_size(D), n)[B, D]
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 

@@ -13,7 +13,10 @@ A_j - A_{j-1} of the value set A of h equals d_j - d_{j-1}, or is at
 least that when d_j is one more than the number of letters of f below it.
 The optimized route lists those value sets directly, once per (f, n+m),
 and tests that h k parks by comparing prefix counts: for every i,
-#{letters <= i} of h plus that of k must reach i.
+#{letters <= i} of h plus that of k must reach i.  The brute-force route
+is `st._scan_words` with park in place of std, over every parking
+function of length n+m; the per-pair oracle reads one bucket of it, run
+on the one split at len(f).
 
 The coproduct admits at most one cut per j: take P = positions of letters
 <= j; the term f|_P (x) (f|_{P^c} - j) survives iff |P| = j and both
@@ -35,7 +38,7 @@ from itertools import combinations
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
 from .memo import Memo
-from .st import _scan_pair, _scan_words, _word_kind
+from .st import _scan_words, _word_kind
 from .words import Word, is_parking, is_surjection, park, parking_functions, render_word, std
 
 name = FAMILY = "pqsym"
@@ -110,9 +113,9 @@ def pf_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
 
 
 def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
-    """All four products of f and g, by the brute-force scan of every
-    parking function of length n+m."""
-    monos = _scan_pair(f, g, parking_functions, park)
+    """All four products of f and g, read off the brute-force scan of every
+    parking function of length n+m at its split len(f)."""
+    monos = _scan_words(len(f) + len(g), parking_functions, park, len(f))[f, g]
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 

@@ -5,11 +5,14 @@ Every suite returns a plain report dict
 
     {"suite", "params", "checks", "failures", "ok"}
 
-with "failures" a capped list of human-readable strings.  run_plan
-executes a list of (suite, kwargs) tasks, optionally across a process
-pool, and keeps the plan order in the output.  All suites are
-deterministic: bases are enumerated in a fixed order and every check is
-an exact equality of Elements, tensors, or integers.
+with "failures" a capped list of human-readable strings.  A failure on
+basis objects names its witnesses in the input grammar (`render_basis`),
+so they can be pasted into `qtridend eval`: `<message> at (1,2)` for one
+object, `<message> at x=(1,2) y=(1)` for named ones.  run_plan executes
+a list of (suite, kwargs) tasks, optionally across a process pool, and
+keeps the plan order in the output.  All suites are deterministic: bases
+are enumerated in a fixed order and every check is an exact equality of
+Elements, tensors, or integers.
 """
 
 from __future__ import annotations
@@ -107,6 +110,17 @@ class _Tally:
                 self.dropped += 1
         return ok
 
+    def check_at(self, ok: bool, msg: str, family: str, /, *obj, **named) -> bool:
+        """`check` whose failure names its witnesses, basis objects of
+        family rendered by `render_basis` only then: one object gives
+        `msg at (1,2)`, named ones give `msg at x=(1,2) y=(1)`."""
+        if ok:
+            self.checks += 1
+            return True
+        witness = [render_basis(family, o) for o in obj]
+        witness += [f"{k}={render_basis(family, o)}" for k, o in named.items()]
+        return self.check(False, f"{msg} at {' '.join(witness)}")
+
     def report(self, suite: str, params: dict) -> dict:
         failures = list(self.failures)
         if self.dropped:
@@ -162,14 +176,7 @@ def verify_axioms(algebra: str, max_total_degree: int, qval=None) -> dict:
                         bc = el_product(h, inner_r, b, c, qval)
                         lhs = el_product(h, outer_l, ab, c, qval)
                         rhs = el_product(h, outer_r, a, bc, qval)
-                        t.check(
-                            lhs == rhs,
-                            lambda name=name, x=x, y=y, z=z: (
-                                f"{name} fails at a={render_basis(algebra, x)}"
-                                f" b={render_basis(algebra, y)}"
-                                f" c={render_basis(algebra, z)}"
-                            ),
-                        )
+                        t.check_at(lhs == rhs, f"{name} fails", algebra, a=x, b=y, c=z)
     return t.report(
         "axioms",
         {"algebra": algebra, "max_total_degree": max_total_degree, "q": qval},
@@ -198,30 +205,16 @@ def verify_bialgebra(
     for n in range(1, max_coassoc_degree + 1):
         for x in h.basis(n):
             d = cop(x)
-            t.check(
-                d.counit("left") == Element.basis(algebra, x),
-                lambda x=x: f"left counit law fails at {render_basis(algebra, x)}",
-            )
-            t.check(
-                d.counit("right") == Element.basis(algebra, x),
-                lambda x=x: f"right counit law fails at {render_basis(algebra, x)}",
-            )
-            t.check(
-                is_coassociative(d, cop),
-                lambda x=x: f"coassociativity fails at {render_basis(algebra, x)}",
-            )
+            ex = Element.basis(algebra, x)
+            t.check_at(d.counit("left") == ex, "left counit law fails", algebra, x)
+            t.check_at(d.counit("right") == ex, "right counit law fails", algebra, x)
+            t.check_at(is_coassociative(d, cop), "coassociativity fails", algebra, x)
+    mismatch = [f"Delta(x {kind} y) mismatch" for kind in KINDS]
     for n1, n2 in _degree_splits(max_pair_degree, 2):
         for x in h.basis(n1):
             for y in h.basis(n2):
-                for kind, holds in zip(KINDS, compat_holds(h, x, y, qval)):
-                    t.check(
-                        holds,
-                        lambda kind=kind, x=x, y=y: (
-                            f"Delta(x {kind} y) mismatch at"
-                            f" x={render_basis(algebra, x)}"
-                            f" y={render_basis(algebra, y)}"
-                        ),
-                    )
+                for msg, holds in zip(mismatch, compat_holds(h, x, y, qval)):
+                    t.check_at(holds, msg, algebra, x=x, y=y)
     return t.report(
         "bialgebra",
         {
@@ -244,10 +237,6 @@ def _map_element(el: Element, fn, out_family: str) -> Element:
     return Element.sum(out_family, parts)
 
 
-def _unit_or(fn):
-    return lambda s: UNIT if s is UNIT else fn(s)
-
-
 def verify_morphisms(max_degree: int = 4, alpha_inj_degree: int = 5, qval=None) -> dict:
     """The embedding into parking functions and the projection onto big
     multipermutations respect products and coproducts; the plain
@@ -259,40 +248,23 @@ def verify_morphisms(max_degree: int = 4, alpha_inj_degree: int = 5, qval=None) 
     for n1, n2 in _degree_splits(max_degree, 2):
         for f in surjections(n1):
             af = alpha(f)
-            pf_ = phi_element(f)
+            pf = phi_element(f)
             for g in surjections(n2):
                 ag = alpha(g)
                 pg = phi_element(g)
                 for kind in KINDS:
-                    t.check(
-                        _map_element(st_product(kind, f, g, qval), alpha, "pqsym")
-                        == el_product(pq_h, kind, af, ag, qval),
-                        lambda kind=kind, f=f, g=g: (
-                            f"alpha does not respect {kind} at"
-                            f" f={render_basis('st', f)} g={render_basis('st', g)}"
-                        ),
-                    )
-                    t.check(
-                        _map_element(st_product(kind, f, g, qval), phi_element, "mperm")
-                        == el_product(mm_h, kind, pf_, pg, qval),
-                        lambda kind=kind, f=f, g=g: (
-                            f"phi does not respect {kind} at"
-                            f" f={render_basis('st', f)} g={render_basis('st', g)}"
-                        ),
-                    )
+                    fg = st_product(kind, f, g, qval)
+                    ok = _map_element(fg, alpha, "pqsym") == el_product(pq_h, kind, af, ag, qval)
+                    t.check_at(ok, f"alpha does not respect {kind}", "st", f=f, g=g)
+                    ok = _map_element(fg, phi_element, "mperm") == el_product(mm_h, kind, pf, pg, qval)
+                    t.check_at(ok, f"phi does not respect {kind}", "st", f=f, g=g)
     for n in range(1, max_degree + 1):
         for f in surjections(n):
-            d = st_coproduct(f)
-            t.check(
-                d.map_slots(_unit_or(alpha), _unit_or(alpha), "pqsym")
-                == el_coproduct(pq_h, alpha(f), qval),
-                lambda f=f: f"alpha does not respect Delta at {render_basis('st', f)}",
-            )
-            t.check(
-                d.map_slots(_unit_or(phi_element), _unit_or(phi_element), "mperm")
-                == el_coproduct(mm_h, phi_element(f), qval),
-                lambda f=f: f"phi does not respect Delta at {render_basis('st', f)}",
-            )
+            d, af, pf = st_coproduct(f), alpha(f), phi_element(f)
+            ok = d.map_slots(alpha, alpha, "pqsym") == el_coproduct(pq_h, af, qval)
+            t.check_at(ok, "alpha does not respect Delta", "st", f)
+            ok = d.map_slots(phi_element, phi_element, "mperm") == el_coproduct(mm_h, pf, qval)
+            t.check_at(ok, "phi does not respect Delta", "st", f)
 
     # injectivity: images have disjoint supports, each marked by f itself
     for n in range(1, alpha_inj_degree + 1):
@@ -321,14 +293,11 @@ def verify_morphisms(max_degree: int = 4, alpha_inj_degree: int = 5, qval=None) 
         for f in surjections(n):
             if max(f) != len(f):
                 continue
-            t.check(
-                iota(f) == alpha(f),
-                lambda f=f: f"iota and alpha disagree at {render_basis('st', f)}",
-            )
+            t.check_at(iota(f) == alpha(f), "iota and alpha disagree", "st", f)
 
     # expected failure: iota is not a coalgebra morphism at (1,1,2)
     w = (1, 1, 2)
-    lhs = st_coproduct(w).map_slots(_unit_or(iota), _unit_or(iota), "pqsym")
+    lhs = st_coproduct(w).map_slots(iota, iota, "pqsym")
     rhs = el_coproduct(pq_h, iota(w), qval)
     t.check(lhs != rhs, "iota unexpectedly respects Delta at (1,1,2)")
     t.check(
@@ -363,22 +332,16 @@ def verify_oracles(
 
     for name, budget in (("st", st_max), ("pqsym", pqsym_max), ("mperm", mperm_max)):
         h = get_algebra(name)
+        disagrees = [(kind, f"{name} {kind} disagrees with scan") for kind in (*KINDS, STAR)]
         for total in range(2, budget + 1):
             scan = h.scan(total)
             for n in range(1, total):
                 for x in h.basis(n):
                     for y in h.basis(total - n):
                         monos = scan[(x, y)]
-                        for kind in (LEFT, MIDDLE, RIGHT, STAR):
-                            t.check(
-                                h.product(kind, x, y, qval)
-                                == Element.from_monomials(name, monos[kind], qval),
-                                lambda name=name, kind=kind, x=x, y=y: (
-                                    f"{name} {kind} disagrees with scan at"
-                                    f" x={render_basis(name, x)}"
-                                    f" y={render_basis(name, y)}"
-                                ),
-                            )
+                        for kind, msg in disagrees:
+                            want = Element.from_monomials(name, monos[kind], qval)
+                            t.check_at(h.product(kind, x, y, qval) == want, msg, name, x=x, y=y)
 
     # positional coproduct of parking functions vs all position subsets
     for n in range(1, pf_coproduct_max + 1):
@@ -397,17 +360,9 @@ def verify_oracles(
                         found += 1
                         terms[(left, right)] = 1
                 ok_unique = ok_unique and found <= 1
-            t.check(
-                ok_unique,
-                lambda f=f: f"coproduct split not unique at {render_basis('pqsym', f)}",
-            )
-            t.check(
-                pf_coproduct(f) == Tensor2("pqsym", terms),
-                lambda f=f: (
-                    "pqsym coproduct disagrees with subset scan at"
-                    f" {render_basis('pqsym', f)}"
-                ),
-            )
+            t.check_at(ok_unique, "coproduct split not unique", "pqsym", f)
+            ok = pf_coproduct(f) == Tensor2("pqsym", terms)
+            t.check_at(ok, "pqsym coproduct disagrees with subset scan", "pqsym", f)
 
     # concatenation product: the total product at q=1 against the q=1 scan
     for total in range(2, concat_max + 1):
@@ -415,15 +370,9 @@ def verify_oracles(
         for n in range(1, total):
             for B in mpermutations(n):
                 for D in mpermutations(total - n):
-                    t.check(
-                        mperm_product(STAR, B, D, 1)
-                        == Element.from_monomials("mperm", scan[(B, D)][STAR], 1),
-                        lambda B=B, D=D: (
-                            "concatenation product disagrees at"
-                            f" B={render_basis('mperm', B)}"
-                            f" D={render_basis('mperm', D)}"
-                        ),
-                    )
+                    want = Element.from_monomials("mperm", scan[(B, D)][STAR], 1)
+                    ok = mperm_product(STAR, B, D, 1) == want
+                    t.check_at(ok, "concatenation product disagrees", "mperm", B=B, D=D)
     return t.report(
         "oracles",
         {
@@ -446,29 +395,16 @@ def verify_brace(max_degree: int = 4, qs=(0, 1, 5), qval=None) -> dict:
     t = _Tally()
     for name in ("st", "pqsym", "tree", "mperm"):
         h = get_algebra(name)
+        not_idempotent = f"{name}: projector not idempotent"
+        not_alternating = f"{name}: projector disagrees with alternating sum"
+        not_reconstructed = f"{name}: reconstruction fails"
         for n in range(1, max_degree + 1):
             for o in h.basis(n):
                 x = Element.basis(name, o)
                 e = e_tri_basis(h, o, qval)
-                t.check(
-                    e_tri(h, e, qval) == e,
-                    lambda name=name, o=o: (
-                        f"{name}: projector not idempotent at {render_basis(name, o)}"
-                    ),
-                )
-                t.check(
-                    e_tri_oracle(h, x, qval) == e,
-                    lambda name=name, o=o: (
-                        f"{name}: projector disagrees with alternating sum at"
-                        f" {render_basis(name, o)}"
-                    ),
-                )
-                t.check(
-                    reconstruct(h, x, qval) == x,
-                    lambda name=name, o=o: (
-                        f"{name}: reconstruction fails at {render_basis(name, o)}"
-                    ),
-                )
+                t.check_at(e_tri(h, e, qval) == e, not_idempotent, name, o)
+                t.check_at(e_tri_oracle(h, x, qval) == e, not_alternating, name, o)
+                t.check_at(reconstruct(h, x, qval) == x, not_reconstructed, name, o)
         for n1, n2 in _degree_splits(max_degree, 2):
             for y in h.basis(n1):
                 ey = Element.basis(name, y)

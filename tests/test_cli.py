@@ -377,6 +377,54 @@ def test_jobs_below_one_exits_two(capsys, jobs):
     assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
+# Integer options read numbers as the element grammar does: an optional '-'
+# and ASCII digits, so fullwidth digits, '_', '+' and spaces exit 2.
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (("eval", "--op", "star", "--q", "３", "(1)", "(1)"), "--q", "３"),
+        (("eval", "--op", "star", "--q", "1_0", "(1)", "(1)"), "--q", "1_0"),
+        (("coproduct", "--q", "+1", "(1)"), "--q", "+1"),
+        (("coproduct", "--q", " 1", "(1)"), "--q", " 1"),
+        (("primitives", "--degree", "２", "--q", "1"), "--degree", "２"),
+        (("primitives", "--degree", "2", "--q", "１"), "--q", "１"),
+        (("verify", "--suite", "golden", "--jobs", "２"), "--jobs", "２"),
+        (("verify", "--suite", "golden", "--max-degree", "1_0"), "--max-degree", "1_0"),
+        (("dims", "--max-degree", "1_0"), "--max-degree", "1_0"),
+        (("dims", "--max-degree", "2.0"), "--max-degree", "2.0"),
+        (("eval", "--op", "star", "--q", _LONG, "(1)", "(1)"), "--q", _LONG),
+    ],
+    ids=[
+        "q-fullwidth",
+        "q-underscore",
+        "q-plus",
+        "q-space",
+        "degree-fullwidth",
+        "primitives-q-fullwidth",
+        "jobs-fullwidth",
+        "verify-max-degree-underscore",
+        "dims-max-degree-underscore",
+        "dims-max-degree-decimal",
+        "q-too-long-to-convert",
+    ],
+)
+def test_integer_options_take_only_ascii_digits(capsys, argv, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    expected = "'symbolic' or an integer" if flag == "--q" else "an integer"
+    assert out.err.endswith(f"error: argument {flag}: expected {expected}, got {text!r}\n")
+
+
+def test_integer_options_take_symbolic_q_and_leading_zeros(capsys):
+    code, out, _ = run(capsys, "eval", "--op", "star", "--q", "symbolic", "(1)", "(1)")
+    assert (code, out.strip()) == (0, "q*(1,1) + (1,2) + (2,1)")
+    code, out, _ = run(capsys, "primitives", "--degree", "02", "--q", "1")
+    assert (code, out.splitlines()[0]) == (0, "algebra=st degree=2 q=1")
+
+
 # The symbolic bounds of the CLI (`qtridend.qpoly`): eval of two degree-1
 # terms is bounded by |f| |g| 3^2, the coproduct of (1) by 2 |f|, and a
 # brace of two degree-1 terms by 2 (2 * 3^2) |x| |y|.  Just under 2^63 the

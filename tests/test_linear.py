@@ -140,6 +140,12 @@ def test_map_slots():
     assert out.terms[(UNIT, (1,))] == QPoly.const(2)
 
 
+def test_map_slots_keeps_unit_legs_without_calling_the_map():
+    t = tensor_of(el((1,)) + Element.unit_element(F), el((2, 1)) + Element.unit_element(F))
+    out = t.map_slots(lambda s: Element.basis(F, s).scale(2), lambda s: Element.basis(F, s), F)
+    assert out.terms == {((1,), (2, 1)): 2, ((1,), UNIT): 2, (UNIT, (2, 1)): 1, (UNIT, UNIT): 1}
+
+
 def test_tensor_flatten():
     # toy coproduct: x -> x (x) 1 + 1 (x) x
     def cop(obj):

@@ -9,7 +9,6 @@ import pytest
 from qtridend.grammar import parse_mperm, render_element, render_tensor2
 from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR
 from qtridend.mperm import (
-    _scan_mperm_pair,
     _scan_mperms,
     is_mperm,
     lift_word,
@@ -101,14 +100,17 @@ def test_fast_equals_oracle_small():
 
 
 def test_pair_scan_equals_the_full_scan():
-    # the per-pair oracle files the monomials of the full scan for its one
-    # pair, in the same order
+    # the scan of the one split at n, which the per-pair oracle reads, files
+    # the monomials of the full scan for each pair (B, D) with size(B) = n,
+    # in the same order
     for total in range(2, 6):
         scan = _scan_mperms(total)
         for n in range(1, total):
+            one = _scan_mperms(total, n)
+            assert {mperm_size(B) for B, _ in one} == {n}
             for B in mpermutations(n):
                 for D in mpermutations(total - n):
-                    assert _scan_mperm_pair(B, D) == scan[(B, D)], (B, D)
+                    assert one[B, D] == scan[B, D], (B, D)
 
 
 def test_worked_star_product():

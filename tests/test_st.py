@@ -14,7 +14,6 @@ from qtridend.grammar import render_element, render_tensor2
 from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR, UNIT, Element
 from qtridend.qpoly import QPoly
 from qtridend.st import (
-    _scan_pair,
     _scan_words,
     st_basis,
     st_coproduct,
@@ -74,16 +73,18 @@ def test_fast_equals_oracle_small():
 
 
 def test_pair_scan_equals_the_full_scan():
-    # the per-pair oracle files the monomials of the full scan for its one
-    # pair, in the same order, for surjections and for parking functions
+    # the scan of the one split at n, which the per-pair oracles read, files
+    # the monomials of the full scan for each pair (f, g) with len(f) = n,
+    # in the same order, for surjections and for parking functions
     for enumerate_all, standardize in ((surjections, std), (parking_functions, park)):
         for total in range(2, 6):
             scan = _scan_words(total, enumerate_all, standardize)
             for n in range(1, total):
+                one = _scan_words(total, enumerate_all, standardize, n)
+                assert {len(f) for f, _ in one} == {n}
                 for f in enumerate_all(n):
                     for g in enumerate_all(total - n):
-                        got = _scan_pair(f, g, enumerate_all, standardize)
-                        assert got == scan[(f, g)], (f, g)
+                        assert one[f, g] == scan[f, g], (f, g)
 
 
 def test_word_scan_equals_the_memo_free_scan():

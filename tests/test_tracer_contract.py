@@ -17,7 +17,7 @@ from qtridend import words
 from qtridend.algebras import get_algebra, reduced_coproduct
 from qtridend.brace import _coefficient_rows, e_tri_basis, primitive_kernel_basis, primitive_rank
 from qtridend.memo import CACHES
-from qtridend.verify import verify_axioms, verify_oracles
+from qtridend.verify import verify_axioms, verify_golden, verify_oracles
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -70,6 +70,8 @@ def test_the_harness_runs_through_the_family_spans(tr):
         handle.product("left", (1,), (1,))
         assert verify_axioms("st", 3)["ok"]
         assert verify_oracles(3, 3, 3, 1, 1)["ok"]
+        # the per-pair oracles reach the scans, so a keyword call into one fails here
+        assert verify_golden()["ok"]
     finally:
         assert tracer.uninstall() == []
     calls, _, _ = tracer.self_times()

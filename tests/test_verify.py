@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from qtridend import pqsym, st, verify
+from qtridend import mperm, pqsym, st, verify
 from qtridend.grammar import parse_basis, render_basis
-from qtridend.linear import MIDDLE, Element
+from qtridend.linear import MIDDLE, STAR, Element
 from qtridend.verify import (
     DEFAULT_PLAN,
     SUITE_NAMES,
@@ -133,34 +133,152 @@ def test_report_text_failure_rendering():
     assert not reports_ok(fake)
 
 
+def _off_at(fn, when, fault):
+    """fn, except that its value goes through fault where when(*args) holds."""
+
+    def wrong(*args):
+        out = fn(*args)
+        return fault(out) if when(*args) else out
+
+    return wrong
+
+
+def _double(x):
+    return x.scale(2)
+
+
+def _st_middle_gains(obj):
+    """The middle product of (1,2) and (1) with obj added, as seen by the
+    st handle and by verify."""
+    wrong = _off_at(
+        st.st_product,
+        lambda kind, f, g, *q: (kind, f, g) == (MIDDLE, (1, 2), (1,)),
+        lambda out: out + Element.basis("st", obj),
+    )
+    return [(st, "product", wrong), (verify, "st_product", wrong)]
+
+
+def _on(family, obj):
+    """An (h, element, ...) call on family whose element has obj in its support."""
+    return lambda h, x, *q: h.name == family and obj in x.terms
+
+
+_B1 = (frozenset({1}),)
+_B12 = (frozenset({1}), frozenset({2}))
+_PQ_COP = _off_at(pqsym.pf_coproduct, lambda f, *q: f == (1, 1), _double)
+
+# one planted fault per shape of witness message: (family of the
+# witnesses, patches, suite run, its exact failures)
+_PLANTED = {
+    "axiom relation": (
+        "st",
+        _st_middle_gains((1, 1, 1)),
+        lambda: verify_axioms("st", 3),
+        ["(a>b).c = a>(b.c) fails at a=(1) b=(1) c=(1)"],
+    ),
+    "compat": (
+        "st",
+        _st_middle_gains((1, 2, 3))[:1],  # not primitive, so Delta sees it
+        lambda: verify_bialgebra("st", 3, 1),
+        ["Delta(x middle y) mismatch at x=(1,2) y=(1)"],
+    ),
+    "oracle product": (
+        "st",
+        _st_middle_gains((1, 1, 1)),
+        lambda: verify_oracles(3, 2, 1, 2, 1),
+        ["st middle disagrees with scan at x=(1,2) y=(1)"],
+    ),
+    "alpha and phi on products": (
+        "st",
+        _st_middle_gains((1, 1, 1)),
+        lambda: verify_morphisms(3, alpha_inj_degree=1),
+        [
+            "alpha does not respect middle at f=(1,2) g=(1)",
+            "phi does not respect middle at f=(1,2) g=(1)",
+        ],
+    ),
+    "counit and coassociativity": (
+        "pqsym",
+        [(pqsym, "coproduct", _PQ_COP)],
+        lambda: verify_bialgebra("pqsym", 1, 2),
+        [
+            "left counit law fails at (1,1)",
+            "right counit law fails at (1,1)",
+            "coassociativity fails at (1,1)",
+        ],
+    ),
+    "pqsym coproduct subset scan": (
+        "pqsym",
+        [(verify, "pf_coproduct", _PQ_COP)],
+        lambda: verify_oracles(1, 1, 1, 2, 1),
+        ["pqsym coproduct disagrees with subset scan at (1,1)"],
+    ),
+    "alpha on Delta": (
+        "st",
+        [(pqsym, "coproduct", _PQ_COP)],
+        lambda: verify_morphisms(2, alpha_inj_degree=1),
+        ["alpha does not respect Delta at (1,1)"],
+    ),
+    "phi on Delta": (
+        "st",
+        [(mperm, "coproduct", _off_at(mperm.mperm_coproduct, lambda B, *q: B == _B12, _double))],
+        lambda: verify_morphisms(2, alpha_inj_degree=1),
+        ["phi does not respect Delta at (1,2)"],
+    ),
+    "concatenation": (
+        "mperm",
+        [
+            (
+                verify,
+                "mperm_product",
+                _off_at(
+                    mperm.mperm_product,
+                    lambda kind, B, D, *q: (kind, B, D) == (STAR, _B1, _B12),
+                    _double,
+                ),
+            )
+        ],
+        lambda: verify_oracles(1, 1, 1, 1, 3),
+        ["concatenation product disagrees at B=[(1)] D=[(1),(2)]"],
+    ),
+    "iota and alpha": (
+        "st",
+        [(verify, "iota", _off_at(pqsym.iota, lambda f: f == (2, 1), _double))],
+        lambda: verify_morphisms(2, alpha_inj_degree=1),
+        ["iota and alpha disagree at (2,1)"],
+    ),
+    "projector idempotence": (
+        "st",
+        [(verify, "e_tri", _off_at(verify.e_tri, _on("st", (1, 1)), _double))],
+        lambda: verify_brace(2, qs=()),
+        ["st: projector not idempotent at (1,1)"],
+    ),
+    "projector alternating sum": (
+        "pqsym",
+        [(verify, "e_tri_oracle", _off_at(verify.e_tri_oracle, _on("pqsym", (1, 1)), _double))],
+        lambda: verify_brace(2, qs=()),
+        ["pqsym: projector disagrees with alternating sum at (1,1)"],
+    ),
+    "reconstruction": (
+        "mperm",
+        [(verify, "reconstruct", _off_at(verify.reconstruct, _on("mperm", _B12), _double))],
+        lambda: verify_brace(2, qs=()),
+        ["mperm: reconstruction fails at [(1),(2)]"],
+    ),
+}
+
+
 def test_failure_witnesses_parse_back(monkeypatch):
-    """A wrong fast product or coproduct is reported with witnesses in the
-    input grammar, which parse back to the objects at fault."""
-    fast_product, fast_coproduct = st.st_product, pqsym.pf_coproduct
-
-    def wrong_product(kind, f, g, qval=None):
-        out = fast_product(kind, f, g, qval)
-        if kind == MIDDLE and (f, g) == ((1, 2), (1,)):
-            out = out + Element.basis("st", (1, 1, 1))
-        return out
-
-    def wrong_coproduct(f, qval=None):
-        return fast_coproduct(f).scale(2) if f == (1, 1) else fast_coproduct(f)
-
-    for module in (st, verify):
-        monkeypatch.setattr(module, "st_product", wrong_product)
-    monkeypatch.setattr(st, "product", wrong_product)
-    for module in (pqsym, verify):
-        monkeypatch.setattr(module, "pf_coproduct", wrong_coproduct)
-    monkeypatch.setattr(pqsym, "coproduct", wrong_coproduct)
-    reports = [verify_oracles(3, 2, 1, 2, 1), verify_morphisms(3, alpha_inj_degree=1)]
-    failures = [msg for r in reports for msg in r["failures"]]
-    assert "st middle disagrees with scan at x=(1,2) y=(1)" in failures
-    assert "pqsym coproduct disagrees with subset scan at (1,1)" in failures
-    assert "alpha does not respect middle at f=(1,2) g=(1)" in failures
-    assert "alpha does not respect Delta at (1,1)" in failures
-    for msg in failures:
-        family = "pqsym" if msg.startswith("pqsym") else "st"
-        for token in msg.split(" at ", 1)[1].split():
-            text = token.split("=", 1)[-1]
-            assert render_basis(family, parse_basis(family, text)) == text
+    """A planted fault is reported with exactly the pinned messages, whose
+    witnesses are in the input grammar and parse back to the objects at
+    fault."""
+    for case, (family, patches, run, expected) in _PLANTED.items():
+        with monkeypatch.context() as m:
+            for module, name, fn in patches:
+                m.setattr(module, name, fn)
+            failures = run()["failures"]
+        assert failures == expected, case
+        for msg in failures:
+            for token in msg.split(" at ", 1)[1].split():
+                text = token.split("=", 1)[-1]
+                assert render_basis(family, parse_basis(family, text)) == text
