@@ -16,11 +16,15 @@ Terms of an element render sorted by the text form of the basis object,
 exponents descending inside one basis term.  Parsing encodes each term's
 coefficient at q = X (or at q = qval when given), and rendering reads its
 digits (`qpoly.digits`) unless a qval says the coefficients are plain
-values.  The memo `_text_cache` renders each basis object once, and the
-memo `_term_cache` parses each term text once: keyed by the family and
-the term as the client wrote it, it holds the q-free (c, e, object), so
-the sign and the encoding under qval are applied per call.  Both grow
-with their input until `qtridend.clear_caches()`.
+values.  Each render decodes and formats each distinct coefficient of
+its output once, into a table made for that call (`_PerCoefficient`):
+a term is its coefficient's prefix (`qpoly.term_prefix`) and its basis
+text, and the JSON forms read `to_pairs` the same way.  Nothing of it
+outlives the call.  The memo `_text_cache` renders each basis object
+once, and the memo `_term_cache` parses each term text once: keyed by
+the family and the term as the client wrote it, it holds the q-free (c,
+e, object), so the sign and the encoding under qval are applied per
+call.  Both grow with their input until `qtridend.clear_caches()`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from operator import itemgetter
 from .algebras import get_algebra
 from .linear import UNIT, Element, Tensor2
 from .memo import Memo
-from .qpoly import HALF, MAX_EXPONENT, digits, join_terms, monomial_text, q_power, to_pairs
+from .qpoly import HALF, MAX_EXPONENT, digits, join_terms, q_power, term_prefix, to_pairs
 from .trees import LEAF
 from .words import Word, render_word
 
@@ -79,12 +83,29 @@ def _sorted_tensor(t: Tensor2) -> list:
     return sorted(terms, key=itemgetter(0))
 
 
+class _PerCoefficient(dict):
+    """coeff -> form(coeff), computed the first time the coefficient is
+    read.  Each render makes its own table, so every distinct coefficient
+    of one output is decoded once and nothing outlives the call."""
+
+    __slots__ = ("form",)
+
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, coeff):
+        value = self[coeff] = self.form(coeff)
+        return value
+
+
 def _join_terms(terms, qval: int | None) -> str:
     """Render (text, coeff) terms in the given order, exponents descending
     inside one term."""
-    return join_terms(
-        [monomial_text(c, e, text) for text, coeff in terms for e, c in reversed(digits(coeff, qval))]
+    prefixes = _PerCoefficient(
+        lambda coeff: [term_prefix(c, e) for e, c in reversed(digits(coeff, qval))]
     )
+    return join_terms([p + text for text, coeff in terms for p in prefixes[coeff]])
 
 
 def render_element(el: Element, qval: int | None = None) -> str:
@@ -314,21 +335,25 @@ def parse_tensor2(family: str, text: str, qval: int | None = None) -> Tensor2:
     return Tensor2.sum(family, parts)
 
 
+def _json_pairs(qval: int | None):
+    """coeff -> its JSON pairs, read through `to_pairs` once per distinct
+    coefficient of one output; each term gets lists of its own."""
+    table = _PerCoefficient(lambda coeff: to_pairs(coeff, qval))
+    return lambda coeff: [pair[:] for pair in table[coeff]]
+
+
 def element_to_json(el: Element, qval: int | None = None) -> dict:
+    pairs = _json_pairs(qval)
     return {
         "algebra": el.family,
-        "terms": [
-            {"basis": text, "coeff": to_pairs(c, qval)} for text, c in _sorted_element(el)
-        ],
-        "unit": to_pairs(el.unit, qval),
+        "terms": [{"basis": text, "coeff": pairs(c)} for text, c in _sorted_element(el)],
+        "unit": pairs(el.unit),
     }
 
 
 def tensor2_to_json(t: Tensor2, qval: int | None = None) -> dict:
+    pairs = _json_pairs(qval)
     return {
         "algebra": t.family,
-        "terms": [
-            {"left": l, "right": r, "coeff": to_pairs(c, qval)}
-            for (l, r), c in _sorted_tensor(t)
-        ],
+        "terms": [{"left": l, "right": r, "coeff": pairs(c)} for (l, r), c in _sorted_tensor(t)],
     }

@@ -15,8 +15,10 @@ one shared int; `q_scalar` and `q_power` give q and q^e under a qval.
 `decode` reads the digits into a QPoly in one pass that skips runs of
 zero digits; `digits` lists a coefficient's nonzero (exponent, digit)
 pairs, the one pair (0, c) for |c| < X/2 or under an int qval.
-`to_pairs`, `evaluate` and the renders read `digits`, and `monomial_text`
-formats each pair.  Only this module and `linear` know the format.
+`to_pairs`, `evaluate` and the renders read `digits`.  `term_prefix`
+is the one monomial formatter: it gives the text a term c*q^e puts
+before its basis text, and `monomial_text`, the text of c*q^e alone,
+is read from it.  Only this module and `linear` know the format.
 
 Why no true coefficient reaches X/2.  Let |E| be the sum of the
 magnitudes of all true coefficients of an Element or Tensor2 (|q^k| = 1).
@@ -242,17 +244,21 @@ def to_pairs(c, qval: int | None = None) -> list[list[int]]:
     return [[e, d] for e, d in digits(c, qval)]
 
 
-def monomial_text(c: int, e: int, text: str = "") -> str:
-    """One rendered term c*q^e*text, or c*q^e when text is empty; only a
-    negative c gives it a leading sign."""
+def term_prefix(c: int, e: int) -> str:
+    """The text that a term c*q^e puts before its basis text: "" and "-"
+    for c = 1 and -1 at e = 0, else c*q^e and a *, as in "3*", "q*",
+    "-q^2*" or "3*q^2*"; only a negative c gives it a leading sign."""
     if e:
         q = "q" if e == 1 else f"q^{e}"
-        head = q if c == 1 else "-" + q if c == -1 else f"{c}*{q}"
-    elif text and c in (1, -1):
-        return text if c == 1 else "-" + text
-    else:
-        head = str(c)
-    return f"{head}*{text}" if text else head
+        return (q if c == 1 else "-" + q if c == -1 else f"{c}*{q}") + "*"
+    return "" if c == 1 else "-" if c == -1 else f"{c}*"
+
+
+def monomial_text(c: int, e: int) -> str:
+    """The text of c*q^e: its prefix without the *, or with the 1 that
+    the prefix leaves out."""
+    head = term_prefix(c, e)
+    return head[:-1] if head[-1:] == "*" else head + "1"
 
 
 def join_terms(pieces: list) -> str:

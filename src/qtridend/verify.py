@@ -640,17 +640,17 @@ _EXPECTED_COUNTS = {
     "mperm": [1, 2, 8, 44, 308],
 }
 
-_EXPECTED_PIRR = [1, 2, 11, 92]
+_EXPECTED_PIRR = [1, 2, 11, 92, 1014]
 
 _EXPECTED_RANKS = {
-    "st": [1, 2, 8, 48],
-    "pqsym": [1, 2, 11, 92],
-    "tree": [1, 2, 6, 22],
+    "st": [1, 2, 8, 48, 368],
+    "pqsym": [1, 2, 11, 92, 1014],
+    "tree": [1, 2, 6, 22, 90],
 }
 
 # the quotient is filtered, not graded: its projector ranks depend on q
-_EXPECTED_MPERM_RANKS = {0: [1, 1, 5, 29], 1: [1, 1, 5, 31], 5: [1, 1, 5, 31]}
-_EXPECTED_MPERM_NULLITY = [1, 1, 4, 25]
+_EXPECTED_MPERM_RANKS = {0: [1, 1, 5, 29, 217], 1: [1, 1, 5, 31, 235], 5: [1, 1, 5, 31, 235]}
+_EXPECTED_MPERM_NULLITY = [1, 1, 4, 25, 198]
 
 
 def dims_report(max_count_degree: int = 5, rank_degree: int = 4, qs=(0, 1, 5)) -> dict:

@@ -12,6 +12,7 @@ from qtridend.qpoly import (
     evaluate,
     monomial_text,
     render_qpoly,
+    term_prefix,
 )
 
 polys = st_.dictionaries(
@@ -123,6 +124,15 @@ def test_render():
     assert monomial_text(5, 0) == "5"
     assert monomial_text(-1, 2) == "-q^2"
     assert monomial_text(2, 1) == "2*q"
+    assert monomial_text(1, 0) == "1" and monomial_text(-1, 0) == "-1"
+
+
+def test_term_prefix_is_the_text_before_the_basis_text():
+    cases = {
+        (1, 0): "", (-1, 0): "-", (3, 0): "3*", (-12, 0): "-12*",
+        (1, 1): "q*", (-1, 2): "-q^2*", (3, 2): "3*q^2*", (-5, 64): "-5*q^64*",
+    }
+    assert {ce: term_prefix(*ce) for ce in cases} == cases
 
 
 def test_encoding_refuses_a_coefficient_past_half_of_x():

@@ -70,6 +70,18 @@ def test_dims_suite_small():
     assert [r[0] for r in table["ranks"]["st"]] == [1, 2]
 
 
+def test_dims_suite_passes_with_ranks_at_degree_five():
+    report = dims_report(5, rank_degree=5)
+    _check_shape(report)
+    assert report["ok"] and report["checks"] == 32
+    table = report["table"]
+    assert table["pirr"][4] == 1014 and table["nullity"]["mperm"][4] == 198
+    assert {name: table["ranks"][name][4][0] for name in ("st", "pqsym", "tree")} == {
+        "st": 368, "pqsym": 1014, "tree": 90
+    }
+    assert {q: ranks[4] for q, ranks in table["ranks"]["mperm"].items()} == {0: 217, 1: 235, 5: 235}
+
+
 def test_default_plan_covers_all_suites():
     assert {name for name, _ in DEFAULT_PLAN} == set(SUITE_NAMES)
 
