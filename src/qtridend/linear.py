@@ -7,11 +7,13 @@ frozensets for multipermutations); the family tag on the Element keeps
 different bases from being mixed.  Every stored coefficient is a nonzero
 int: the value at q = qval under a specialization, else the value at
 q = X (`qpoly`), which `qpoly.decode` reads back.  The constructors,
-`sum` and `scale` also take QPolys, which they encode.  For symbolic q
-this is exact only while every coefficient of every polynomial stays
-below X/2 = 2^63 in magnitude, and nothing here checks it: an int
-coefficient of X/2 or more is read as an encoded polynomial (X is q),
-and a product or sum whose true coefficient reaches X/2 decodes wrong.
+`sum` and `scale` read every coefficient and scale through
+`operator.index`, which takes any integer-like value and refuses the
+rest.  For symbolic q this is exact only while every coefficient of
+every polynomial stays below X/2 = 2^63 in magnitude, and nothing here
+checks it: an int coefficient of X/2 or more is read as an encoded
+polynomial (X is q), and a product or sum whose true coefficient
+reaches X/2 decodes wrong.
 The harness stays far below the limit (`qpoly`), and the CLI bounds its
 symbolic requests before computing.
 
@@ -48,7 +50,7 @@ from __future__ import annotations
 from operator import index
 from typing import Callable
 
-from .qpoly import X_POWERS, QPoly, evaluate
+from .qpoly import X_POWERS, evaluate
 
 LEFT = "left"      # <
 MIDDLE = "middle"  # .
@@ -73,8 +75,7 @@ def _accumulate(parts) -> dict:
 
     parts iterates (items, scale): items iterates (key, coeff) pairs and
     is read to the end before the next part is drawn; coeff is an int,
-    scale an int or a QPoly, which is encoded.  A key whose sum cancels
-    maps to 0.
+    scale anything `index` takes.  A key whose sum cancels maps to 0.
     """
     raw: dict = {}
     get = raw.get
@@ -114,8 +115,8 @@ def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
 
 def sum_terms(parts) -> dict:
     """Sum of scaled coefficient maps: parts iterates (items, scale) with
-    items an iterable of (key, coeff), coeff an int and scale an int or
-    QPoly.  Returns a fresh dict key -> coefficient without zeros."""
+    items an iterable of (key, coeff), coeff and scale ints.  Returns a
+    fresh dict key -> coefficient without zeros."""
     return {k: c for k, c in _accumulate(parts).items() if c}
 
 
@@ -146,7 +147,7 @@ class Element:
 
     __slots__ = ("family", "terms", "unit")
 
-    def __init__(self, family: str, terms: dict | None = None, unit: QPoly | int = 0):
+    def __init__(self, family: str, terms: dict | None = None, unit: int = 0):
         self.family = family
         self.terms = {o: index(c) for o, c in (terms or {}).items() if c}
         self.unit = index(unit) if unit else 0
@@ -176,7 +177,7 @@ class Element:
     @classmethod
     def sum(cls, family: str, parts) -> "Element":
         """The sum of scale * el over parts (el, scale), el an Element of
-        family and scale an int or QPoly; always a new Element."""
+        family and scale an int; always a new Element."""
 
         def items():
             for el, s in parts:
@@ -215,7 +216,7 @@ class Element:
     def __neg__(self) -> "Element":
         return _element(self.family, {o: -c for o, c in self.terms.items()}, -self.unit)
 
-    def scale(self, s: QPoly | int) -> "Element":
+    def scale(self, s: int) -> "Element":
         return Element.sum(self.family, ((self, s),))
 
     def eval_q(self, q: int) -> "Element":
@@ -299,8 +300,7 @@ class Tensor2:
     def sum(cls, family: str, parts) -> "Tensor2":
         """The sum of scale * part over parts (part, scale): part is a
         Tensor2 of family or a pair (a, b) standing for a (x) b, with a, b
-        Elements of family or UNIT; scale is an int or QPoly.  Always a new
-        Tensor2."""
+        Elements of family or UNIT; scale is an int.  Always a new Tensor2."""
 
         def items():
             for part, s in parts:
@@ -332,7 +332,7 @@ class Tensor2:
     def __sub__(self, other: "Tensor2") -> "Tensor2":
         return Tensor2.sum(self.family, ((self, 1), (other, -1)))
 
-    def scale(self, s: QPoly | int) -> "Tensor2":
+    def scale(self, s: int) -> "Tensor2":
         return Tensor2.sum(self.family, ((self, s),))
 
     def eval_q(self, q: int) -> "Tensor2":

@@ -12,13 +12,11 @@ J. Symb. Comp. 44, 2009.)
 
 `X_POWERS` holds each X^e once, so a lone q^e filed by a family kernel is
 one shared int; `q_scalar` and `q_power` give q and q^e under a qval.
-`decode` reads the digits into a QPoly in one pass that skips runs of
-zero digits; `digits` lists a coefficient's nonzero (exponent, digit)
-pairs, the one pair (0, c) for |c| < X/2 or under an int qval.
-`to_pairs`, `evaluate` and the renders read `digits`.  `term_prefix`
-is the one monomial formatter: it gives the text a term c*q^e puts
-before its basis text, and `monomial_text`, the text of c*q^e alone,
-is read from it.  Only this module and `linear` know the format.
+`decode` reads the digits into a QPoly, the decoded view (an exponent
+dict; the int is the one ring), in one pass that skips runs of zero
+digits.  `digits` lists a coefficient's nonzero (exponent, digit) pairs,
+which `to_pairs`, `evaluate` and the renders read; `term_prefix` is the
+one monomial formatter.  Only this module and `linear` know the format.
 
 Why no true coefficient reaches X/2.  Let |E| be the sum of the
 magnitudes of all true coefficients of an Element or Tensor2 (|q^k| = 1).
@@ -93,46 +91,21 @@ def _exponents(p) -> dict[int, int]:
 
 
 class QPoly:
-    """A polynomial in q with integer coefficients, by its exponent dict m.
-
-    It is what `decode` returns, and `int(p)` encodes it, refusing a
-    coefficient not below X/2.  Arithmetic is exact on the exponent dicts,
-    whatever the size of the coefficients; an int operand stands for the
-    polynomial it encodes (a constant when below X/2), and a QPoly equals
-    and hashes like its encoding.
-    """
+    """The decoded view of a coefficient, as `decode` returns it: the
+    polynomial in q by its zero-free exponent dict m.  `int(p)` encodes
+    it, refusing a coefficient not below X/2, and it equals and hashes
+    like its encoding."""
 
     __slots__ = ("m",)
 
     def __init__(self, m: dict[int, int] | None = None):
         self.m = {e: c for e, c in (m or {}).items() if c}
 
-    @classmethod
-    def const(cls, c: int) -> "QPoly":
-        return cls({0: c})
-
-    @classmethod
-    def q_power(cls, e: int, c: int = 1) -> "QPoly":
-        if e < 0:
-            raise ValueError("negative q exponent")
-        return cls({e: c})
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls({0: 1})
-
     def __index__(self) -> int:
         """The encoding p(X), refused when a coefficient is not below X/2."""
         if any(abs(c) >= HALF for c in self.m.values()):
-            raise ValueError(f"a coefficient of {self} is too large for symbolic q")
+            raise ValueError(f"a coefficient of {self!r} is too large for symbolic q")
         return sum(c * X_POWERS[e] for e, c in self.m.items())
-
-    def is_zero(self) -> bool:
-        return not self.m
 
     def __bool__(self) -> bool:
         return bool(self.m)
@@ -145,22 +118,15 @@ class QPoly:
     def __hash__(self):
         return hash(sum(c * X_POWERS[e] for e, c in self.m.items()))
 
+    # + and * are kept only because the benchmark's tracer counts
+    # QPoly.__add__ and QPoly.__mul__ and checks that __rmul__ is __mul__
+    # (perfbench/tracer.py); they go when those counters do (ROADMAP
+    # item 1).  An int operand stands for the polynomial it encodes.
     def __add__(self, other) -> "QPoly":
         out = dict(self.m)
         for e, c in _exponents(other).items():
             out[e] = out.get(e, 0) + c
         return QPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPoly":
-        return QPoly({e: -c for e, c in self.m.items()})
-
-    def __sub__(self, other) -> "QPoly":
-        return self + -QPoly(_exponents(other))
-
-    def __rsub__(self, other) -> "QPoly":
-        return -self + other
 
     def __mul__(self, other) -> "QPoly":
         out: dict[int, int] = {}
@@ -170,35 +136,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def shift(self, e: int) -> "QPoly":
-        """Multiply by q^e."""
-        return self if e == 0 else QPoly({ex + e: c for ex, c in self.m.items()})
-
-    def eval(self, q: int) -> int:
-        """The value at the integer q, by Horner's rule."""
-        acc = 0
-        for e in range(self.degree(), -1, -1):
-            acc = acc * q + self.m.get(e, 0)
-        return acc
-
-    def degree(self) -> int:
-        """Largest exponent, or -1 for the zero polynomial."""
-        return max(self.m) if self.m else -1
-
-    def to_pairs(self) -> list[list[int]]:
-        """JSON form: [exponent, coefficient] pairs sorted by exponent."""
-        return [[e, c] for e, c in sorted(self.m.items())]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "QPoly":
-        out: dict[int, int] = {}
-        for e, c in pairs:
-            out[int(e)] = out.get(int(e), 0) + int(c)
-        return cls(out)
-
-    def __str__(self) -> str:
-        return render_qpoly(self)
 
     def __repr__(self) -> str:
         return f"QPoly({self.m!r})"
@@ -254,13 +191,6 @@ def term_prefix(c: int, e: int) -> str:
     return "" if c == 1 else "-" if c == -1 else f"{c}*"
 
 
-def monomial_text(c: int, e: int) -> str:
-    """The text of c*q^e: its prefix without the *, or with the 1 that
-    the prefix leaves out."""
-    head = term_prefix(c, e)
-    return head[:-1] if head[-1:] == "*" else head + "1"
-
-
 def join_terms(pieces: list) -> str:
     """Join rendered terms, each with its own leading - if negative, into
     one sum; 0 when there are none."""
@@ -268,6 +198,3 @@ def join_terms(pieces: list) -> str:
         return "0"
     return pieces[0] + "".join(" - " + t[1:] if t[0] == "-" else " + " + t for t in pieces[1:])
 
-
-def render_qpoly(p: QPoly) -> str:
-    return join_terms([monomial_text(c, e) for e, c in sorted(p.m.items(), reverse=True)])

@@ -656,7 +656,10 @@ _EXPECTED_MPERM_NULLITY = [1, 1, 4, 25, 198]
 def dims_report(max_count_degree: int = 5, rank_degree: int = 4, qs=(0, 1, 5)) -> dict:
     """Basis counts, irreducible parking counts, and projector ranks,
     each checked against frozen expected values and cross-checked where
-    an independent route exists."""
+    an independent route exists.  The rank recursion reads the basis
+    counts, so rank_degree may not pass max_count_degree."""
+    if rank_degree > max_count_degree:
+        raise ValueError(f"rank_degree {rank_degree} exceeds max_count_degree {max_count_degree}")
     t = _Tally()
     table: dict = {"counts": {}, "pirr": [], "ranks": {}, "nullity": {}}
 

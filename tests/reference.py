@@ -102,7 +102,7 @@ def decode_reference(c: int) -> QPoly:
 def to_pairs_reference(c: int, qval: int | None = None) -> list:
     if qval is not None or -HALF < c < HALF:
         return [[0, c]] if c else []
-    return decode_reference(c).to_pairs()
+    return [[e, d] for e, d in sorted(decode_reference(c).m.items())]
 
 
 def _term_text(c: int, e: int) -> str:

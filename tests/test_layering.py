@@ -11,6 +11,7 @@ import ast
 from pathlib import Path
 
 import qtridend
+from qtridend.qpoly import QPoly
 
 FORMAT_OWNERS = {"qpoly.py", "linear.py"}
 # The digit width and mask of the encoding and the tables of powers.
@@ -41,6 +42,33 @@ def test_only_qpoly_and_linear_import_the_raw_accumulators():
         and RAW_HELPERS & {a.name for a in node.names}
     ]
     assert importers == []
+
+
+def test_only_qpoly_names_the_decoded_view():
+    namers = [
+        f"{name}:{type(node).__name__}"
+        for name, node in _nodes_outside({"qpoly.py"})
+        if (isinstance(node, ast.Name) and node.id == "QPoly")
+        or (isinstance(node, ast.Attribute) and node.attr == "QPoly")
+        or (isinstance(node, ast.alias) and node.name == "QPoly")
+        or (isinstance(node, ast.Constant) and node.value == "QPoly")
+    ]
+    # the package's public re-export: its import and its __all__ entry
+    assert namers == ["__init__.py:alias", "__init__.py:Constant"]
+
+
+# QPoly is the decoded view, not a second ring.  Besides what a class
+# always has, it keeps what `decode`, `int()`, the zero filter, == and
+# hash need, and the + and * that perfbench/tracer.py counts
+# (COUNT_TARGETS) and whose __rmul__ its self-test checks is __mul__.
+QPOLY_MEMBERS = {
+    "__init__", "__index__", "__bool__", "__eq__", "__hash__", "__repr__",
+    "__add__", "__mul__", "__rmul__", "__slots__", "m",
+}
+
+
+def test_qpoly_keeps_only_the_decoded_view():
+    assert set(vars(QPoly)) - {"__module__", "__doc__"} == QPOLY_MEMBERS
 
 
 def test_only_linear_calls_from_raw():

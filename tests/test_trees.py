@@ -4,7 +4,7 @@ import pytest
 
 from qtridend.grammar import render_element, render_tensor2
 from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR, UNIT, tensor_flatten
-from qtridend.qpoly import QPoly
+from qtridend.qpoly import X
 from qtridend.trees import (
     LEAF,
     corolla,
@@ -58,12 +58,11 @@ def test_degree_one_products():
 
 
 def test_star_is_sum_of_kinds():
-    q = QPoly.q_power(1)
     for t in tree_basis(2):
         for w in tree_basis(1):
             expected = (
                 tree_product(LEFT, t, w)
-                + tree_product(MIDDLE, t, w).scale(q)
+                + tree_product(MIDDLE, t, w).scale(X)
                 + tree_product(RIGHT, t, w)
             )
             assert expected == tree_product(STAR, t, w)

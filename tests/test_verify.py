@@ -82,6 +82,19 @@ def test_dims_suite_passes_with_ranks_at_degree_five():
     assert {q: ranks[4] for q, ranks in table["ranks"]["mperm"].items()} == {0: 217, 1: 235, 5: 235}
 
 
+def test_dims_refuses_ranks_past_the_counted_degrees():
+    # The rank recursion reads the basis counts of every rank degree.
+    with pytest.raises(ValueError, match="rank_degree 4 exceeds max_count_degree 3"):
+        dims_report(max_count_degree=3, rank_degree=4)
+    with pytest.raises(ValueError, match="rank_degree 4 exceeds max_count_degree 3"):
+        verify.run_task(("dims", {"max_count_degree": 3}))
+    assert dims_report(3, 3)["ok"]
+    for m in range(1, 7):
+        assert build_plan(suite="dims", max_degree=m) == [
+            ("dims", {"max_count_degree": min(m, 5), "rank_degree": min(m, 4)})
+        ]
+
+
 def test_default_plan_covers_all_suites():
     assert {name for name, _ in DEFAULT_PLAN} == set(SUITE_NAMES)
 
