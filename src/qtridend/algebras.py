@@ -69,9 +69,25 @@ def el_star(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None) -
 
 
 def el_rtilde(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None) -> Element:
-    """The dendriform right half > + q. with unit conventions of >."""
-    right, mid = el_product(h, RIGHT, a, b, qval), el_product(h, MIDDLE, a, b, qval)
-    return Element.sum(h.name, ((right, 1), (mid, q_scalar(qval))))
+    """The dendriform right half > + q. with unit conventions of >: 1 rt y
+    = y, x rt 1 = 0, and 1 rt 1 raises.  The > and . products of each
+    basis pair are read into one accumulator pass."""
+    a._check(b)
+    _same_family(h.name, a.family)
+    if a.unit and b.unit:
+        raise ValueError("1 o 1 undefined for partial products")
+    product, q = h.product, q_scalar(qval)
+
+    def parts():
+        for ox, cx in a.terms.items():
+            for oy, cy in b.terms.items():
+                c = cx * cy
+                yield product(RIGHT, ox, oy, qval), c
+                yield product(MIDDLE, ox, oy, qval), c * q
+        if a.unit:
+            yield b, a.unit
+
+    return Element.sum(h.name, parts())
 
 
 def _coproduct_parts(h: AlgebraHandle, el: Element, qval: int | None) -> list:

@@ -18,7 +18,18 @@ the n legs of the iterated reduced coproduct.
 reconstruct re-expands x as the sum over r of the left-nested > products
 of e applied to each leg of the r-fold reduced coproduct; it must return
 x itself, which exhibits the basis-free filtration underlying the
-structure theorem.
+structure theorem.  It sums c R(o) over the terms c o of x, where the
+memoized recursion
+
+    R(x) = e(x) + sum R(x_(1)) > e(x_(2))
+
+runs over the reduced coproduct.  Unrolled, R(x) is that sum over r with
+the r-fold coproduct grown at its first leg, (Dbar (x) Id) Dbar ...,
+where the left-nested sum reads it grown at the last; the two agree
+because Dbar is coassociative, which `verify_bialgebra` certifies.  When
+the theorem holds, R(x_(1)) = x_(1) is one basis term, so each step is
+one basis object > e(x_(2)).  `e_tri_oracle` keeps its own leg-tuple
+loop: it is e's independent check.
 """
 
 from __future__ import annotations
@@ -220,21 +231,23 @@ def filtration_degree(h: AlgebraHandle, x: Element, qval: int | None = None) -> 
     return n
 
 
+@Memo
+def _recon_cache(h: AlgebraHandle, qval: int | None, obj) -> Element:
+    """R on a basis object, by the recursion R(x) = e(x) + R(x_(1)) > e(x_(2))."""
+    parts = [(e_tri_basis(h, obj, qval), 1)]
+    for (o1, o2), c in reduced_coproduct(h, obj, qval).terms.items():
+        e2 = e_tri_basis(h, o2, qval)
+        if not e2.is_zero():
+            parts.append((el_product(h, RIGHT, _recon_cache[h, qval, o1], e2, qval), c))
+    return Element.sum(h.name, parts)
+
+
 def reconstruct(h: AlgebraHandle, x: Element, qval: int | None = None) -> Element:
     """Sum over r of left-nested > of e over the legs of the r-fold
-    reduced coproduct; equals x."""
+    reduced coproduct, by the memoized recursion R; equals x."""
     if x.unit:
         raise ValueError("reconstruct is defined on the augmentation ideal")
-    legs = {(o,): c for o, c in x.terms.items() if c}
-    parts = []
-    while legs:
-        for objs, c in legs.items():
-            el = e_tri_basis(h, objs[0], qval)
-            for o in objs[1:]:
-                el = el_product(h, RIGHT, el, e_tri_basis(h, o, qval), qval)
-            parts.append((el, c))
-        legs = _advance_legs(h, legs, qval)
-    return Element.sum(h.name, parts)
+    return Element.sum(h.name, ((_recon_cache[h, qval, o], c) for o, c in x.terms.items()))
 
 
 def omega_coproduct_check(
@@ -262,9 +275,12 @@ def omega_coproduct_check(
 def _coefficient_rows(h: AlgebraHandle, n: int, q: int, image) -> tuple:
     """The degree-n basis and the sparse integer rows ({column: entry}), at
     q, of the map that sends basis[j] to image(h, basis[j], q): column j,
-    and one row per term key of the images."""
+    and one row per term key of the images.  A q that is not an int is
+    refused: symbolic entries would leave only dense Fraction elimination."""
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
+    if not isinstance(q, int):
+        raise ValueError(f"primitive ranks need an integer q, got {q!r}; ranks are taken over Q")
     for k in range(1, n + 1):  # stop at the first degree past the ceiling
         if (size := len(h.basis(k))) > BASIS_CEILING:
             raise ValueError(f"{h.name} degree {k} has {size} basis objects, over {BASIS_CEILING}")

@@ -18,13 +18,14 @@ coefficient at q = X (or at q = qval when given), and rendering reads its
 digits (`qpoly.digits`) unless a qval says the coefficients are plain
 values.  Each render decodes and formats each distinct coefficient of
 its output once, into a table made for that call (`_PerCoefficient`):
-a term is its coefficient's prefix (`qpoly.term_prefix`) and its basis
-text, and the JSON forms read `to_pairs` the same way.  Nothing of it
-outlives the call.  The memo `_text_cache` renders each basis object
-once, and the memo `_term_cache` parses each term text once: keyed by
-the family and the term as the client wrote it, it holds the q-free (c,
-e, object), so the sign and the encoding under qval are applied per
-call.  Both grow with their input until `qtridend.clear_caches()`.
+a term is its coefficient's signed prefix (`qpoly.term_prefix` behind a
+" + " or " - ") and its basis text, the terms are joined in one pass
+and the first separator fixed, and the JSON forms read `to_pairs` the
+same way.  Nothing of it outlives the call.  The memo `_text_cache`
+renders each basis object once, and the memo `_term_cache` parses each
+term text once: keyed by the family and the term as the client wrote
+it, it holds the q-free (c, e, object), so the sign and the encoding
+under qval are applied per call.  Both grow with their input until `qtridend.clear_caches()`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import itemgetter
 from .algebras import get_algebra
 from .linear import UNIT, Element, Tensor2
 from .memo import Memo
-from .qpoly import HALF, MAX_EXPONENT, digits, join_terms, q_power, term_prefix, to_pairs
+from .qpoly import HALF, MAX_EXPONENT, digits, q_power, term_prefix, to_pairs
 from .trees import LEAF
 from .words import Word, render_word
 
@@ -99,13 +100,23 @@ class _PerCoefficient(dict):
         return value
 
 
+def _signed(prefix: str) -> str:
+    """The separator and prefix that a term puts before its basis text
+    when another term precedes it: " + 3*q*" or " - "."""
+    return " - " + prefix[1:] if prefix[:1] == "-" else " + " + prefix
+
+
 def _join_terms(terms, qval: int | None) -> str:
     """Render (text, coeff) terms in the given order, exponents descending
-    inside one term."""
+    inside one term; 0 when there are none.  Every term is joined with its
+    separator, and the first separator is fixed afterwards."""
     prefixes = _PerCoefficient(
-        lambda coeff: [term_prefix(c, e) for e, c in reversed(digits(coeff, qval))]
+        lambda coeff: [_signed(term_prefix(c, e)) for e, c in reversed(digits(coeff, qval))]
     )
-    return join_terms([p + text for text, coeff in terms for p in prefixes[coeff]])
+    out = "".join([p + text for text, coeff in terms for p in prefixes[coeff]])
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 def render_element(el: Element, qval: int | None = None) -> str:

@@ -4,11 +4,12 @@ A `Memo` is a dict that computes a missing value from its key, so a hit
 is one dict lookup.  `enumeration` is `lru_cache(maxsize=None)` for the
 enumerators.  Both register themselves in `CACHES`, which
 `qtridend.clear_caches` empties; every cache grows with use until then.
-The memos hold basis products and coproducts, projector values, pqsym
-product candidates and, in `grammar`, the text of each basis object
-rendered and the parsed (c, e, object) of each term text parsed.  The
-last is keyed by client text, so its size follows the input; like the
-others it is bounded only by `clear_caches`.
+The memos hold basis products and coproducts, projector values, the
+values R(x) that `brace.reconstruct` sums, pqsym product candidates
+and, in `grammar`, the text of each basis object rendered and the
+parsed (c, e, object) of each term text parsed.  The last is keyed by
+client text, so its size follows the input; like the others it is
+bounded only by `clear_caches`.
 """
 
 from __future__ import annotations

@@ -190,11 +190,3 @@ def term_prefix(c: int, e: int) -> str:
         return (q if c == 1 else "-" + q if c == -1 else f"{c}*{q}") + "*"
     return "" if c == 1 else "-" if c == -1 else f"{c}*"
 
-
-def join_terms(pieces: list) -> str:
-    """Join rendered terms, each with its own leading - if negative, into
-    one sum; 0 when there are none."""
-    if not pieces:
-        return "0"
-    return pieces[0] + "".join(" - " + t[1:] if t[0] == "-" else " + " + t for t in pieces[1:])
-

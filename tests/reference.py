@@ -5,8 +5,10 @@ from __future__ import annotations
 from collections import defaultdict
 from operator import itemgetter
 
+from qtridend.algebras import el_product
+from qtridend.brace import _advance_legs, e_tri_basis
 from qtridend.grammar import parse_element, render_mperm, render_tree
-from qtridend.linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Tensor2, file_monomial
+from qtridend.linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
 from qtridend.qpoly import HALF, K, MASK, X, QPoly, decode
 from qtridend.st import _word_kind
 from qtridend.words import corestrict, image_overlap, is_parking, render_word, std
@@ -75,6 +77,24 @@ def scan_words_reference(total: int, enumerate_all, standardize) -> dict:
             key = (standardize(h), standardize(k))
             file_monomial(buckets[key], _word_kind(max(h), max(k)), w, image_overlap(h, k))
     return buckets
+
+
+def reconstruct_reference(h, x, qval=None) -> Element:
+    """`brace.reconstruct` by leg tuples: the r-fold reduced coproduct
+    split at the last leg, and e of its legs multiplied left-nested by >,
+    ((e(x1) > e(x2)) > ...) > e(xr), summed over r."""
+    if x.unit:
+        raise ValueError("reconstruct is defined on the augmentation ideal")
+    legs = {(o,): c for o, c in x.terms.items() if c}
+    parts = []
+    while legs:
+        for objs, c in legs.items():
+            el = e_tri_basis(h, objs[0], qval)
+            for o in objs[1:]:
+                el = el_product(h, RIGHT, el, e_tri_basis(h, o, qval), qval)
+            parts.append((el, c))
+        legs = _advance_legs(h, legs, qval)
+    return Element.sum(h.name, parts)
 
 
 # ------------------------------------------------------------- rendering

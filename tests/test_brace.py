@@ -3,11 +3,15 @@ primitive projector, the coradical filtration, and primitive ranks."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from qtridend.algebras import el_coproduct, el_product, get_algebra, reduced_coproduct
+import qtridend
+from qtridend.algebras import el_coproduct, el_product, el_rtilde, get_algebra, reduced_coproduct
 from qtridend.brace import (
     _coefficient_rows,
+    _etri_cache,
     brace,
     brace_relation_check,
     check_gvq,
@@ -24,10 +28,12 @@ from qtridend.brace import (
     reconstruct,
 )
 from qtridend.grammar import parse_element, parse_mperm, render_element
-from qtridend.linear import MIDDLE, Element
+from qtridend.linear import MIDDLE, RIGHT, Element
 from qtridend.pqsym import pirr_count
+from qtridend.qpoly import q_scalar
 from qtridend.rank import fraction_nullspace
 from qtridend.trees import corolla
+from reference import reconstruct_reference
 
 ST = get_algebra("st")
 PQ = get_algebra("pqsym")
@@ -131,6 +137,109 @@ def test_reconstruct_is_identity():
             for o in h.basis(n):
                 x = Element.basis(h.name, o)
                 assert reconstruct(h, x) == x
+
+
+def _reconstruct_cold_then_warm(h, xs, qval):
+    """reconstruct on xs with every cache cleared first, then again from
+    the warm memos; both must equal the leg-tuple reference."""
+    qtridend.clear_caches()
+    cold = [reconstruct(h, x, qval) for x in xs]
+    ref = [reconstruct_reference(h, x, qval) for x in xs]
+    assert cold == ref, h.name
+    assert [reconstruct(h, x, qval) for x in xs] == ref, h.name
+    return cold
+
+
+@pytest.mark.parametrize("qval", [None, 0, 1, 5])
+def test_reconstruct_matches_the_leg_tuple_reference(qval):
+    """The memoized recursion splits the first leg where the reference
+    splits the last; they agree because the reduced coproduct is
+    coassociative."""
+    for h in (ST, PQ, TREE, MPERM):
+        xs = [Element.basis(h.name, o) for n in range(1, 5) for o in h.basis(n)]
+        assert _reconstruct_cold_then_warm(h, xs, qval) == xs
+
+
+def test_reconstruct_matches_the_reference_at_degree_five():
+    for h in (ST, TREE, MPERM):
+        xs = [Element.basis(h.name, o) for o in h.basis(5)]
+        assert _reconstruct_cold_then_warm(h, xs, 1) == xs
+
+
+def test_reconstruct_of_combinations_matches_the_reference():
+    """Terms of several degrees, with repeats across elements, so the
+    memo of one degree is read while another is filled."""
+    q = q_scalar(None)
+    for h in (ST, PQ, TREE, MPERM):
+        objs = [o for n in range(1, 5) for o in h.basis(n)]
+        xs = [
+            Element(h.name, {o: (-1) ** k * (k + 1) + (k % 3) * q for k, o in enumerate(objs[i::7])})
+            for i in range(7)
+        ]
+        for qval in (None, 5):
+            at = [x if qval is None else x.eval_q(qval) for x in xs]
+            assert _reconstruct_cold_then_warm(h, at, qval) == at
+
+
+def test_reconstruct_sees_a_planted_projector_fault():
+    """Double one value of e: reconstruct no longer returns x, on the
+    object itself and on a degree-3 object whose legs read it."""
+    qtridend.clear_caches()
+    o = (2, 1)
+    try:
+        _etri_cache[ST, None, o] = e_tri_basis(ST, o).scale(2)
+        x = Element.basis("st", o)
+        assert reconstruct(ST, x) != x
+        ys = [Element.basis("st", f) for f in ST.basis(3)]
+        bad = [y for y in ys if reconstruct(ST, y) != y]
+        assert bad and all(reconstruct_reference(ST, y) != y for y in bad)
+    finally:
+        qtridend.clear_caches()
+
+
+def _elements_with_units(h, qval):
+    """Combinations of degree-1 and degree-2 objects, with and without a
+    unit term, at coefficients in q."""
+    q = q_scalar(qval)
+    objs = [o for n in (1, 2) for o in h.basis(n)]
+    plain = [
+        Element(h.name, {o: k + 1 - (k % 2) * q for k, o in enumerate(objs[i::3])})
+        for i in range(3)
+    ]
+    return plain + [Element(h.name, x.terms, 2 - q) for x in plain] + [
+        Element.unit_element(h.name)
+    ]
+
+
+@pytest.mark.parametrize("qval", [None, 0, 1, 5])
+def test_rtilde_is_right_plus_q_times_middle(qval):
+    for h in (ST, PQ, TREE, MPERM):
+        els = _elements_with_units(h, qval)
+        for a in els:
+            for b in els:
+                if a.unit and b.unit:
+                    with pytest.raises(ValueError):
+                        el_rtilde(h, a, b, qval)
+                    continue
+                two = Element.sum(h.name, (
+                    (el_product(h, RIGHT, a, b, qval), 1),
+                    (el_product(h, MIDDLE, a, b, qval), q_scalar(qval)),
+                ))
+                assert el_rtilde(h, a, b, qval) == two, (h.name, a, b)
+        x = Element.basis(h.name, h.basis(1)[0])
+        one = Element.unit_element(h.name)
+        assert el_rtilde(h, one, x, qval) == x
+        assert el_rtilde(h, x, one, qval).is_zero()
+        with pytest.raises(ValueError):
+            el_rtilde(h, one, one, qval)
+
+
+def test_rank_routines_refuse_a_symbolic_q():
+    for routine in (primitive_rank, primitive_kernel_basis):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="integer q"):
+            routine(PQ, 5, None)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_omega_coproduct():

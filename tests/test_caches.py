@@ -9,7 +9,7 @@ import sys
 
 import qtridend
 from qtridend.algebras import ALGEBRA_NAMES, el_product, get_algebra
-from qtridend.brace import e_tri_basis
+from qtridend.brace import e_tri_basis, reconstruct
 from qtridend.grammar import parse_element, render_element
 from qtridend.linear import STAR, Element
 from qtridend.memo import CACHES
@@ -39,13 +39,14 @@ def _small_run():
         xy = el_product(h, STAR, Element.basis(name, x), Element.basis(name, y))
         text = render_element(xy)
         out += [xy, h.coproduct(x, 1), e_tri_basis(h, x), text, parse_element(name, text)]
+        out.append(reconstruct(h, Element.basis(name, x)))
     return out
 
 
 def test_clear_caches_empties_every_cache_and_keeps_results():
     first = _small_run()
     dicts, lrus = _package_caches()
-    assert len(dicts) == 13 and len(lrus) == 6
+    assert len(dicts) == 14 and len(lrus) == 6
     assert sorted(map(id, CACHES)) == sorted(id(c) for _, c in dicts + lrus)
     assert all(c for _, c in dicts)
     qtridend.clear_caches()
