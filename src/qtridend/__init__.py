@@ -85,6 +85,7 @@ from .brace import (
     e_tri_basis,
     e_tri_oracle,
     filtration_degree,
+    is_primitive,
     reconstruct,
     omega_coproduct_check,
     primitive_rank,
@@ -182,6 +183,7 @@ __all__ = [
     "e_tri_basis",
     "e_tri_oracle",
     "filtration_degree",
+    "is_primitive",
     "reconstruct",
     "omega_coproduct_check",
     "primitive_rank",

@@ -8,12 +8,13 @@ The brace M_1n(x; y_1..y_n) is the alternating sum over i of
     omega_<(y_1..y_i)  rtilde  x  <  omega_rtilde(y_{i+1}..y_n)
 
 with omega_< the right-nested < word, rtilde = q. + > and omega_rtilde
-its left-nested word; M_10 = Id.
+its left-nested word; M_10 = Id.  Every omega word, and the oracle's >
+word, is one fold (`_nested`).
 
 The projector e(x) = x - sum x_(1) > e(x_(2)) (sum over the interior of
 the coproduct) is implemented by that recursion and checked against its
-closed form, the alternating sum over n of the right-nested > product of
-the n legs of the iterated reduced coproduct.
+closed form `e_tri_oracle`, the alternating sum over n of the
+right-nested > product of the n legs of the iterated reduced coproduct.
 
 reconstruct re-expands x as the sum over r of the left-nested > products
 of e applied to each leg of the r-fold reduced coproduct; it must return
@@ -23,16 +24,17 @@ memoized recursion
 
     R(x) = e(x) + sum R(x_(1)) > e(x_(2))
 
-runs over the reduced coproduct.  Unrolled, R(x) is that sum over r with
-the r-fold coproduct grown at its first leg, (Dbar (x) Id) Dbar ...,
-where the left-nested sum reads it grown at the last; the two agree
-because Dbar is coassociative, which `verify_bialgebra` certifies.  When
-the theorem holds, R(x_(1)) = x_(1) is one basis term, so each step is
-one basis object > e(x_(2)).  `e_tri_oracle` keeps its own leg-tuple
-loop: it is e's independent check.
+runs over the reduced coproduct; e and R read their sums from one helper
+(`_steps`).  Unrolled, R(x) is that sum over r with the r-fold coproduct
+grown at its first leg, (Dbar (x) Id) Dbar ..., where the left-nested sum
+reads it grown at the last; the two agree because Dbar is coassociative,
+which `verify_bialgebra` certifies.  When the theorem holds, R(x_(1)) =
+x_(1) is one basis term, so each step is one basis object > e(x_(2)).
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .algebras import (
     AlgebraHandle,
@@ -52,34 +54,26 @@ from .rank import rational_nullspace, rational_rank
 BASIS_CEILING = 20_000
 
 
-def omega_left(h: AlgebraHandle, ys: list, qval: int | None = None) -> Element:
-    """Right-nested < word: y1 < (y2 < (... < yn))."""
+def _nested(ys, step) -> Element:
+    """step folded over ys from the left: step(..step(y1, y2).., yn)."""
     if not ys:
         raise ValueError("omega word of no arguments")
-    acc = ys[-1]
-    for y in reversed(ys[:-1]):
-        acc = el_product(h, LEFT, y, acc, qval)
-    return acc
+    return reduce(step, ys)
+
+
+def omega_left(h: AlgebraHandle, ys: list, qval: int | None = None) -> Element:
+    """Right-nested < word: y1 < (y2 < (... < yn))."""
+    return _nested(ys[::-1], lambda acc, y: el_product(h, LEFT, y, acc, qval))
 
 
 def omega_rtilde(h: AlgebraHandle, ys: list, qval: int | None = None) -> Element:
     """Left-nested rtilde word: ((y1 rt y2) rt ...) rt yn."""
-    if not ys:
-        raise ValueError("omega word of no arguments")
-    acc = ys[0]
-    for y in ys[1:]:
-        acc = el_rtilde(h, acc, y, qval)
-    return acc
+    return _nested(ys, lambda acc, y: el_rtilde(h, acc, y, qval))
 
 
 def omega_right(h: AlgebraHandle, ys: list, qval: int | None = None) -> Element:
     """Left-nested > word: ((y1 > y2) > ...) > yn."""
-    if not ys:
-        raise ValueError("omega word of no arguments")
-    acc = ys[0]
-    for y in ys[1:]:
-        acc = el_product(h, RIGHT, acc, y, qval)
-    return acc
+    return _nested(ys, lambda acc, y: el_product(h, RIGHT, acc, y, qval))
 
 
 def brace(h: AlgebraHandle, x: Element, ys: list, qval: int | None = None) -> Element:
@@ -117,16 +111,16 @@ def check_gvq(
     lhs = brace(h, el_product(h, MIDDLE, x, y, qval), zs, qval)
     n = len(zs)
     minus_q = -q_scalar(qval)
+    rights = [brace(h, y, zs[j:], qval) for j in range(n + 1)]
 
     def parts():
         for i in range(n + 1):
+            chain = brace(h, x, zs[:i], qval)  # M_1i(x; z..) . z_{i+1} ... z_j
             scale = 1  # (-q)^(j - i)
             for j in range(i, n + 1):
-                term = brace(h, x, zs[:i], qval)
-                for k in range(i, j):
-                    term = el_product(h, MIDDLE, term, zs[k], qval)
-                term = el_product(h, MIDDLE, term, brace(h, y, zs[j:], qval), qval)
-                yield term, scale
+                yield el_product(h, MIDDLE, chain, rights[j], qval), scale
+                if j < n:
+                    chain = el_product(h, MIDDLE, chain, zs[j], qval)
                 scale = scale * minus_q
 
     return lhs == Element.sum(h.name, parts())
@@ -167,15 +161,20 @@ def brace_relation_check(
     return lhs == Element.sum(h.name, parts())
 
 
-@Memo
-def _etri_cache(h: AlgebraHandle, qval: int | None, obj) -> Element:
-    """e on a basis object, by the recursion e(x) = x - x_(1) > e(x_(2))."""
-    parts = [(Element.basis(h.name, obj), 1)]
+def _steps(h: AlgebraHandle, qval: int | None, obj, head):
+    """(head(x_(1)) > e(x_(2)), c) over the terms c x_(1) (x) x_(2) of the
+    reduced coproduct of obj, skipping those with e(x_(2)) = 0."""
     for (o1, o2), c in reduced_coproduct(h, obj, qval).terms.items():
         e2 = e_tri_basis(h, o2, qval)
         if not e2.is_zero():
-            parts.append((el_product(h, RIGHT, Element.basis(h.name, o1), e2, qval), -c))
-    return Element.sum(h.name, parts)
+            yield el_product(h, RIGHT, head(o1), e2, qval), c
+
+
+@Memo
+def _etri_cache(h: AlgebraHandle, qval: int | None, obj) -> Element:
+    """e on a basis object, by the recursion e(x) = x - x_(1) > e(x_(2))."""
+    steps = _steps(h, qval, obj, lambda o: Element.basis(h.name, o))
+    return Element.sum(h.name, [(Element.basis(h.name, obj), 1), *((t, -c) for t, c in steps)])
 
 
 def e_tri_basis(h: AlgebraHandle, obj, qval: int | None = None) -> Element:
@@ -200,46 +199,43 @@ def _advance_legs(h: AlgebraHandle, legs: dict, qval: int | None) -> dict:
     return sum_terms(parts())
 
 
+def _leg_levels(h: AlgebraHandle, x: Element, qval: int | None):
+    """The leg dicts {(x_(1), .., x_(r)): c} of the r-fold reduced
+    coproduct of x, for r = 1, 2, ... up to the last non-zero one."""
+    legs = {(o,): c for o, c in x.terms.items() if c}
+    while legs:
+        yield legs
+        legs = _advance_legs(h, legs, qval)
+
+
 def e_tri_oracle(h: AlgebraHandle, x: Element, qval: int | None = None) -> Element:
     """Closed form: sum_n (-1)^(n+1) of right-nested > over the n legs of
     the iterated reduced coproduct."""
     if x.unit:
         raise ValueError("e_tri is defined on the augmentation ideal")
-    legs = {(o,): c for o, c in x.terms.items()}
-    parts = []
-    sign = 1
-    while legs:
-        for objs, c in legs.items():
-            el = Element.basis(h.name, objs[-1])
-            for o in reversed(objs[:-1]):
-                el = el_product(h, RIGHT, Element.basis(h.name, o), el, qval)
-            parts.append((el, c * sign))
-        legs = _advance_legs(h, legs, qval)
-        sign = -sign
-    return Element.sum(h.name, parts)
+
+    def parts():
+        for r, legs in enumerate(_leg_levels(h, x, qval)):
+            for objs, c in legs.items():
+                ys = [Element.basis(h.name, o) for o in reversed(objs)]
+                word = _nested(ys, lambda acc, y: el_product(h, RIGHT, y, acc, qval))
+                yield word, -c if r % 2 else c
+
+    return Element.sum(h.name, parts())
 
 
 def filtration_degree(h: AlgebraHandle, x: Element, qval: int | None = None) -> int:
     """Least n with vanishing (n+1)-fold reduced coproduct (0 for x = 0)."""
     if x.unit:
         raise ValueError("filtration degree lives in the augmentation ideal")
-    legs = {(o,): c for o, c in x.terms.items() if c}
-    n = 0
-    while legs:
-        n += 1
-        legs = _advance_legs(h, legs, qval)
-    return n
+    return sum(1 for _ in _leg_levels(h, x, qval))
 
 
 @Memo
 def _recon_cache(h: AlgebraHandle, qval: int | None, obj) -> Element:
     """R on a basis object, by the recursion R(x) = e(x) + R(x_(1)) > e(x_(2))."""
-    parts = [(e_tri_basis(h, obj, qval), 1)]
-    for (o1, o2), c in reduced_coproduct(h, obj, qval).terms.items():
-        e2 = e_tri_basis(h, o2, qval)
-        if not e2.is_zero():
-            parts.append((el_product(h, RIGHT, _recon_cache[h, qval, o1], e2, qval), c))
-    return Element.sum(h.name, parts)
+    steps = _steps(h, qval, obj, lambda o: _recon_cache[h, qval, o])
+    return Element.sum(h.name, [(e_tri_basis(h, obj, qval), 1), *steps])
 
 
 def reconstruct(h: AlgebraHandle, x: Element, qval: int | None = None) -> Element:
@@ -250,17 +246,19 @@ def reconstruct(h: AlgebraHandle, x: Element, qval: int | None = None) -> Elemen
     return Element.sum(h.name, ((_recon_cache[h, qval, o], c) for o, c in x.terms.items()))
 
 
+def is_primitive(h: AlgebraHandle, x: Element, qval: int | None = None) -> bool:
+    """Whether the reduced coproduct of x vanishes: every term of Delta(x)
+    has a unit leg."""
+    return el_coproduct(h, x, qval).interior().is_zero()
+
+
 def omega_coproduct_check(
     h: AlgebraHandle, xs: list, qval: int | None = None
 ) -> bool:
     """Delta(omega_>(x1..xn)) = sum_i omega_>(x1..xi) (x) omega_>(x_{i+1}..xn)
     for primitive arguments, with the empty omega word equal to 1."""
-    for x in xs:
-        red = Tensor2.sum(
-            h.name, ((reduced_coproduct(h, o, qval), c) for o, c in x.terms.items())
-        )
-        if not red.is_zero():
-            raise ValueError("omega_coproduct_check needs primitive arguments")
+    if not all(is_primitive(h, x, qval) for x in xs):
+        raise ValueError("omega_coproduct_check needs primitive arguments")
     lhs = el_coproduct(h, omega_right(h, xs, qval), qval)
 
     def omega(ys):  # the empty omega word is 1

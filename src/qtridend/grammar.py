@@ -213,52 +213,32 @@ def parse_basis(family: str, text: str):
         raise ValueError(f"{e}: {_RENDERERS[family](obj)}") from None
 
 
+def _split(text: str, seps: str) -> list[tuple[str | None, str]]:
+    """Split text at the characters of seps that stand at bracket depth 0,
+    where + and - never split after a ^; returns (separator, chunk) pairs
+    with each chunk stripped and the first separator None."""
+    out = []
+    depth = start = 0
+    sep = None
+    for i, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif depth == 0 and ch in seps and not (ch in "+-" and text[i - 1 : i] == "^"):
+            out.append((sep, text[start:i].strip()))
+            sep, start = ch, i + 1
+    out.append((sep, text[start:].strip()))
+    return out
+
+
 def _split_top(text: str) -> list[tuple[str, str]]:
     """Split on +/- at bracket depth 0 that does not follow a ^; returns
     (sign, chunk) pairs.  Only a leading sign may have no term before it."""
-    out = []
-    depth = 0
-    cur = []
-    sign = None  # of the chunk in cur; None until the first sign
-
-    def flush():
-        chunk = "".join(cur).strip()
-        if chunk:
-            out.append((sign or "+", chunk))
-        elif sign is not None:
-            raise ValueError(f"empty term in {text!r}")
-
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur[-1:] != ["^"]:
-            flush()
-            sign = ch
-            cur = []
-        else:
-            cur.append(ch)
-    flush()
-    return out
-
-
-def _split_factors(text: str) -> list[str]:
-    out = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch == "*":
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur).strip())
-    return out
+    (_, head), *rest = _split(text, "+-")
+    if not all(chunk for _, chunk in rest):
+        raise ValueError(f"empty term in {text!r}")
+    return ([("+", head)] if head else []) + rest
 
 
 _QPOW_RE = re.compile(r"q(?:\^([0-9]+))?")
@@ -276,7 +256,7 @@ def _term_cache(family: str, chunk: str) -> tuple:
     _refuse_long_numbers(chunk)
     c, e = 1, 0
     obj = UNIT
-    for f in _split_factors(chunk):
+    for _, f in _split(chunk, "*"):
         if not f:
             raise ValueError(f"empty factor in {chunk!r}")
         if f.isascii() and f.isdigit():

@@ -106,17 +106,16 @@ def mpermutations(n: int) -> tuple[MPerm, ...]:
     return tuple(out)
 
 
+def _fibers(f) -> tuple:
+    """The ordered fiber partition of a word: block j holds the positions
+    (from 1) where f takes the value j, for j = 1..max(f)."""
+    return tuple(frozenset(i + 1 for i, v in enumerate(f) if v == j) for j in range(1, max(f) + 1))
+
+
 def mpermutations_filter(n: int) -> tuple[MPerm, ...]:
     """Independent enumerator: filter all ordered set partitions of [n]."""
-    out = []
-    for u in surjections(n):
-        blocks = tuple(
-            frozenset(i + 1 for i, v in enumerate(u) if v == j)
-            for j in range(1, max(u) + 1)
-        )
-        if not any(v + 1 in b for b in blocks for v in b):
-            out.append(blocks)
-    return tuple(out)
+    fibers = map(_fibers, surjections(n))
+    return tuple(bs for bs in fibers if not any(v + 1 in b for b in bs for v in b))
 
 
 def restrict_blocks(w, values) -> MPerm:
@@ -234,10 +233,7 @@ def mperm_coproduct(B: MPerm, qval: int | None = None) -> Tensor2:
 
 def phi(f) -> MPerm:
     """Send a surjective word to the std_m of its ordered fiber partition."""
-    r = max(f)
-    fibers = [
-        frozenset(i + 1 for i, v in enumerate(f) if v == j) for j in range(1, r + 1)
-    ]
+    fibers = _fibers(f)
     if not all(fibers):
         raise ValueError(f"not a surjective word: {f}")
     return std_m(fibers)

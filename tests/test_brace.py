@@ -3,6 +3,7 @@ primitive projector, the coradical filtration, and primitive ranks."""
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from qtridend.brace import (
     e_tri_basis,
     e_tri_oracle,
     filtration_degree,
+    is_primitive,
     omega_coproduct_check,
     omega_left,
     omega_right,
@@ -112,6 +114,19 @@ def test_projector_matches_oracle_and_is_idempotent():
                 e = e_tri(h, x)
                 assert e == e_tri_oracle(h, x)
                 assert e_tri(h, e) == e
+
+
+@pytest.mark.parametrize("qval", [None, 1])
+def test_projector_matches_its_oracle_at_degree_five_cold_and_warm(qval):
+    """The memoized recursion e against the alternating leg-tuple sum, on
+    every object of st, tree and mperm at degree 5 and pqsym at degree 4:
+    filled from cleared caches, then read back warm."""
+    for h, n in ((ST, 5), (TREE, 5), (MPERM, 5), (PQ, 4)):
+        qtridend.clear_caches()
+        cold = [e_tri_basis(h, o, qval) for o in h.basis(n)]
+        oracle = [e_tri_oracle(h, Element.basis(h.name, o), qval) for o in h.basis(n)]
+        assert cold == oracle, h.name
+        assert [e_tri_basis(h, o, qval) for o in h.basis(n)] == oracle, h.name
 
 
 def test_projector_kills_right_products():
@@ -247,6 +262,8 @@ def test_omega_coproduct():
     assert omega_coproduct_check(ST, [G, G, G])
     g2 = _el("(1,1)")
     assert omega_coproduct_check(ST, [g2, g2])
+    with pytest.raises(ValueError, match="primitive arguments"):
+        omega_coproduct_check(ST, [G, _el("(1,1) + (1,2)")])
 
 
 def test_primitive_ranks_small():
@@ -294,3 +311,31 @@ def test_primitives_closed_under_dot_and_brace():
             assert el_coproduct(h, dot, q).interior().is_zero()
             br = brace(h, p, [p], q)
             assert el_coproduct(h, br, q).interior().is_zero()
+
+
+@pytest.mark.parametrize("q", [0, 1, 5])
+def test_gv_laws_on_primitive_kernel_vectors(q):
+    """The distributive law and the brace relation on the primitives of
+    st at degrees 1 and 2, not only on the generator."""
+    ps = primitive_kernel_basis(ST, 1, q) + primitive_kernel_basis(ST, 2, q)
+    assert len(ps) == 3 and all(is_primitive(ST, p, q) for p in ps)
+    assert not is_primitive(ST, _el("(1,2)"), q)
+    for x in ps:
+        for y in ps:
+            for zs in ([], ps[:1], ps[:2], ps[1::-1]):
+                assert check_gvq(ST, x, y, zs, q), (x, y, len(zs))
+            for z in ps:
+                assert brace_relation_check(ST, x, [y], [z], q), (x, y, z)
+
+
+@pytest.mark.parametrize("qval", [None, 1])
+def test_gv_laws_see_an_rtilde_without_its_q_part(qval, monkeypatch):
+    """With r-tilde cut to > alone, the distributive law and the brace
+    relation both fail on generators, in every family."""
+    # qtridend.brace is the brace function; the module is in sys.modules
+    module = sys.modules["qtridend.brace"]
+    monkeypatch.setattr(module, "el_rtilde", lambda h, a, b, qval=None: el_product(h, RIGHT, a, b, qval))
+    for h in (ST, PQ, TREE, MPERM):
+        g = Element.basis(h.name, h.basis(1)[0])
+        assert not check_gvq(h, g, g, [g], qval), h.name
+        assert not brace_relation_check(h, g, [g], [g], qval), h.name
