@@ -5,18 +5,21 @@ Every suite returns a plain report dict
 
     {"suite", "params", "checks", "failures", "ok"}
 
-with "failures" a capped list of human-readable strings.  A failure on
-basis objects names its witnesses in the input grammar (`render_basis`),
-so they can be pasted into `qtridend eval`: `<message> at (1,2)` for one
-object, `<message> at x=(1,2) y=(1)` for named ones.  run_plan executes
-a list of (suite, kwargs) tasks, optionally across a process pool, and
-keeps the plan order in the output.  All suites are deterministic: bases
-are enumerated in a fixed order and every check is an exact equality of
-Elements, tensors, or integers.
+with "failures" a capped list of human-readable strings.  Each suite is
+registered by `_suite`, which builds its report: params are the call's
+arguments with defaults, qval as q and tuples as lists.  A failure names
+its witnesses in the input grammar, for `qtridend eval`: basis objects
+by `render_basis`, Elements by `render_element` at the suite's q, as in
+`<message> at (1,2)` or `<message> at p=(1,2) - (2,1) r=(1)`.  run_plan
+executes a list of (suite, kwargs) tasks, optionally across a process
+pool, and keeps the plan order in the output.  All suites are
+deterministic: bases are enumerated in a fixed order and every check is
+an exact equality of Elements, tensors, or integers.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from itertools import combinations
@@ -95,31 +98,37 @@ _FAIL_CAP = 20
 
 
 class _Tally:
-    """Counts checks and keeps the first few failure messages."""
+    """Counts checks and keeps the first few failure messages; q is the
+    suite's qval, at which Element witnesses render."""
 
-    def __init__(self):
+    def __init__(self, q):
+        self.q = q
         self.checks = 0
         self.failures: list[str] = []
         self.dropped = 0
 
-    def check(self, ok: bool, msg) -> bool:
+    def check(self, ok: bool, msg: str) -> bool:
         self.checks += 1
         if not ok:
             if len(self.failures) < _FAIL_CAP:
-                self.failures.append(msg() if callable(msg) else msg)
+                self.failures.append(msg)
             else:
                 self.dropped += 1
         return ok
 
     def check_at(self, ok: bool, msg: str, family: str, /, *obj, **named) -> bool:
-        """`check` whose failure names its witnesses, basis objects of
-        family rendered by `render_basis` only then: one object gives
-        `msg at (1,2)`, named ones give `msg at x=(1,2) y=(1)`."""
+        """`check` whose failure names its witnesses, rendered only then:
+        an Element by `render_element` at the suite's q, a basis object of
+        family by `render_basis`.  One witness gives `msg at (1,2)`, named
+        ones give `msg at x=(1,2) y=(1)`."""
         if ok:
             self.checks += 1
             return True
-        witness = [render_basis(family, o) for o in obj]
-        witness += [f"{k}={render_basis(family, o)}" for k, o in named.items()]
+
+        def text(o):
+            return render_element(o, self.q) if isinstance(o, Element) else render_basis(family, o)
+
+        witness = [text(o) for o in obj] + [f"{k}={text(o)}" for k, o in named.items()]
         return self.check(False, f"{msg} at {' '.join(witness)}")
 
     def report(self, suite: str, params: dict) -> dict:
@@ -133,6 +142,37 @@ class _Tally:
             "failures": failures,
             "ok": not failures,
         }
+
+
+_SUITES: dict = {}
+
+
+def _suite(name: str):
+    """Register the decorated function as suite name.  It is called with a
+    fresh _Tally before its own arguments, which `run.params` names and
+    the report's params hold in order, defaults applied; a dict that it
+    returns is merged into the report."""
+
+    def register(fn):
+        names = fn.__code__.co_varnames[1 : fn.__code__.co_argcount]
+        defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
+
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            call = {**defaults, **dict(zip(names, args)), **kwargs}
+            t = _Tally(call.get("qval"))
+            extra = fn(t, *args, **kwargs)
+            params = {
+                "q" if k == "qval" else k: list(v) if isinstance(v, tuple) else v
+                for k, v in ((k, call[k]) for k in names)
+            }
+            return {**t.report(name, params), **(extra or {})}
+
+        run.params = names
+        _SUITES[name] = run
+        return run
+
+    return register
 
 
 def _degree_splits(budget: int, parts: int):
@@ -159,11 +199,11 @@ _RELATIONS = (
 )
 
 
-def verify_axioms(algebra: str, max_total_degree: int, qval=None) -> dict:
+@_suite("axioms")
+def verify_axioms(t: _Tally, algebra: str, max_total_degree: int, qval=None) -> None:
     """All seven defining relations plus associativity of the total
     product, on every ordered basis triple within the degree budget."""
     h = get_algebra(algebra)
-    t = _Tally()
     for n1, n2, n3 in _degree_splits(max_total_degree, 3):
         b1, b2, b3 = h.basis(n1), h.basis(n2), h.basis(n3)
         for x in b1:
@@ -178,25 +218,22 @@ def verify_axioms(algebra: str, max_total_degree: int, qval=None) -> dict:
                         lhs = el_product(h, outer_l, ab, c, qval)
                         rhs = el_product(h, outer_r, a, bc, qval)
                         t.check_at(lhs == rhs, f"{name} fails", algebra, a=x, b=y, c=z)
-    return t.report(
-        "axioms",
-        {"algebra": algebra, "max_total_degree": max_total_degree, "q": qval},
-    )
 
 
 # ---------------------------------------------------------- bialgebra
 
 
+@_suite("bialgebra")
 def verify_bialgebra(
+    t: _Tally,
     algebra: str,
     max_pair_degree: int,
     max_coassoc_degree: int,
     qval=None,
-) -> dict:
+) -> None:
     """Coproduct compatibility with the three partial products, counit
     laws, and coassociativity, within the degree budgets."""
     h = get_algebra(algebra)
-    t = _Tally()
     one = Element.unit_element(algebra)
     t.check(
         el_coproduct(h, one, qval) == tensor_of(one, one),
@@ -216,15 +253,6 @@ def verify_bialgebra(
             for y in h.basis(n2):
                 for msg, holds in zip(mismatch, compat_holds(h, x, y, qval)):
                     t.check_at(holds, msg, algebra, x=x, y=y)
-    return t.report(
-        "bialgebra",
-        {
-            "algebra": algebra,
-            "max_pair_degree": max_pair_degree,
-            "max_coassoc_degree": max_coassoc_degree,
-            "q": qval,
-        },
-    )
 
 
 # ---------------------------------------------------------- morphisms
@@ -238,14 +266,14 @@ def _map_element(el: Element, fn, out_family: str) -> Element:
     return Element.sum(out_family, parts)
 
 
-def verify_morphisms(max_degree: int = 4, alpha_inj_degree: int = 5, qval=None) -> dict:
+@_suite("morphisms")
+def verify_morphisms(t: _Tally, max_degree: int = 4, alpha_inj_degree: int = 5, qval=None) -> None:
     """The embedding into parking functions and the projection onto big
     multipermutations respect products and coproducts; the plain
     inclusion of surjective words does not."""
     st_h = get_algebra("st")
     pq_h = get_algebra("pqsym")
     mm_h = get_algebra("mperm")
-    t = _Tally()
     for n1, n2 in _degree_splits(max_degree, 2):
         for f in surjections(n1):
             af = alpha(f)
@@ -271,10 +299,8 @@ def verify_morphisms(max_degree: int = 4, alpha_inj_degree: int = 5, qval=None) 
     for n in range(1, alpha_inj_degree + 1):
         for f in surjections(n):
             sup = set(alpha(f).terms)
-            t.check(
-                f in sup and all(std(hw) == f for hw in sup),
-                lambda f=f: f"alpha image of {render_basis('st', f)} is not marked by it",
-            )
+            ok = f in sup and all(std(hw) == f for hw in sup)
+            t.check_at(ok, "alpha image is not marked by its source", "st", f)
 
     # surjectivity: the block-index word is an explicit preimage
     for n in range(1, max_degree + 1):
@@ -284,10 +310,8 @@ def verify_morphisms(max_degree: int = 4, alpha_inj_degree: int = 5, qval=None) 
                 for v in blk:
                     word[v - 1] = j
             word_t = tuple(word)
-            t.check(
-                is_surjection(word_t) and phi(word_t) == w,
-                lambda w=w: f"block-index preimage fails for {render_basis('mperm', w)}",
-            )
+            ok = is_surjection(word_t) and phi(word_t) == w
+            t.check_at(ok, "block-index preimage fails", "mperm", w)
 
     # on permutations the unweighted inclusion coincides with alpha
     for n in range(1, max_degree + 1):
@@ -309,28 +333,24 @@ def verify_morphisms(max_degree: int = 4, alpha_inj_degree: int = 5, qval=None) 
         not is_primitive(st_h, Element.basis("st", w)),
         "(1,1,2) is primitive among surjective words",
     )
-    return t.report(
-        "morphisms",
-        {"max_degree": max_degree, "alpha_inj_degree": alpha_inj_degree, "q": qval},
-    )
 
 
 # ------------------------------------------------------------ oracles
 
 
+@_suite("oracles")
 def verify_oracles(
+    t: _Tally,
     st_max: int = 6,
     pqsym_max: int = 6,
     mperm_max: int = 5,
     pf_coproduct_max: int = 5,
     concat_max: int = 4,
     qval=None,
-) -> dict:
+) -> None:
     """Fast product routes against one-pass brute-force scans, the
     positional coproduct of parking functions against a subset-split
     scan, and the plain concatenation product against the q=1 scan."""
-    t = _Tally()
-
     for name, budget in (("st", st_max), ("pqsym", pqsym_max), ("mperm", mperm_max)):
         h = get_algebra(name)
         disagrees = [(kind, f"{name} {kind} disagrees with scan") for kind in (*KINDS, STAR)]
@@ -374,31 +394,21 @@ def verify_oracles(
                     want = Element.from_monomials("mperm", scan[(B, D)][STAR], 1)
                     ok = mperm_product(STAR, B, D, 1) == want
                     t.check_at(ok, "concatenation product disagrees", "mperm", B=B, D=D)
-    return t.report(
-        "oracles",
-        {
-            "st_max": st_max,
-            "pqsym_max": pqsym_max,
-            "mperm_max": mperm_max,
-            "pf_coproduct_max": pf_coproduct_max,
-            "concat_max": concat_max,
-            "q": qval,
-        },
-    )
 
 
 # -------------------------------------------------------------- brace
 
 
-def verify_brace(max_degree: int = 4, qs=(0, 1, 5), qval=None) -> dict:
+@_suite("brace")
+def verify_brace(t: _Tally, max_degree: int = 4, qs=(0, 1, 5), qval=None) -> None:
     """Projector identities, brace and distributive laws on small grids,
     coproducts of omega words, and closure of primitives."""
-    t = _Tally()
     for name in ("st", "pqsym", "tree", "mperm"):
         h = get_algebra(name)
         not_idempotent = f"{name}: projector not idempotent"
         not_alternating = f"{name}: projector disagrees with alternating sum"
         not_reconstructed = f"{name}: reconstruction fails"
+        not_killed = f"{name}: projector does not kill y > z"
         for n in range(1, max_degree + 1):
             for o in h.basis(n):
                 x = Element.basis(name, o)
@@ -411,13 +421,7 @@ def verify_brace(max_degree: int = 4, qs=(0, 1, 5), qval=None) -> dict:
                 ey = Element.basis(name, y)
                 for z in h.basis(n2):
                     prod = el_product(h, RIGHT, ey, Element.basis(name, z), qval)
-                    t.check(
-                        e_tri(h, prod, qval).is_zero(),
-                        lambda name=name, y=y, z=z: (
-                            f"{name}: projector does not kill"
-                            f" {render_basis(name, y)} > {render_basis(name, z)}"
-                        ),
-                    )
+                    t.check_at(e_tri(h, prod, qval).is_zero(), not_killed, name, y=y, z=z)
         gen = Element.basis(name, h.basis(1)[0])
         for n in range(3):
             for m in range(3):
@@ -442,25 +446,15 @@ def verify_brace(max_degree: int = 4, qs=(0, 1, 5), qval=None) -> dict:
                 n: primitive_kernel_basis(h, n, q)
                 for n in range(1, max_degree)
             }
+            not_dot = f"{name}: primitives not closed under . (q={q})"
+            not_brace = f"{name}: primitives not closed under brace (q={q})"
             for n1, n2 in _degree_splits(max_degree, 2):
                 for p in kernels[n1]:
                     for r in kernels[n2]:
                         dot = el_product(h, MIDDLE, p, r, q)
-                        t.check(
-                            is_primitive(h, dot, q),
-                            lambda name=name, q=q, n1=n1, n2=n2: (
-                                f"{name}: primitives not closed under . at"
-                                f" q={q} degrees {n1},{n2}"
-                            ),
-                        )
+                        t.check_at(is_primitive(h, dot, q), not_dot, name, p=p, r=r)
                         br = brace(h, p, [r], q)
-                        t.check(
-                            is_primitive(h, br, q),
-                            lambda name=name, q=q, n1=n1, n2=n2: (
-                                f"{name}: primitives not closed under brace at"
-                                f" q={q} degrees {n1},{n2}"
-                            ),
-                        )
+                        t.check_at(is_primitive(h, br, q), not_brace, name, p=p, r=r)
 
     # pinned instances in the surjective-word and tree algebras
     st_h = get_algebra("st")
@@ -509,7 +503,6 @@ def verify_brace(max_degree: int = 4, qs=(0, 1, 5), qval=None) -> dict:
         omega_coproduct_check(st_h, [prim11, prim11], qval),
         "omega coproduct identity fails on two copies of (1,1)",
     )
-    return t.report("brace", {"max_degree": max_degree, "qs": list(qs), "q": qval})
 
 
 # ------------------------------------------------------------- golden
@@ -520,11 +513,11 @@ def _golden_data() -> dict:
     return json.loads(path.read_text())
 
 
-def verify_golden() -> dict:
+@_suite("golden")
+def verify_golden(t: _Tally) -> None:
     """Pinned worked examples, each recomputed from the definitions and
     compared string-for-string against the stored rendering."""
     g = _golden_data()
-    t = _Tally()
 
     sp = g["st_products"]
     f = parse_word(sp["f"])
@@ -628,7 +621,6 @@ def verify_golden() -> dict:
             render_tensor2(mperm_coproduct(B)) == entry["value"],
             f"mperm coproduct of {entry['B']} drifted",
         )
-    return t.report("golden", {})
 
 
 # --------------------------------------------------------------- dims
@@ -654,14 +646,14 @@ _EXPECTED_MPERM_RANKS = {0: [1, 1, 5, 29, 217], 1: [1, 1, 5, 31, 235], 5: [1, 1,
 _EXPECTED_MPERM_NULLITY = [1, 1, 4, 25, 198]
 
 
-def dims_report(max_count_degree: int = 5, rank_degree: int = 4, qs=(0, 1, 5)) -> dict:
+@_suite("dims")
+def dims_report(t: _Tally, max_count_degree: int = 5, rank_degree: int = 4, qs=(0, 1, 5)) -> dict:
     """Basis counts, irreducible parking counts, and projector ranks,
     each checked against frozen expected values and cross-checked where
     an independent route exists.  The rank recursion reads the basis
     counts, so rank_degree may not pass max_count_degree."""
     if rank_degree > max_count_degree:
         raise ValueError(f"rank_degree {rank_degree} exceeds max_count_degree {max_count_degree}")
-    t = _Tally()
     table: dict = {"counts": {}, "pirr": [], "ranks": {}, "nullity": {}}
 
     enumerators = dict(
@@ -731,27 +723,10 @@ def dims_report(max_count_degree: int = 5, rank_degree: int = 4, qs=(0, 1, 5)) -
         f"mperm kernel dimensions drifted: {nul}",
     )
 
-    report = t.report(
-        "dims",
-        {"max_count_degree": max_count_degree, "rank_degree": rank_degree, "qs": list(qs)},
-    )
-    report["table"] = table
-    return report
+    return {"table": table}
 
 
 # ------------------------------------------------------------- runner
-
-_SUITES = {
-    "golden": verify_golden,
-    "axioms": verify_axioms,
-    "bialgebra": verify_bialgebra,
-    "morphisms": verify_morphisms,
-    "oracles": verify_oracles,
-    "brace": verify_brace,
-    "dims": dims_report,
-}
-
-SUITE_NAMES = tuple(_SUITES)
 
 DEFAULT_PLAN = (
     ("golden", {}),
@@ -771,6 +746,9 @@ DEFAULT_PLAN = (
     ("brace", {"max_degree": 4}),
     ("dims", {"max_count_degree": 5, "rank_degree": 4}),
 )
+
+# plan order, not registration order: golden leads `verify --help`
+SUITE_NAMES = tuple(dict.fromkeys(name for name, _ in DEFAULT_PLAN))
 
 
 def run_task(task) -> dict:
@@ -806,7 +784,7 @@ def build_plan(
             for key, value in list(kwargs.items()):
                 if key.endswith(("degree", "_max")) and isinstance(value, int):
                     kwargs[key] = min(value, max_degree)
-        if qval is not None and name not in ("golden", "dims"):
+        if qval is not None and "qval" in _SUITES[name].params:
             kwargs["qval"] = qval
         plan.append((name, kwargs))
     return plan

