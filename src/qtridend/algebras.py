@@ -26,6 +26,8 @@ from .linear import (
     Tensor2,
     _same_family,
     bilinear_extend,
+    file_bilinear,
+    filed_element,
     lone_basis,
 )
 from .qpoly import q_scalar
@@ -58,10 +60,22 @@ def get_algebra(name: str) -> AlgebraHandle:
         raise ValueError(f"unknown algebra {name!r}") from None
 
 
+def _rule(h: AlgebraHandle, kind: str, qval: int | None) -> Callable:
+    return lambda x, y: h.product(kind, x, y, qval)
+
+
 def el_product(
     h: AlgebraHandle, kind: str, a: Element, b: Element, qval: int | None = None
 ) -> Element:
-    return bilinear_extend(lambda x, y: h.product(kind, x, y, qval), kind, a, b)
+    return bilinear_extend(_rule(h, kind, qval), kind, a, b)
+
+
+def file_product(
+    raw: dict, h: AlgebraHandle, kind: str, a: Element, b: Element, s: int, qval: int | None = None
+) -> dict:
+    """Add s * (a o b) into the accumulator raw (`linear.file_bilinear`),
+    so that a sum of products is filed in one pass.  Returns raw."""
+    return file_bilinear(raw, _rule(h, kind, qval), kind, a, b, s)
 
 
 def el_star(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None) -> Element:
@@ -70,24 +84,12 @@ def el_star(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None) -
 
 def el_rtilde(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None) -> Element:
     """The dendriform right half > + q. with unit conventions of >: 1 rt y
-    = y, x rt 1 = 0, and 1 rt 1 raises.  The > and . products of each
-    basis pair are read into one accumulator pass."""
+    = y, x rt 1 = 0, and 1 rt 1 raises.  The > part and the q. part are
+    filed into one accumulator, the unit conventions of . adding nothing."""
     a._check(b)
     _same_family(h.name, a.family)
-    if a.unit and b.unit:
-        raise ValueError("1 o 1 undefined for partial products")
-    product, q = h.product, q_scalar(qval)
-
-    def parts():
-        for ox, cx in a.terms.items():
-            for oy, cy in b.terms.items():
-                c = cx * cy
-                yield product(RIGHT, ox, oy, qval), c
-                yield product(MIDDLE, ox, oy, qval), c * q
-        if a.unit:
-            yield b, a.unit
-
-    return Element.sum(h.name, parts())
+    raw = file_product({}, h, RIGHT, a, b, 1, qval)
+    return filed_element(h.name, file_product(raw, h, MIDDLE, a, b, q_scalar(qval), qval))
 
 
 def _coproduct_parts(h: AlgebraHandle, el: Element, qval: int | None) -> list:

@@ -9,7 +9,9 @@ The brace M_1n(x; y_1..y_n) is the alternating sum over i of
 
 with omega_< the right-nested < word, rtilde = q. + > and omega_rtilde
 its left-nested word; M_10 = Id.  Every omega word, and the oracle's >
-word, is one fold (`_nested`).
+word, is one fold (`_nested`).  brace files its n + 1 parts into one
+accumulator (`linear`): each outer < product basis pair by basis pair,
+with its sign, and then the last part omega_<(y..) rtilde x.
 
 The projector e(x) = x - sum x_(1) > e(x_(2)) (sum over the interior of
 the coproduct) is implemented by that recursion and checked against its
@@ -24,12 +26,14 @@ memoized recursion
 
     R(x) = e(x) + sum R(x_(1)) > e(x_(2))
 
-runs over the reduced coproduct; e and R read their sums from one helper
-(`_steps`).  Unrolled, R(x) is that sum over r with the r-fold coproduct
-grown at its first leg, (Dbar (x) Id) Dbar ..., where the left-nested sum
-reads it grown at the last; the two agree because Dbar is coassociative,
-which `verify_bialgebra` certifies.  When the theorem holds, R(x_(1)) =
-x_(1) is one basis term, so each step is one basis object > e(x_(2)).
+runs over the reduced coproduct.  e and R are each one accumulator pass
+(`_file_steps`): x, or e(x), and every step x_(1) > e(x_(2)) are filed
+into one dict, so no step is built as an Element of its own.  Unrolled,
+R(x) is that sum over r with the r-fold coproduct grown at its first
+leg, (Dbar (x) Id) Dbar ..., where the left-nested sum reads it grown at
+the last; the two agree because Dbar is coassociative, which
+`verify_bialgebra` certifies.  When the theorem holds, R(x_(1)) = x_(1)
+is one basis term, so each step is one basis object > e(x_(2)).
 """
 
 from __future__ import annotations
@@ -41,10 +45,21 @@ from .algebras import (
     el_coproduct,
     el_product,
     el_rtilde,
+    file_product,
     reduced_coproduct,
 )
 from .grammar import render_element
-from .linear import LEFT, MIDDLE, RIGHT, UNIT, Element, Tensor2, sum_terms
+from .linear import (
+    LEFT,
+    MIDDLE,
+    RIGHT,
+    UNIT,
+    Element,
+    Tensor2,
+    file_element,
+    filed_element,
+    sum_terms,
+)
 from .memo import Memo
 from .qpoly import q_scalar
 from .rank import rational_nullspace, rational_rank
@@ -86,17 +101,13 @@ def brace(h: AlgebraHandle, x: Element, ys: list, qval: int | None = None) -> El
     n = len(ys)
     if n == 0:
         return x
-
-    def parts():
-        for i in range(n + 1):
-            t = x
-            if i > 0:
-                t = el_rtilde(h, omega_left(h, ys[:i], qval), t, qval)
-            if i < n:
-                t = el_product(h, LEFT, t, omega_rtilde(h, ys[i:], qval), qval)
-            yield t, -1 if (n - i) % 2 else 1
-
-    return Element.sum(h.name, parts())
+    raw: dict = {}
+    for i in range(n):
+        t = el_rtilde(h, omega_left(h, ys[:i], qval), x, qval) if i else x
+        sign = -1 if (n - i) % 2 else 1
+        file_product(raw, h, LEFT, t, omega_rtilde(h, ys[i:], qval), sign, qval)
+    last = el_rtilde(h, omega_left(h, ys, qval), x, qval)  # i = n, sign +1
+    return filed_element(h.name, file_element(raw, h.name, last))
 
 
 def check_gvq(
@@ -161,20 +172,21 @@ def brace_relation_check(
     return lhs == Element.sum(h.name, parts())
 
 
-def _steps(h: AlgebraHandle, qval: int | None, obj, head):
-    """(head(x_(1)) > e(x_(2)), c) over the terms c x_(1) (x) x_(2) of the
-    reduced coproduct of obj, skipping those with e(x_(2)) = 0."""
+def _file_steps(raw: dict, h: AlgebraHandle, qval: int | None, obj, head, sign: int) -> Element:
+    """File sign * c * head(x_(1)) > e(x_(2)) into raw over the terms
+    c x_(1) (x) x_(2) of the reduced coproduct of obj, skipping those with
+    e(x_(2)) = 0, and return the Element of raw."""
     for (o1, o2), c in reduced_coproduct(h, obj, qval).terms.items():
         e2 = e_tri_basis(h, o2, qval)
         if not e2.is_zero():
-            yield el_product(h, RIGHT, head(o1), e2, qval), c
+            file_product(raw, h, RIGHT, head(o1), e2, sign * c, qval)
+    return filed_element(h.name, raw)
 
 
 @Memo
 def _etri_cache(h: AlgebraHandle, qval: int | None, obj) -> Element:
     """e on a basis object, by the recursion e(x) = x - x_(1) > e(x_(2))."""
-    steps = _steps(h, qval, obj, lambda o: Element.basis(h.name, o))
-    return Element.sum(h.name, [(Element.basis(h.name, obj), 1), *((t, -c) for t, c in steps)])
+    return _file_steps({obj: 1}, h, qval, obj, lambda o: Element.basis(h.name, o), -1)
 
 
 def e_tri_basis(h: AlgebraHandle, obj, qval: int | None = None) -> Element:
@@ -234,8 +246,8 @@ def filtration_degree(h: AlgebraHandle, x: Element, qval: int | None = None) -> 
 @Memo
 def _recon_cache(h: AlgebraHandle, qval: int | None, obj) -> Element:
     """R on a basis object, by the recursion R(x) = e(x) + R(x_(1)) > e(x_(2))."""
-    steps = _steps(h, qval, obj, lambda o: _recon_cache[h, qval, o])
-    return Element.sum(h.name, [(e_tri_basis(h, obj, qval), 1), *steps])
+    raw = file_element({}, h.name, e_tri_basis(h, obj, qval))
+    return _file_steps(raw, h, qval, obj, lambda o: _recon_cache[h, qval, o], 1)
 
 
 def reconstruct(h: AlgebraHandle, x: Element, qval: int | None = None) -> Element:

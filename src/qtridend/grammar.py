@@ -35,7 +35,7 @@ import sys
 from operator import itemgetter
 
 from .algebras import get_algebra
-from .linear import UNIT, Element, Tensor2
+from .linear import UNIT, Element, Tensor2, file_terms, filed_element
 from .memo import Memo
 from .qpoly import HALF, MAX_EXPONENT, digits, q_power, term_prefix, to_pairs
 from .trees import LEAF
@@ -276,7 +276,7 @@ def _term_cache(family: str, chunk: str) -> tuple:
 
 
 def _encoded_terms(family: str, text: str, qval: int | None, split):
-    """(coefficient, object) per term of text, where split(family, chunk)
+    """(object, coefficient) per term of text, where split(family, chunk)
     gives (c, e, object) for c*q^e times the object and the coefficient is
     signed and encoded under qval.  Symbolic coefficients whose
     magnitudes sum to X/2 or more are refused, as no digit could hold
@@ -287,7 +287,7 @@ def _encoded_terms(family: str, text: str, qval: int | None, split):
         norm += c
         if qval is None and norm >= HALF:
             raise ValueError(f"coefficients of {text!r} reach 2^63, too large for symbolic q")
-        yield (-c if sign == "-" else c) * q_power(e, qval), objs
+        yield objs, (-c if sign == "-" else c) * q_power(e, qval)
 
 
 def _parse_term(family: str, chunk: str) -> tuple:
@@ -296,12 +296,9 @@ def _parse_term(family: str, chunk: str) -> tuple:
 
 
 def parse_element(family: str, text: str, qval: int | None = None) -> Element:
-    """The Element of text, with q = qval unless qval is None."""
-    parts = (
-        (Element.slot(family, obj), c)
-        for c, obj in _encoded_terms(family, text, qval, _parse_term)
-    )
-    return Element.sum(family, parts)
+    """The Element of text, with q = qval unless qval is None: every term
+    is filed into one accumulator, the unit terms under UNIT."""
+    return filed_element(family, file_terms({}, _encoded_terms(family, text, qval, _parse_term)))
 
 
 def _tensor_term(family: str, chunk: str) -> tuple:
@@ -321,7 +318,7 @@ def parse_tensor2(family: str, text: str, qval: int | None = None) -> Tensor2:
         return Tensor2(family)
     parts = (
         ((Element.slot(family, left), Element.slot(family, right)), c)
-        for c, (left, right) in _encoded_terms(family, text, qval, _tensor_term)
+        for (left, right), c in _encoded_terms(family, text, qval, _tensor_term)
     )
     return Tensor2.sum(family, parts)
 

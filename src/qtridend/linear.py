@@ -27,12 +27,21 @@ Unit conventions for the three partial products (x a basis element):
     1 * x = x        x * 1 = x        1 * 1 = 1
 1 o 1 is undefined for the partial products and raises.
 
-Every sum of scaled parts in the package is built by one accumulator,
-`_accumulate`, which adds scale * coeff key by key as ints into fresh
-dicts; `Element.sum`, `Tensor2.sum` and `sum_terms` expose it, and `+`,
-`-` and `scale` go through it.  Rank-3 flattening, (Delta (x) Id) t or
-(Id (x) Delta) t, files straight into one dict (`_flatten_into`), so
-`is_coassociative` files both sides into the same dict.
+Every sum of scaled parts in the package is built by one accumulator:
+a plain dict that the filing helpers add scale * coeff into, key by key
+as ints, with the unit under UNIT.  `file_terms` is the one summing loop;
+`file_element` files an Element (into an empty dict at scale 1, by one
+`update`), and `file_bilinear` files each basis pair's rule(x, y) at
+scale cx * cy, with the unit conventions.  A result is filed in one pass,
+nested products included, and `filed_element` ends it with one zero
+filter (`_nonzero`, which keeps the dict itself when nothing cancelled)
+and one Element.  `Element.sum`, `bilinear_extend`, `Tensor2.sum`
+and `sum_terms` are built on them, and `+`, `-` and `scale` go through
+`Element.sum`; `algebras`, `brace` and `grammar` file into the same
+dicts and hold no summing loop of their own.  Rank-3 flattening,
+(Delta (x) Id) t or (Id (x) Delta) t, files straight into one dict
+(`_flatten_into`), so `is_coassociative` files both sides into the same
+dict.
 
 Elements and tensors are immutable once built, so they are shared, never
 copied: the module caches hand out their results as they are, and
@@ -70,20 +79,20 @@ class _Unit:
 UNIT = _Unit()
 
 
-def _accumulate(parts) -> dict:
-    """Sum scale * coeff over parts, key by key, into fresh int sums.
-
-    parts iterates (items, scale): items iterates (key, coeff) pairs and
-    is read to the end before the next part is drawn; coeff is an int,
-    scale anything `index` takes.  A key whose sum cancels maps to 0.
-    """
-    raw: dict = {}
+def file_terms(raw: dict, items, s: int = 1) -> dict:
+    """Add s * coeff to raw[key] for each (key, coeff) of items, coeff
+    and s ints: the one summing loop.  A key whose sum cancels maps to 0
+    until `filed_element` or `sum_terms` drops it.  Returns raw."""
     get = raw.get
-    for items, s in parts:
-        s = index(s)
-        for k, c in items:
-            raw[k] = get(k, 0) + c * s
+    for k, c in items:
+        raw[k] = get(k, 0) + c * s
     return raw
+
+
+def _nonzero(raw: dict) -> dict:
+    """raw itself when no sum in it cancelled to 0, else a copy without
+    the zero sums: the one zero filter of the accumulators."""
+    return raw if all(raw.values()) else {k: c for k, c in raw.items() if c}
 
 
 def _monomial_terms(monomials, qval: int | None) -> dict:
@@ -96,7 +105,7 @@ def _monomial_terms(monomials, qval: int | None) -> dict:
     if qval is not None:
         for k, e in monomials:
             raw[k] = get(k, 0) + qval**e
-        return {k: c for k, c in raw.items() if c}
+        return _nonzero(raw)
     xp = X_POWERS
     for k, e in monomials:
         c = get(k)
@@ -115,9 +124,12 @@ def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
 
 def sum_terms(parts) -> dict:
     """Sum of scaled coefficient maps: parts iterates (items, scale) with
-    items an iterable of (key, coeff), coeff and scale ints.  Returns a
-    fresh dict key -> coefficient without zeros."""
-    return {k: c for k, c in _accumulate(parts).items() if c}
+    items an iterable of (key, coeff), coeff an int and scale anything
+    `index` takes.  Returns a fresh dict key -> coefficient without zeros."""
+    raw: dict = {}
+    for items, s in parts:
+        file_terms(raw, items, index(s))
+    return _nonzero(raw)
 
 
 def _same_family(family: str, other: str) -> None:
@@ -131,6 +143,29 @@ def _element(family: str, terms: dict, unit=0) -> "Element":
     el = object.__new__(Element)
     el.family, el.terms, el.unit = family, terms, unit
     return el
+
+
+def file_element(raw: dict, family: str, el: "Element", s: int = 1) -> dict:
+    """Add s * el into raw, its unit under UNIT; el must be of family and
+    s is an int.  Into an empty raw, el at scale 1 is copied by one
+    `update`.  Returns raw."""
+    if el.family != family:
+        _same_family(family, el.family)
+    if s == 1 and not raw:
+        raw.update(el.terms)
+    else:
+        file_terms(raw, el.terms.items(), s)
+    if el.unit:
+        raw[UNIT] = raw.get(UNIT, 0) + el.unit * s
+    return raw
+
+
+def filed_element(family: str, raw: dict) -> "Element":
+    """The Element of the sums filed into raw: zero sums dropped, the sum
+    under UNIT as its unit.  raw is handed over, and may become the
+    Element's terms: the caller must not touch it afterwards."""
+    terms = _nonzero(raw)
+    return _element(family, terms, terms.pop(UNIT, 0))
 
 
 def _tensor(family: str, terms: dict) -> "Tensor2":
@@ -177,17 +212,11 @@ class Element:
     @classmethod
     def sum(cls, family: str, parts) -> "Element":
         """The sum of scale * el over parts (el, scale), el an Element of
-        family and scale an int; always a new Element."""
-
-        def items():
-            for el, s in parts:
-                _same_family(family, el.family)
-                yield el.terms.items(), s
-                if el.unit:
-                    yield ((UNIT, el.unit),), s
-
-        terms = sum_terms(items())
-        return _element(family, terms, terms.pop(UNIT, 0))
+        family and scale anything `index` takes; always a new Element."""
+        raw: dict = {}
+        for el, s in parts:
+            file_element(raw, family, el, index(s))
+        return filed_element(family, raw)
 
     def is_zero(self) -> bool:
         return not self.terms and not self.unit
@@ -267,18 +296,28 @@ def bilinear_extend(
         out = rule(x, y)
         _same_family(a.family, out.family)
         return out
+    return filed_element(a.family, file_bilinear({}, rule, kind, a, b))
+
+
+def file_bilinear(
+    raw: dict, rule: Callable, kind: str, a: Element, b: Element, s: int = 1
+) -> dict:
+    """Add s * (a o b) into raw, as `bilinear_extend` extends rule: each
+    basis pair files rule(x, y) at scale s * cx * cy, and a unit term
+    files by the unit conventions of kind.  Returns raw."""
+    a._check(b)
     if a.unit and b.unit and kind != STAR:
         raise ValueError("1 o 1 undefined for partial products")
-    parts = [
-        (rule(ox, oy), cx * cy)
-        for ox, cx in a.terms.items()
-        for oy, cy in b.terms.items()
-    ]
+    family, right = a.family, b.terms.items()
+    for ox, cx in a.terms.items():
+        cx *= s
+        for oy, cy in right:
+            file_element(raw, family, rule(ox, oy), cx * cy)
     if a.unit and kind in (RIGHT, STAR):  # 1 > y = y, 1 * y = y, 1 * 1 = 1
-        parts.append((b, a.unit))
+        file_element(raw, family, b, a.unit * s)
     if b.unit and kind in (LEFT, STAR):  # x < 1 = x, x * 1 = x; 1 * 1 is above
-        parts.append((_element(a.family, a.terms), b.unit))
-    return Element.sum(a.family, parts)
+        file_terms(raw, a.terms.items(), b.unit * s)
+    return raw
 
 
 class Tensor2:
@@ -417,7 +456,7 @@ def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
     coproduct maps a basis object to a Tensor2; Delta(1) = 1 (x) 1.
     Returns a plain dict (slot, slot, slot) -> int coefficient.
     """
-    return {k: c for k, c in _flatten_into({}, t, side, coproduct, 1).items() if c}
+    return _nonzero(_flatten_into({}, t, side, coproduct, 1))
 
 
 def is_coassociative(t: Tensor2, coproduct: Callable) -> bool:

@@ -151,14 +151,21 @@ def _suite(name: str):
     """Register the decorated function as suite name.  It is called with a
     fresh _Tally before its own arguments, which `run.params` names and
     the report's params hold in order, defaults applied; a dict that it
-    returns is merged into the report."""
+    returns is merged into the report.  Too many positional arguments
+    raise Python's TypeError, counting the caller's arguments only."""
 
     def register(fn):
         names = fn.__code__.co_varnames[1 : fn.__code__.co_argcount]
         defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
+        least = len(names) - len(defaults)
+        takes = f"from {least} to {len(names)}" if defaults else str(len(names))
+        takes += " positional argument" if takes == "1" else " positional arguments"
 
         @functools.wraps(fn)
         def run(*args, **kwargs):
+            if len(args) > len(names):
+                given = "1 was" if len(args) == 1 else f"{len(args)} were"
+                raise TypeError(f"{fn.__qualname__}() takes {takes} but {given} given")
             call = {**defaults, **dict(zip(names, args)), **kwargs}
             t = _Tally(call.get("qval"))
             extra = fn(t, *args, **kwargs)

@@ -5,9 +5,9 @@ from __future__ import annotations
 from collections import defaultdict
 from operator import itemgetter
 
-from qtridend.algebras import el_product
+from qtridend.algebras import el_product, el_rtilde
 from qtridend.brace import _advance_legs, e_tri_basis
-from qtridend.grammar import parse_element, render_mperm, render_tree
+from qtridend.grammar import _encoded_terms, _parse_term, parse_element, render_mperm, render_tree
 from qtridend.linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
 from qtridend.qpoly import HALF, K, MASK, X, QPoly, decode
 from qtridend.st import _word_kind
@@ -100,6 +100,42 @@ def reconstruct_reference(h, x, qval=None) -> Element:
             parts.append((el, c))
         legs = _advance_legs(h, legs, qval)
     return Element.sum(h.name, parts)
+
+
+def brace_reference(h, x, ys, qval=None) -> Element:
+    """`brace.brace` by its n + 1 parts, each built as an Element of its
+    own from `el_product` and `el_rtilde` alone and then summed:
+    (y1 < (y2 < ... < yi)) rtilde x < (((y_{i+1} rt y_{i+2}) rt ...) rt yn)
+    with sign (-1)^(n-i)."""
+    n = len(ys)
+    if n == 0:
+        return x
+    parts = []
+    for i in range(n + 1):
+        t = x
+        if i > 0:
+            word = ys[i - 1]
+            for y in reversed(ys[: i - 1]):
+                word = el_product(h, LEFT, y, word, qval)
+            t = el_rtilde(h, word, t, qval)
+        if i < n:
+            word = ys[i]
+            for y in ys[i + 1 :]:
+                word = el_rtilde(h, word, y, qval)
+            t = el_product(h, LEFT, t, word, qval)
+        parts.append((t, -1 if (n - i) % 2 else 1))
+    return Element.sum(h.name, parts)
+
+
+def parse_element_reference(family: str, text: str, qval=None) -> Element:
+    """`grammar.parse_element` by the per-term fold: each term read as an
+    Element of its own (the unit for a term with no basis literal), and
+    the terms summed."""
+    parts = (
+        (Element.slot(family, obj), c)
+        for obj, c in _encoded_terms(family, text, qval, _parse_term)
+    )
+    return Element.sum(family, parts)
 
 
 # ------------------------------------------------------------- rendering

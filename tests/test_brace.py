@@ -3,13 +3,21 @@ primitive projector, the coradical filtration, and primitive ranks."""
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 
 import pytest
 
 import qtridend
-from qtridend.algebras import el_coproduct, el_product, el_rtilde, get_algebra, reduced_coproduct
+from qtridend.algebras import (
+    ALGEBRA_NAMES,
+    el_coproduct,
+    el_product,
+    el_rtilde,
+    get_algebra,
+    reduced_coproduct,
+)
 from qtridend.brace import (
     _coefficient_rows,
     _etri_cache,
@@ -29,13 +37,13 @@ from qtridend.brace import (
     primitive_rank,
     reconstruct,
 )
-from qtridend.grammar import parse_element, parse_mperm, render_element
-from qtridend.linear import MIDDLE, RIGHT, Element
+from qtridend.grammar import parse_element, parse_mperm, render_basis, render_element
+from qtridend.linear import LEFT, MIDDLE, RIGHT, Element
 from qtridend.pqsym import pirr_count
 from qtridend.qpoly import q_scalar
 from qtridend.rank import fraction_nullspace
 from qtridend.trees import corolla
-from reference import reconstruct_reference
+from reference import brace_reference, reconstruct_reference
 
 ST = get_algebra("st")
 PQ = get_algebra("pqsym")
@@ -339,3 +347,59 @@ def test_gv_laws_see_an_rtilde_without_its_q_part(qval, monkeypatch):
         g = Element.basis(h.name, h.basis(1)[0])
         assert not check_gvq(h, g, g, [g], qval), h.name
         assert not brace_relation_check(h, g, [g], [g], qval), h.name
+
+
+# four constants, so that at q = 0 four distinct multiples of a generator remain
+_SIGNED = ("+ ", "+ 2*", "- 3*", "+ 5*", "+ q*", "- q^2*")
+
+
+def _distinct_arguments(h, rng: random.Random, n: int, qval) -> list:
+    """n + 1 distinct Elements of 1-3 terms each, parsed at qval.  At most
+    two of them reach degree 2 (the rest are multiples of the degree-1
+    generator), so no brace of them passes degree 6."""
+    caps = [2] * (n + 1)
+    while sum(caps) > 6:
+        caps[rng.randrange(n + 1)] = 1
+    out = []
+    while len(out) < n + 1:
+        pool = [o for d in range(1, caps[len(out)] + 1) for o in h.basis(d)]
+        objs = rng.sample(pool, min(rng.randint(1, 3), len(pool)))
+        text = " ".join(rng.choice(_SIGNED) + render_basis(h.name, o) for o in objs)
+        el = parse_element(h.name, text, qval)
+        if el.terms and el not in out:
+            out.append(el)
+    return out
+
+
+def _brace_mismatches(h, qval) -> list:
+    """The argument lists, three per n = 1, 2, 3, on which `brace` and
+    `brace_reference` differ, rendered."""
+    rng = random.Random(f"{h.name} {qval}")
+    bad = []
+    for n in (1, 2, 3):
+        for _ in range(3):
+            x, *ys = _distinct_arguments(h, rng, n, qval)
+            if brace(h, x, ys, qval) != brace_reference(h, x, ys, qval):
+                bad.append([render_element(a, qval) for a in (x, *ys)])
+    return bad
+
+
+@pytest.mark.parametrize("qval", [None, 0, 1, 5])
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_brace_matches_its_reference_on_distinct_arguments(name, qval):
+    """brace files its n + 1 parts into one accumulator; the reference
+    builds each part as an Element and sums them."""
+    assert _brace_mismatches(get_algebra(name), qval) == []
+
+
+def test_brace_reference_sees_an_unreversed_left_fold(monkeypatch):
+    """omega_< folded the wrong way, y_n < (... < (y_2 < y_1)), passes the
+    law checks on copies of one generator but not this comparison."""
+    module = sys.modules["qtridend.brace"]
+
+    def unreversed(h, ys, qval=None):
+        return module._nested(ys, lambda acc, y: el_product(h, LEFT, y, acc, qval))
+
+    monkeypatch.setattr(module, "omega_left", unreversed)
+    for h in (ST, PQ, TREE, MPERM):
+        assert _brace_mismatches(h, None), h.name

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 
+from qtridend.algebras import ALGEBRA_NAMES, get_algebra
 from qtridend.grammar import (
     element_to_json,
     parse_basis,
@@ -19,7 +21,7 @@ from qtridend.grammar import (
 )
 from qtridend.linear import Element
 from qtridend.qpoly import X, QPoly
-from reference import parse_qpoly
+from reference import parse_element_reference, parse_qpoly
 
 
 def test_parse_word():
@@ -145,3 +147,82 @@ def test_parse_tensor2_refuses_an_empty_term(text):
 def test_parse_basis_refuses_a_number_too_long_to_convert(family, text):
     with pytest.raises(ValueError, match="^number too long in '"):
         parse_basis(family, text)
+
+
+_UNIT_TERMS = ("1", "3", "q*1", "2*q^2*1", "0")
+_PREFIXES = ("", "2*", "q*", "3*q^2*", "q*2*")
+
+
+def _parse_texts(family: str, rng: random.Random) -> list:
+    """Element texts of 1-6 terms over the basis to degree 3: unit terms
+    and bare integers among them, a leading minus, a repeated term, and a
+    term with its negation, so that some cancel to 0."""
+    objs = [render_basis(family, o) for d in (1, 2, 3) for o in get_algebra(family).basis(d)]
+    texts = []
+    for _ in range(40):
+        terms = [
+            rng.choice(_UNIT_TERMS)
+            if rng.random() < 0.2
+            else rng.choice(_PREFIXES) + rng.choice(objs)
+            for _ in range(rng.randint(1, 6))
+        ]
+        signs = [rng.choice("+-") for _ in terms]
+        if rng.random() < 0.4:  # a repeated term
+            terms.append(terms[0])
+            signs.append(signs[0])
+        if rng.random() < 0.4:  # a term and its negation
+            terms.append(terms[-1])
+            signs.append("-" if signs[-1] == "+" else "+")
+        head = ("-" if signs[0] == "-" else "") + terms[0]
+        texts.append(head + "".join(f" {sg} {t}" for sg, t in zip(signs[1:], terms[1:])))
+    pairs = [f"{t} - {t}" for t in rng.sample(objs, 3)]
+    return texts + pairs + ["q*1 - q*1", "-2*q*1 + q*2*1 + 0"]
+
+
+@pytest.mark.parametrize("qval", [None, 0, 1, 5])
+@pytest.mark.parametrize("family", ALGEBRA_NAMES)
+def test_parse_element_matches_the_per_term_fold(family, qval):
+    """parse_element files every term into one accumulator; the reference
+    builds an Element per term and sums them."""
+    rng = random.Random(f"{family} {qval}")
+    zeros = 0
+    for text in _parse_texts(family, rng):
+        got = parse_element(family, text, qval)
+        assert got == parse_element_reference(family, text, qval), text
+        zeros += got.is_zero()
+    assert zeros >= 5  # the cancelling texts render as 0
+    assert render_element(parse_element(family, "q*1 - q*1", qval), qval) == "0"
+
+
+_REFUSALS = [
+    ("foo", "(1)", "unknown family 'foo'"),
+    ("st", "V(|,|)", "bad word literal: 'V(|,|)'"),
+    ("tree", "(1,2)", "bad tree literal near '(1,2)'"),
+    ("mperm", "(1)", "bad multipermutation literal: '(1)'"),
+    ("st", "(1,x) + (1)", "bad word literal: '(1,x)'"),
+    ("pqsym", "2*(3,1)", "not a parking function: (3,1)"),
+    ("st", "q^x*(1)", "bad q factor 'q^x'"),
+    (
+        "st",
+        "9223372036854775808*(1)",
+        "coefficients of '9223372036854775808*(1)' reach 2^63, too large for symbolic q",
+    ),
+    (
+        "pqsym",
+        "4611686018427387904*(1) - 4611686018427387904*(1,1)",
+        "coefficients of '4611686018427387904*(1) - 4611686018427387904*(1,1)' reach 2^63,"
+        " too large for symbolic q",
+    ),
+]
+
+
+@pytest.mark.parametrize("family, text, message", _REFUSALS)
+def test_parse_element_refusals_are_those_of_the_per_term_fold(family, text, message):
+    """The messages are pinned as the per-term fold gave them; a sum of
+    magnitudes that reaches 2^63 is refused only for symbolic q."""
+    qvals = [None] if "2^63" in message else [None, 0, 1, 5]
+    for qval in qvals:
+        for parse in (parse_element, parse_element_reference):
+            with pytest.raises(ValueError) as info:
+                parse(family, text, qval)
+            assert str(info.value) == message, (parse, qval)

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
-from qtridend.algebras import ALGEBRA_NAMES, get_algebra
+from qtridend.algebras import ALGEBRA_NAMES, el_product, el_rtilde, get_algebra
 from qtridend.grammar import parse_element, render_element
 from qtridend.linear import (
+    KINDS,
     LEFT,
     MIDDLE,
     RIGHT,
@@ -98,6 +100,65 @@ def test_bilinear_unit_conventions():
     for kind in (LEFT, MIDDLE, RIGHT):
         with pytest.raises(ValueError):
             bilinear_extend(_rule, kind, one, one)
+    # multi-term operands with a unit term: (A + a1) o (B + b1) is
+    # A o B + a (1 o B) + b (A o 1) + ab (1 o 1), each filed by its convention
+    big_a, big_b = el((1,), (2, 1)).scale(3) + el((1, 2)), el((1, 1)) - el((1,)).scale(Q)
+    keeps = {RIGHT: (1, 0), LEFT: (0, 1), MIDDLE: (0, 0), STAR: (1, 1)}  # 1 o y = y, x o 1 = x
+    for kind, (left_unit, right_unit) in keeps.items():
+        for a, b in ((2, 0), (0, -5), (Q, 0), (0, 1), (2, -5)):
+            x, y = big_a + one.scale(a), big_b + one.scale(b)
+            if a and b and kind != STAR:
+                with pytest.raises(ValueError, match="1 o 1"):
+                    bilinear_extend(_rule, kind, x, y)
+                continue
+            want = Element.sum(F, (
+                (bilinear_extend(_rule, kind, big_a, big_b), 1),
+                (big_b, a * left_unit),
+                (big_a, b * right_unit),
+                (one, a * b),
+            ))
+            assert bilinear_extend(_rule, kind, x, y) == want, (kind, a, b)
+            assert bilinear_extend(_rule, kind, y, x) == Element.sum(F, (
+                (bilinear_extend(_rule, kind, big_b, big_a), 1),
+                (big_a, b * left_unit),
+                (big_b, a * right_unit),
+                (one, a * b),
+            )), (kind, b, a)
+    # a rule that answers in another family is refused on this path too
+    foreign = lambda u, v: Element.basis("tree", ((), ()))
+    for kind in (*KINDS, STAR):
+        with pytest.raises(ValueError, match="family mismatch"):
+            bilinear_extend(foreign, kind, big_a + one, big_b)
+
+
+@pytest.mark.parametrize("qval", [None, 0, 1, 5])
+def test_rtilde_unit_conventions_on_multi_term_operands(qval):
+    """(A + a1) rt (B + b1) = A > B + q A.B + a B: 1 rt y = y, x rt 1 = 0,
+    and 1 rt 1 raises; a foreign family raises."""
+    q = Q if qval is None else qval
+    for name in ALGEBRA_NAMES:
+        h = get_algebra(name)
+        one = Element.unit_element(name)
+        objs = [o for d in (1, 2) for o in h.basis(d)]
+        big_a = Element(name, {o: k + 1 for k, o in enumerate(objs[::2])})
+        big_b = Element(name, {o: 2 - k * q for k, o in enumerate(objs[1::2])})
+        core = Element.sum(name, (
+            (el_product(h, RIGHT, big_a, big_b, qval), 1),
+            (el_product(h, MIDDLE, big_a, big_b, qval), q),
+        ))
+        for a, b in ((3, 0), (0, -2), (q, 0), (0, 0)):
+            got = el_rtilde(h, big_a + one.scale(a), big_b + one.scale(b), qval)
+            assert got == core + big_b.scale(a), (name, a, b)
+        with pytest.raises(ValueError, match="1 o 1"):
+            el_rtilde(h, big_a + one, big_b - one, qval)
+        other = "tree" if name != "tree" else "st"
+        with pytest.raises(ValueError, match="family mismatch"):
+            el_rtilde(h, big_a, Element.basis(other, objs[0]), qval)
+        foreign = SimpleNamespace(
+            name=name, product=lambda kind, x, y, qval=None: Element.basis(other, x)
+        )
+        with pytest.raises(ValueError, match="family mismatch"):
+            el_rtilde(foreign, big_a + one, big_b, qval)
 
 
 def test_bilinear_is_bilinear():

@@ -100,6 +100,35 @@ def test_dims_refuses_ranks_past_the_counted_degrees():
         ]
 
 
+def test_too_many_arguments_count_only_the_callers():
+    """A suite called with too many positional arguments raises Python's
+    own TypeError for its signature without the tally."""
+
+    def golden():
+        pass
+
+    def axioms(algebra, max_total_degree, qval=None):
+        pass
+
+    def morphisms(max_degree=4, alpha_inj_degree=5, qval=None):
+        pass
+
+    for suite, plain, args in (
+        (verify_golden, golden, (1,)),
+        (verify_golden, golden, (1, 2)),
+        (verify_axioms, axioms, ("st", 2, None, 4)),
+        (verify_morphisms, morphisms, (1, 2, None, 4)),
+    ):
+        with pytest.raises(TypeError) as want:
+            plain(*args)
+        with pytest.raises(TypeError) as got:
+            suite(*args)
+        assert str(got.value) == str(want.value).replace(plain.__qualname__, suite.__name__)
+    message = "verify_golden() takes 0 positional arguments but 1 was given"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        verify_golden(1)
+
+
 def test_default_plan_covers_all_suites():
     # plan order, which is the order `verify --help` lists them in
     assert SUITE_NAMES == ("golden", "axioms", "bialgebra", "morphisms", "oracles", "brace", "dims")
