@@ -19,10 +19,15 @@ product); the kind is read off the last block of W:
     .  last block meets [n] and the shifted window
     <  last block misses the shifted window
 
-The optimized route builds W directly as quasi-shuffles (interleavings
-with optional block merges) of B with D shifted into the window, then
-filters; on a full window std_m reduces to a plain shift, which makes the
-window condition an equality.
+The optimized route is the paper's quotient map phi on the product of
+ST(q).  For each pair of value sets (A, V) that `st._value_sets` gives
+for r and s blocks, W puts the blocks of B on the values in A and the
+blocks of D, shifted by n, on the values in V; a value in both holds the
+union of its two blocks, so the r+s-l mixed blocks are the overlap and
+the kind is st's.  The one pair of consecutive values this can put in a
+block is n, n+1, where the block of B that holds n merges with the block
+of D that holds 1; there phi deletes n+1, so D is shifted by n-1 instead
+and W has size n+m-1.
 
 The brute-force route `_scan_mperms` enumerates every W of both sizes
 and files it under the pair (B, D) its two restrictions give; the
@@ -41,6 +46,7 @@ from collections import defaultdict
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
 from .memo import Memo, enumeration
+from .st import _value_sets
 from .words import run_compress, std, surjections
 
 name = FAMILY = "mperm"
@@ -123,56 +129,34 @@ def restrict_blocks(w, values) -> MPerm:
     return tuple(b & vs for b in w if b & vs)
 
 
-def _quasi_shuffles(xs: tuple, ys: tuple):
-    """Interleavings of two block sequences with optional pairwise merges."""
-    if not xs:
-        yield ys
-        return
-    if not ys:
-        yield xs
-        return
-    for rest in _quasi_shuffles(xs[1:], ys):
-        yield (xs[0],) + rest
-    for rest in _quasi_shuffles(xs, ys[1:]):
-        yield (ys[0],) + rest
-    for rest in _quasi_shuffles(xs[1:], ys[1:]):
-        yield (xs[0] | ys[0],) + rest
-
-
 def _kind_of(last: frozenset, left_set: frozenset, window: frozenset) -> str:
     meets_left = bool(last & left_set)
     meets_right = bool(last & window)
     if not meets_left:
         return RIGHT
-    if meets_left and meets_right:
+    if meets_right:
         return MIDDLE
     return LEFT
 
 
 @Memo
 def _pair_cache(B: MPerm, D: MPerm, qval: int | None) -> dict:
-    n, m = mperm_size(B), mperm_size(D)
-    r, s = len(B), len(D)
-    left_set = frozenset(range(1, n + 1))
+    """All four products of B and D, their blocks laid on st's value sets
+    as the module docstring describes."""
+    n, blocks = mperm_size(B), len(B) + len(D)
+    jn = next(j for j, b in enumerate(B) if n in b)
+    j1 = next(j for j, d in enumerate(D) if 1 in d)
+    # D shifted by n, and by n-1 for when its block at 1 joins B's at n
+    by_n, by_n1 = (tuple(frozenset(v + k for v in d) for d in D) for k in (n, n - 1))
     monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
-    for total, shift in ((n + m, n), (n + m - 1, n - 1)):
-        window = frozenset(range(shift + 1, total + 1))
-        dsh = tuple(frozenset(v + shift for v in b) for b in D)
-        for w in _quasi_shuffles(B, dsh):
-            if sum(len(b) for b in w) != total:
-                continue
-            if any(v + 1 in b for b in w for v in b):
-                continue
-            if restrict_blocks(w, left_set) != B:
-                continue
-            if restrict_blocks(w, window) != dsh:
-                continue
-            l = len(w)
-            overlap = r + s - l
-            mixed = sum(1 for b in w if (b & left_set) and (b & window))
-            if mixed != overlap:
-                raise RuntimeError(f"{mixed} mixed blocks in a quasi-shuffle, not {overlap}")
-            file_monomial(monos, _kind_of(w[-1], left_set, window), w, overlap)
+    for A, V, kind, overlap in _value_sets(len(B), len(D)):
+        w = [None] * (blocks - overlap)
+        for v, b in zip(A, B):
+            w[v - 1] = b
+        for v, d in zip(V, by_n1 if A[jn] == V[j1] else by_n):
+            b = w[v - 1]
+            w[v - 1] = d if b is None else b | d
+        file_monomial(monos, kind, tuple(w), overlap)
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 
@@ -237,6 +221,16 @@ def phi(f) -> MPerm:
     if not all(fibers):
         raise ValueError(f"not a surjective word: {f}")
     return std_m(fibers)
+
+
+def block_word(w: MPerm) -> tuple:
+    """The surjective word whose letter at v is the index (from 1) of the
+    block of w holding v, so that phi(block_word(w)) = w."""
+    word = [0] * mperm_size(w)
+    for j, b in enumerate(w, start=1):
+        for v in b:
+            word[v - 1] = j
+    return tuple(word)
 
 
 def phi_element(f) -> Element:

@@ -13,7 +13,9 @@ The optimized route enumerates the value sets A = Im(h), B = Im(k)
 directly: A, B subsets of [r] with A u B = [r], |A| = max(f),
 |B| = max(g); h and k are f and g pushed along the increasing bijections
 onto A and B.  The overlap is |A n B| = max(f) + max(g) - r and the kind
-is read off from which side contains r.
+is read off from which side contains r.  `_value_sets` enumerates these
+pairs once for both ST(q) and its quotient `mperm`, which lays blocks
+on the same value sets.
 
 The brute-force route `_scan_words` enumerates every word of length n+m
 and files each split h k under (std(h), std(k)), standardizing each
@@ -45,29 +47,31 @@ name = FAMILY = "st"
 graded = True
 
 
-@Memo
-def _pair_cache(f: Word, g: Word, qval: int | None) -> dict:
-    """All four products of basis surjections f, g."""
-    a, b = max(f), max(g)
-    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
+def _value_sets(a: int, b: int):
+    """Every pair of value sets A, B with A u B = [r], |A| = a, |B| = b, as
+    (A, B, kind, |A n B|) with A an increasing tuple and B a sorted list; the kind is read
+    off from which side holds r.  The pairs sharing one A come in a run."""
     for r in range(max(a, b), a + b + 1):
         s = a + b - r  # |A n B|
         for A in combinations(range(1, r + 1), a):
-            aset = set(A)
-            rest = tuple(v for v in range(1, r + 1) if v not in aset)
+            rest = tuple(v for v in range(1, r + 1) if v not in A)
             if len(rest) > b:
                 continue
-            h = tuple(A[x - 1] for x in f)
+            top = LEFT if A[-1] == r else RIGHT
             for extra in combinations(A, b - len(rest)):
-                B = sorted(rest + extra)
-                k = tuple(B[x - 1] for x in g)
-                if r in extra:
-                    kind = MIDDLE
-                elif r in aset:
-                    kind = LEFT
-                else:
-                    kind = RIGHT
-                file_monomial(monos, kind, h + k, s)
+                kind = MIDDLE if extra and extra[-1] == r else top
+                yield A, sorted(rest + extra), kind, s
+
+
+@Memo
+def _pair_cache(f: Word, g: Word, qval: int | None) -> dict:
+    """All four products of basis surjections f, g."""
+    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
+    last = None
+    for A, B, kind, s in _value_sets(max(f), max(g)):
+        if A is not last:
+            last, h = A, tuple(A[x - 1] for x in f)
+        file_monomial(monos, kind, h + tuple(B[x - 1] for x in g), s)
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 

@@ -69,6 +69,7 @@ from .linear import (
 )
 from .mperm import (
     _scan_mperms,
+    block_word,
     lift_word,
     mperm_coproduct,
     mperm_product,
@@ -312,12 +313,8 @@ def verify_morphisms(t: _Tally, max_degree: int = 4, alpha_inj_degree: int = 5, 
     # surjectivity: the block-index word is an explicit preimage
     for n in range(1, max_degree + 1):
         for w in mpermutations(n):
-            word = [0] * n
-            for j, blk in enumerate(w, start=1):
-                for v in blk:
-                    word[v - 1] = j
-            word_t = tuple(word)
-            ok = is_surjection(word_t) and phi(word_t) == w
+            word = block_word(w)
+            ok = is_surjection(word) and phi(word) == w
             t.check_at(ok, "block-index preimage fails", "mperm", w)
 
     # on permutations the unweighted inclusion coincides with alpha

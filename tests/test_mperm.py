@@ -7,9 +7,10 @@ from __future__ import annotations
 import pytest
 
 from qtridend.grammar import parse_mperm, render_element, render_tensor2
-from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR
+from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR, Element
 from qtridend.mperm import (
     _scan_mperms,
+    block_word,
     is_mperm,
     lift_word,
     mperm_coproduct,
@@ -24,6 +25,7 @@ from qtridend.mperm import (
     restrict_blocks,
     std_m,
 )
+from qtridend.st import st_product
 from qtridend.words import surjections
 from reference import std_m_sequential
 
@@ -88,15 +90,43 @@ def test_middle_product_can_drop_size():
     assert mperm_size(w) == 1
 
 
+def _pairs(total: int):
+    """Every pair (B, D) of multipermutations of the given total size."""
+    for n in range(1, total):
+        for B in mpermutations(n):
+            for D in mpermutations(total - n):
+                yield B, D
+
+
 def test_fast_equals_oracle_small():
-    sizes = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    for qval in (None, 0, 1, 5):
-        for n, m in sizes:
-            for B in mpermutations(n):
-                for D in mpermutations(m):
-                    oracle = mperm_product_oracle(B, D, qval)
-                    for kind in (*KINDS, STAR):
-                        assert mperm_product(kind, B, D, qval) == oracle[kind]
+    # one past the plan's mperm_max = 5; each total reads one full scan
+    for total in range(2, 7):
+        scan = _scan_mperms(total)
+        for B, D in _pairs(total):
+            monos = scan[B, D]
+            for qval in (None, 0, 1, 5):
+                for kind in (*KINDS, STAR):
+                    oracle = Element.from_monomials("mperm", monos[kind], qval)
+                    assert mperm_product(kind, B, D, qval) == oracle, (B, D, qval, kind)
+
+
+def test_products_are_the_phi_image_of_st():
+    # mperm is the quotient of ST(q) under phi, and block_word is a preimage
+    images: dict = {}  # phi_element of each st word, built once
+
+    def image(fg):
+        for h in fg.terms:
+            if h not in images:
+                images[h] = phi_element(h)
+        return Element.sum("mperm", ((images[h], c) for h, c in fg.terms.items()))
+
+    for qval, max_total in ((None, 6), (0, 5), (1, 5), (5, 5)):
+        for total in range(2, max_total + 1):
+            for B, D in _pairs(total):
+                f, g = block_word(B), block_word(D)
+                for kind in (*KINDS, STAR):
+                    got = mperm_product(kind, B, D, qval)
+                    assert got == image(st_product(kind, f, g, qval)), (B, D, qval, kind)
 
 
 def test_pair_scan_equals_the_full_scan():
