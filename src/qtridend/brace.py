@@ -39,6 +39,7 @@ is one basis term, so each step is one basis object > e(x_(2)).
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations_with_replacement
 
 from .algebras import (
     AlgebraHandle,
@@ -139,15 +140,9 @@ def check_gvq(
 
 def _bound_sequences(n: int, m: int):
     """Nondecreasing 0 <= i1 <= j1 <= ... <= in <= jn <= m as pair lists."""
-    def grow(prefix, lo, left):
-        if left == 0:
-            yield prefix
-            return
-        for i in range(lo, m + 1):
-            for j in range(i, m + 1):
-                yield from grow(prefix + [(i, j)], j, left - 1)
-
-    yield from grow([], 0, n)
+    return (
+        list(zip(c[::2], c[1::2])) for c in combinations_with_replacement(range(m + 1), 2 * n)
+    )
 
 
 def brace_relation_check(

@@ -31,9 +31,8 @@ and W has size n+m-1.
 
 The brute-force route `_scan_mperms` enumerates every W of both sizes
 and files it under the pair (B, D) its two restrictions give; the
-per-pair oracle reads one bucket of the same scan, run on the one split
-at size(B).  Both routes file (W, r+s-l) q-monomials, which
-`Element.from_monomials` weighs.
+per-pair oracle reads its pair's bucket of the same scan.  Both routes
+file (W, r+s-l) q-monomials, which `Element.from_monomials` weighs.
 
 The coproduct splits the block sequence at every position and applies
 std_m to both sides.  The module is the "mperm" handle of
@@ -164,20 +163,18 @@ def mperm_product(kind: str, B: MPerm, D: MPerm, qval: int | None = None) -> Ele
     return _pair_cache[B, D, qval][kind]
 
 
-def _scan_mperms(total: int, at: int | None = None) -> dict:
+def _scan_mperms(total: int) -> dict:
     """Brute-force route: one pass over every multipermutation W of size
     total (window [n+1, total]) and of size total-1 (window [n, total-1]).
-    For each n, or only n = `at` when given, W is filed under (B, D) =
-    (W restricted to [n], std_m of W restricted to the window) when D keeps
-    all total-n window values, so the result maps every pair with
-    size(B) + size(D) = total (and size(B) = at) to the monomial lists of
-    its four products."""
+    For each n, W is filed under (B, D) = (W restricted to [n], std_m of W
+    restricted to the window) when D keeps all total-n window values, so
+    the result maps every pair with size(B) + size(D) = total to the
+    monomial lists of its four products."""
     buckets = defaultdict(lambda: {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []})
-    splits = range(1, total) if at is None else (at,)
     for size, shift in ((total, 0), (total - 1, 1)):
         for w in mpermutations(size):
             l = len(w)
-            for n in splits:
+            for n in range(1, total):
                 window = frozenset(range(n + 1 - shift, size + 1))
                 D = std_m(restrict_blocks(w, window))
                 if mperm_size(D) != total - n:
@@ -191,9 +188,8 @@ def _scan_mperms(total: int, at: int | None = None) -> dict:
 
 def mperm_product_oracle(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
     """All four products of B and D, read off the brute-force scan of every
-    multipermutation of both target sizes at its split size(B)."""
-    n = mperm_size(B)
-    monos = _scan_mperms(n + mperm_size(D), n)[B, D]
+    multipermutation of both target sizes."""
+    monos = _scan_mperms(mperm_size(B) + mperm_size(D))[B, D]
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 

@@ -15,8 +15,7 @@ The optimized route lists those value sets directly, once per (f, n+m),
 and tests that h k parks by comparing prefix counts: for every i,
 #{letters <= i} of h plus that of k must reach i.  The brute-force route
 is `st._scan_words` with park in place of std, over every parking
-function of length n+m; the per-pair oracle reads one bucket of it, run
-on the one split at len(f).
+function of length n+m; the per-pair oracle reads its pair's bucket.
 
 The coproduct admits at most one cut per j: take P = positions of letters
 <= j; the term f|_P (x) (f|_{P^c} - j) survives iff |P| = j and both
@@ -114,8 +113,8 @@ def pf_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
 
 def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
     """All four products of f and g, read off the brute-force scan of every
-    parking function of length n+m at its split len(f)."""
-    monos = _scan_words(len(f) + len(g), parking_functions, park, len(f))[f, g]
+    parking function of length n+m."""
+    monos = _scan_words(len(f) + len(g), parking_functions, park)[f, g]
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 

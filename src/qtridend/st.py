@@ -20,8 +20,8 @@ on the same value sets.
 The brute-force route `_scan_words` enumerates every word of length n+m
 and files each split h k under (std(h), std(k)), standardizing each
 distinct subword once; with park in place of std it is also the
-brute-force route for parking functions.  The per-pair oracle reads one
-bucket of the same scan, run on the one split at len(f).  Both routes
+brute-force route for parking functions.  The per-pair oracle reads its
+pair's bucket of the same scan.  Both routes
 file (word, overlap) q-monomials, which `Element.from_monomials` weighs.
 
 The coproduct cuts the image at j: Delta(f) = sum over j = 0..max(f) of
@@ -88,26 +88,23 @@ def _word_kind(hmax: int, kmax: int) -> str:
     return LEFT
 
 
-def _scan_words(total: int, enumerate_all, standardize, at: int | None = None) -> dict:
+def _scan_words(total: int, enumerate_all, standardize) -> dict:
     """Brute-force route for words: one pass over every word w of the given
-    length (surjections or parking functions).  Each split w = h k, or only
-    the split at position `at` when given, is filed under
-    (standardize(h), standardize(k)) with its kind and overlap, so the
-    result maps every pair (f, g) with len(f) + len(g) = total (and
-    len(f) = at) to the monomial lists of its four products.  A memo local
-    to the call reads each distinct subword u once, as (standardize(u),
-    max(u), letter-set bitmask); the overlap of a split is the popcount of
-    the masks' meet."""
+    length (surjections or parking functions).  Each split w = h k is filed
+    under (standardize(h), standardize(k)) with its kind and overlap, so the
+    result maps every pair (f, g) with len(f) + len(g) = total to the
+    monomial lists of its four products.  A memo local to the call reads
+    each distinct subword u once, as (standardize(u), max(u), letter-set
+    bitmask); the overlap of a split is the popcount of the masks' meet."""
     buckets = defaultdict(lambda: {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []})
     seen: dict = {}
-    splits = range(1, total) if at is None else (at,)
 
     def read(u: Word) -> tuple:
         seen[u] = out = (standardize(u), max(u), sum(1 << v for v in set(u)))
         return out
 
     for w in enumerate_all(total):
-        for i in splits:
+        for i in range(1, total):
             h, k = w[:i], w[i:]
             fh, mh, bh = seen.get(h) or read(h)
             fk, mk, bk = seen.get(k) or read(k)
@@ -117,8 +114,8 @@ def _scan_words(total: int, enumerate_all, standardize, at: int | None = None) -
 
 def st_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
     """All four products of f and g, read off the brute-force scan of every
-    surjective word of length n+m at its split len(f)."""
-    monos = _scan_words(len(f) + len(g), surjections, std, len(f))[f, g]
+    surjective word of length n+m."""
+    monos = _scan_words(len(f) + len(g), surjections, std)[f, g]
     return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
 
 

@@ -81,12 +81,7 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
 
 def _compositions(total: int, parts: int):
     """Weak compositions of total into parts parts, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    return (c for c in iproduct(range(total + 1), repeat=parts) if sum(c) == total)
 
 
 def _star(u: Tree, v: Tree, qval: int | None) -> Element:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 from .algebras import (
@@ -184,13 +184,8 @@ def _suite(name: str):
 
 
 def _degree_splits(budget: int, parts: int):
-    """Compositions of at most budget into the given number of parts."""
-    if parts == 1:
-        yield from ((n,) for n in range(1, budget + 1))
-        return
-    for first in range(1, budget - parts + 2):
-        for rest in _degree_splits(budget - first, parts - 1):
-            yield (first,) + rest
+    """Compositions of at most budget into the given number of parts, lex order."""
+    return (c for c in product(range(1, budget + 1), repeat=parts) if sum(c) <= budget)
 
 
 # ------------------------------------------------------------- axioms

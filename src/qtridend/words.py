@@ -15,6 +15,8 @@ Families enumerated here:
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .memo import enumeration
 
 Word = tuple[int, ...]
@@ -136,23 +138,12 @@ def parking_functions(n: int) -> tuple[Word, ...]:
 
 @enumeration
 def ndpf(n: int) -> tuple[Word, ...]:
-    if n == 0:
-        return ((),)
-    out: list[Word] = []
-
-    def grow(prefix: list[int]):
-        i = len(prefix)
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        lo = prefix[-1] if prefix else 1
-        for v in range(lo, i + 2):
-            prefix.append(v)
-            grow(prefix)
-            prefix.pop()
-
-    grow([])
-    return tuple(out)
+    """The nondecreasing parking functions of length n (f(i) <= i), in lexicographic order."""
+    return tuple(
+        f
+        for f in combinations_with_replacement(range(1, n + 1), n)
+        if all(v <= i for i, v in enumerate(f, start=1))
+    )
 
 
 def corestrict(w: Word, values) -> Word:

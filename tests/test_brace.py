@@ -19,6 +19,7 @@ from qtridend.algebras import (
     reduced_coproduct,
 )
 from qtridend.brace import (
+    _bound_sequences,
     _coefficient_rows,
     _etri_cache,
     brace,
@@ -76,6 +77,10 @@ def test_brace_identity_and_small_values():
 
 
 def test_brace_relation_grid():
+    # the nestings of one y into two z's, in the order the right side sums them
+    assert list(_bound_sequences(1, 2)) == [
+        [(0, 0)], [(0, 1)], [(0, 2)], [(1, 1)], [(1, 2)], [(2, 2)]
+    ]
     for n in (0, 1, 2):
         for m in (0, 1, 2):
             assert brace_relation_check(ST, G, [G] * n, [G] * m)

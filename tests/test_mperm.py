@@ -129,20 +129,6 @@ def test_products_are_the_phi_image_of_st():
                     assert got == image(st_product(kind, f, g, qval)), (B, D, qval, kind)
 
 
-def test_pair_scan_equals_the_full_scan():
-    # the scan of the one split at n, which the per-pair oracle reads, files
-    # the monomials of the full scan for each pair (B, D) with size(B) = n,
-    # in the same order
-    for total in range(2, 6):
-        scan = _scan_mperms(total)
-        for n in range(1, total):
-            one = _scan_mperms(total, n)
-            assert {mperm_size(B) for B, _ in one} == {n}
-            for B in mpermutations(n):
-                for D in mpermutations(total - n):
-                    assert one[B, D] == scan[B, D], (B, D)
-
-
 def test_worked_star_product():
     B = parse_mperm("[(1,3),(2)]")
     D = parse_mperm("[(2),(1)]")

@@ -71,21 +71,6 @@ def test_fast_equals_oracle_small():
                         assert st_product(kind, f, g, qval) == oracle[kind]
 
 
-def test_pair_scan_equals_the_full_scan():
-    # the scan of the one split at n, which the per-pair oracles read, files
-    # the monomials of the full scan for each pair (f, g) with len(f) = n,
-    # in the same order, for surjections and for parking functions
-    for enumerate_all, standardize in ((surjections, std), (parking_functions, park)):
-        for total in range(2, 6):
-            scan = _scan_words(total, enumerate_all, standardize)
-            for n in range(1, total):
-                one = _scan_words(total, enumerate_all, standardize, n)
-                assert {len(f) for f, _ in one} == {n}
-                for f in enumerate_all(n):
-                    for g in enumerate_all(total - n):
-                        assert one[f, g] == scan[f, g], (f, g)
-
-
 def test_word_scan_equals_the_memo_free_scan():
     # the subword memo changes no bucket and no monomial order
     for enumerate_all, standardize in ((surjections, std), (parking_functions, park)):

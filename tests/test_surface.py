@@ -1,12 +1,18 @@
 """Every family module is its own algebra handle: `get_algebra` returns the
 module, and each surface name is an alias of the module's own function.
 The perfbench tracer rebinds every module attribute that is a function it
-wraps, so an alias is traced together with the prefixed name."""
+wraps, so an alias is traced together with the prefixed name.  The
+package's export list is pinned here too, against its own source."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+from types import ModuleType
+
 import pytest
 
+import qtridend
 from qtridend import mperm, pqsym, st, trees
 from qtridend.algebras import ALGEBRA_NAMES, AlgebraHandle, get_algebra
 
@@ -49,3 +55,23 @@ def test_the_protocol_cannot_be_constructed_and_unknown_names_are_refused():
         AlgebraHandle()
     with pytest.raises(ValueError, match="unknown algebra 'nosuch'"):
         get_algebra("nosuch")
+
+
+def test_the_package_exports_what_its_imports_bind():
+    # __all__ is derived from the package's globals; its source, not a
+    # copied list, says what it must hold
+    tree = ast.parse(Path(qtridend.__file__).read_text())
+    bound = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    } | {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    public = {name for name in bound if not name.startswith("_")}
+    assert len(public) == 80
+    assert sorted(qtridend.__all__) == sorted(public)
+    namespace: dict = {}
+    exec("from qtridend import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == public
+    assert not any(isinstance(v, ModuleType) for v in namespace.values())

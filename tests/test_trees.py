@@ -7,6 +7,7 @@ from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR, UNIT, tensor_flatt
 from qtridend.qpoly import X
 from qtridend.trees import (
     LEAF,
+    _compositions,
     corolla,
     enumerate_trees,
     graft,
@@ -40,6 +41,10 @@ def test_tree_shape_helpers():
 def test_enumeration():
     assert [len(enumerate_trees(n)) for n in range(0, 6)] == [1, 1, 3, 11, 45, 197]
     assert tree_basis(2) == enumerate_trees(2)
+    # the child degrees of a root with r subtrees, in lex order
+    assert list(_compositions(2, 3)) == [
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)
+    ]
     for n in (1, 2, 3, 4):
         ts = enumerate_trees(n)
         assert len(set(ts)) == len(ts)

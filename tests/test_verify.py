@@ -12,6 +12,7 @@ from qtridend.grammar import parse_basis, parse_element, render_element
 from qtridend.linear import MIDDLE, STAR, Element
 from qtridend.verify import (
     DEFAULT_PLAN,
+    _degree_splits,
     SUITE_NAMES,
     build_plan,
     dims_report,
@@ -33,6 +34,11 @@ def _check_shape(report):
     assert report["checks"] > 0
     assert report["failures"] == []
     assert report["ok"] is True
+
+
+def test_degree_splits_walk_the_pairs_in_lex_order():
+    # the degree pairs and triples the axiom, bialgebra and morphism suites walk
+    assert list(_degree_splits(4, 2)) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 
 
 def test_golden_suite():

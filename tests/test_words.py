@@ -80,7 +80,7 @@ def test_predicates():
 def test_enumeration_counts():
     assert [len(surjections(n)) for n in range(1, 6)] == [1, 3, 13, 75, 541]
     assert [len(parking_functions(n)) for n in range(1, 6)] == [1, 3, 16, 125, 1296]
-    assert [len(ndpf(n)) for n in range(1, 6)] == [1, 2, 5, 14, 42]
+    assert [len(ndpf(n)) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
 
 
 def test_enumeration_order_and_content():
