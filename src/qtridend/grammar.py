@@ -5,9 +5,11 @@ Grammar summary:
   * words: (2,1,3)
   * trees: | for a leaf, V(t1,...,tr) for a graft
   * multipermutations: [(1,4,6),(2,7),(3,5)]; singleton blocks may be
-    bare integers on input, canonical output parenthesizes every block
+    bare integers on input, no block repeats a value, canonical output
+    parenthesizes every block
   * elements: q-monomial-scaled basis terms joined by + and -, the unit
-    spelled 1, e.g.  3*q^2*(1,2,1) + (2,1,1) + q*1
+    spelled 1, e.g.  3*q^2*(1,2,1) + (2,1,1) + q*1; the zero is 0, and
+    blank text is refused
   * rank-2 tensors: terms  coeff*left # right  with ' # ' the separator.
 Numbers are ASCII digits, and the items of a literal are separated by
 one comma each; spaces may surround numbers, commas and brackets.
@@ -17,11 +19,11 @@ exponents descending inside one basis term.  Parsing encodes each term's
 coefficient at q = X (or at q = qval when given), and rendering reads its
 digits (`qpoly.digits`) unless a qval says the coefficients are plain
 values.  Each render decodes and formats each distinct coefficient of
-its output once, into a table made for that call (`_PerCoefficient`):
-a term is its coefficient's signed prefix (`qpoly.term_prefix` behind a
-" + " or " - ") and its basis text, the terms are joined in one pass
-and the first separator fixed, and the JSON forms read `to_pairs` the
-same way.  Nothing of it outlives the call.  The memo `_text_cache`
+its output once, into a plain dict made for that call: a term is its
+coefficient's signed prefix (`qpoly.term_prefix` behind a " + " or
+" - ") and its basis text, the terms are joined in one pass and the
+first separator fixed, and the JSON forms read `to_pairs` the same way.
+Nothing of it outlives the call.  The memo `_text_cache`
 renders each basis object once, and the memo `_term_cache` parses each
 term text once: keyed by the family and the term as the client wrote
 it, it holds the q-free (c, e, object), so the sign and the encoding
@@ -84,22 +86,6 @@ def _sorted_tensor(t: Tensor2) -> list:
     return sorted(terms, key=itemgetter(0))
 
 
-class _PerCoefficient(dict):
-    """coeff -> form(coeff), computed the first time the coefficient is
-    read.  Each render makes its own table, so every distinct coefficient
-    of one output is decoded once and nothing outlives the call."""
-
-    __slots__ = ("form",)
-
-    def __init__(self, form):
-        super().__init__()
-        self.form = form
-
-    def __missing__(self, coeff):
-        value = self[coeff] = self.form(coeff)
-        return value
-
-
 def _signed(prefix: str) -> str:
     """The separator and prefix that a term puts before its basis text
     when another term precedes it: " + 3*q*" or " - "."""
@@ -107,12 +93,13 @@ def _signed(prefix: str) -> str:
 
 
 def _join_terms(terms, qval: int | None) -> str:
-    """Render (text, coeff) terms in the given order, exponents descending
+    """Render a list of (text, coeff) terms in its order, exponents descending
     inside one term; 0 when there are none.  Every term is joined with its
     separator, and the first separator is fixed afterwards."""
-    prefixes = _PerCoefficient(
-        lambda coeff: [_signed(term_prefix(c, e)) for e, c in reversed(digits(coeff, qval))]
-    )
+    prefixes = {
+        coeff: [_signed(term_prefix(c, e)) for e, c in reversed(digits(coeff, qval))]
+        for coeff in {coeff for _, coeff in terms}
+    }
     out = "".join([p + text for text, coeff in terms for p in prefixes[coeff]])
     if not out:
         return "0"
@@ -129,7 +116,7 @@ def render_element(el: Element, qval: int | None = None) -> str:
 
 
 def render_tensor2(t: Tensor2, qval: int | None = None) -> str:
-    return _join_terms(((f"{l} # {r}", c) for (l, r), c in _sorted_tensor(t)), qval)
+    return _join_terms([(f"{l} # {r}", c) for (l, r), c in _sorted_tensor(t)], qval)
 
 
 # ---------------------------------------------------------------- parsing
@@ -190,10 +177,12 @@ def parse_mperm(text: str):
         raise ValueError("empty multipermutation")
     if not _MPERM_RE.fullmatch(text):
         raise ValueError(f"bad multipermutation literal: {text!r}")
-    return tuple(
-        frozenset(int(v) for v in (inner or bare).split(","))
-        for inner, bare in _BLOCK_RE.findall(text)
-    )
+    blocks = [
+        [int(v) for v in (inner or bare).split(",")] for inner, bare in _BLOCK_RE.findall(text)
+    ]
+    if any(len(set(b)) < len(b) for b in blocks):
+        raise ValueError(f"repeated value in a block of {text!r}")
+    return tuple(map(frozenset, blocks))
 
 
 def parse_basis(family: str, text: str):
@@ -234,8 +223,11 @@ def _split(text: str, seps: str) -> list[tuple[str | None, str]]:
 
 def _split_top(text: str) -> list[tuple[str, str]]:
     """Split on +/- at bracket depth 0 that does not follow a ^; returns
-    (sign, chunk) pairs.  Only a leading sign may have no term before it."""
+    (sign, chunk) pairs.  Only a leading sign may have no term before it,
+    and text with no term at all is refused: the zero is written 0."""
     (_, head), *rest = _split(text, "+-")
+    if not (head or rest):
+        raise ValueError("empty element; the zero is written 0")
     if not all(chunk for _, chunk in rest):
         raise ValueError(f"empty term in {text!r}")
     return ([("+", head)] if head else []) + rest
@@ -323,25 +315,27 @@ def parse_tensor2(family: str, text: str, qval: int | None = None) -> Tensor2:
     return Tensor2.sum(family, parts)
 
 
-def _json_pairs(qval: int | None):
+def _json_pairs(coeffs, qval: int | None):
     """coeff -> its JSON pairs, read through `to_pairs` once per distinct
-    coefficient of one output; each term gets lists of its own."""
-    table = _PerCoefficient(lambda coeff: to_pairs(coeff, qval))
+    coefficient of coeffs; each read gets lists of its own."""
+    table = {coeff: to_pairs(coeff, qval) for coeff in set(coeffs)}
     return lambda coeff: [pair[:] for pair in table[coeff]]
 
 
 def element_to_json(el: Element, qval: int | None = None) -> dict:
-    pairs = _json_pairs(qval)
+    terms = _sorted_element(el)
+    pairs = _json_pairs([el.unit, *(c for _, c in terms)], qval)
     return {
         "algebra": el.family,
-        "terms": [{"basis": text, "coeff": pairs(c)} for text, c in _sorted_element(el)],
+        "terms": [{"basis": text, "coeff": pairs(c)} for text, c in terms],
         "unit": pairs(el.unit),
     }
 
 
 def tensor2_to_json(t: Tensor2, qval: int | None = None) -> dict:
-    pairs = _json_pairs(qval)
+    terms = _sorted_tensor(t)
+    pairs = _json_pairs((c for _, c in terms), qval)
     return {
         "algebra": t.family,
-        "terms": [{"left": l, "right": r, "coeff": pairs(c)} for (l, r), c in _sorted_tensor(t)],
+        "terms": [{"left": l, "right": r, "coeff": pairs(c)} for (l, r), c in terms],
     }

@@ -8,10 +8,13 @@ with max(k).
 
 Since Park preserves std, every admissible h is std(f) pushed along an
 increasing injection into [n+m], and Park fixes the gaps of that
-injection: with d_1 < ... < d_a the values of f, Park(h) = f iff each gap
-A_j - A_{j-1} of the value set A of h equals d_j - d_{j-1}, or is at
-least that when d_j is one more than the number of letters of f below it.
-The optimized route lists those value sets directly, once per (f, n+m),
+injection: with d_1 < ... < d_a the values of f and A_1 < ... < A_a
+the value set of h in [N], N = n+m, Park(h) = f iff the offsets
+A_j - d_j are nondecreasing in [0, N - d_a] and change only at a free
+gap, where d_j is one more than the number of letters of f below it
+(d_1 = 1 counts as free).  So the value sets are one nondecreasing offset
+per run of fixed gaps, `combinations_with_replacement(range(N - d_a + 1),
+runs)` in lex order.  The optimized route lists them once per (f, N),
 and tests that h k parks by comparing prefix counts: for every i,
 #{letters <= i} of h plus that of k must reach i.  The brute-force route
 is `st._scan_words` with park in place of std, over every parking
@@ -33,7 +36,7 @@ coproducts and candidates are kept in `memo.Memo`s.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 
 from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
 from .memo import Memo
@@ -45,38 +48,25 @@ graded = True
 
 
 def _candidates(f: Word, N: int) -> tuple:
-    """Every word h on [N] with park(h) = f, listed by the gaps of its value
-    set A_1 < ... < A_a, each as (h, value-set bitmask, max(h), prefix
-    counts packed into `_field_width(N)`-bit fields, field i - 1 holding
-    #{letters <= i})."""
+    """Every word h on [N] with park(h) = f, listed by the offsets of its
+    value set, each as (h, value-set bitmask, max(h), prefix counts packed
+    into `_field_width(N)`-bit fields, field i - 1 holding #{letters <= i})."""
     u = std(f)
     d = sorted(set(f))
     mult = [f.count(x) for x in d]
-    below = [sum(mult[:j]) for j in range(len(d))]
+    # run[j]: the number of free gaps up to value d_j, d_1 = 1 counting as one
+    run = list(accumulate(x > below for x, below in zip(d, accumulate(mult, initial=0))))
     w = _field_width(N)
     # ones[x]: the prefix counts of the one-letter word (x), a 1 in fields x - 1 on
     ones = [0] * (N + 2)
     for x in range(N, 0, -1):
         ones[x] = ones[x + 1] | 1 << (w * (x - 1))
     out = []
-
-    def grow(A: list):
-        j = len(A)
-        if j == len(d):
-            h = tuple(A[x - 1] for x in u)
-            mask = sum(1 << x for x in A)
-            pre = sum(c * ones[x] for c, x in zip(mult, A))
-            out.append((h, mask, A[-1], pre))
-            return
-        lo = A[-1] + d[j] - d[j - 1]
-        hi = lo if d[j] <= below[j] else N - d[-1] + d[j]
-        for v in range(lo, hi + 1):
-            A.append(v)
-            grow(A)
-            A.pop()
-
-    for first in range(1, N - d[-1] + 2):
-        grow([first])
+    for offsets in combinations_with_replacement(range(N - d[-1] + 1), run[-1]):
+        A = [x + offsets[r - 1] for x, r in zip(d, run)]
+        h = tuple(A[x - 1] for x in u)
+        pre = sum(c * ones[x] for c, x in zip(mult, A))
+        out.append((h, sum(1 << x for x in A), A[-1], pre))
     return tuple(out)
 
 

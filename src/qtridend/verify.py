@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
 
 from .algebras import (
@@ -188,6 +188,12 @@ def _degree_splits(budget: int, parts: int):
     return (c for c in product(range(1, budget + 1), repeat=parts) if sum(c) <= budget)
 
 
+def _tuples(basis, budget: int, parts: int):
+    """Every tuple of one object of basis(n) per degree n of a split, split
+    by split of `_degree_splits(budget, parts)`, each in product order."""
+    return chain.from_iterable(product(*map(basis, c)) for c in _degree_splits(budget, parts))
+
+
 # ------------------------------------------------------------- axioms
 
 _RELATIONS = (
@@ -207,20 +213,14 @@ def verify_axioms(t: _Tally, algebra: str, max_total_degree: int, qval=None) -> 
     """All seven defining relations plus associativity of the total
     product, on every ordered basis triple within the degree budget."""
     h = get_algebra(algebra)
-    for n1, n2, n3 in _degree_splits(max_total_degree, 3):
-        b1, b2, b3 = h.basis(n1), h.basis(n2), h.basis(n3)
-        for x in b1:
-            a = Element.basis(algebra, x)
-            for y in b2:
-                b = Element.basis(algebra, y)
-                for z in b3:
-                    c = Element.basis(algebra, z)
-                    for name, (inner_l, outer_l), (outer_r, inner_r) in _RELATIONS:
-                        ab = el_product(h, inner_l, a, b, qval)
-                        bc = el_product(h, inner_r, b, c, qval)
-                        lhs = el_product(h, outer_l, ab, c, qval)
-                        rhs = el_product(h, outer_r, a, bc, qval)
-                        t.check_at(lhs == rhs, f"{name} fails", algebra, a=x, b=y, c=z)
+    for x, y, z in _tuples(h.basis, max_total_degree, 3):
+        a, b, c = (Element.basis(algebra, o) for o in (x, y, z))
+        for name, (inner_l, outer_l), (outer_r, inner_r) in _RELATIONS:
+            ab = el_product(h, inner_l, a, b, qval)
+            bc = el_product(h, inner_r, b, c, qval)
+            lhs = el_product(h, outer_l, ab, c, qval)
+            rhs = el_product(h, outer_r, a, bc, qval)
+            t.check_at(lhs == rhs, f"{name} fails", algebra, a=x, b=y, c=z)
 
 
 # ---------------------------------------------------------- bialgebra
@@ -243,19 +243,16 @@ def verify_bialgebra(
         "Delta(1) != 1 (x) 1",
     )
     cop = lambda o: h.coproduct(o, qval)
-    for n in range(1, max_coassoc_degree + 1):
-        for x in h.basis(n):
-            d = cop(x)
-            ex = Element.basis(algebra, x)
-            t.check_at(d.counit("left") == ex, "left counit law fails", algebra, x)
-            t.check_at(d.counit("right") == ex, "right counit law fails", algebra, x)
-            t.check_at(is_coassociative(d, cop), "coassociativity fails", algebra, x)
+    for (x,) in _tuples(h.basis, max_coassoc_degree, 1):
+        d = cop(x)
+        ex = Element.basis(algebra, x)
+        t.check_at(d.counit("left") == ex, "left counit law fails", algebra, x)
+        t.check_at(d.counit("right") == ex, "right counit law fails", algebra, x)
+        t.check_at(is_coassociative(d, cop), "coassociativity fails", algebra, x)
     mismatch = [f"Delta(x {kind} y) mismatch" for kind in KINDS]
-    for n1, n2 in _degree_splits(max_pair_degree, 2):
-        for x in h.basis(n1):
-            for y in h.basis(n2):
-                for msg, holds in zip(mismatch, compat_holds(h, x, y, qval)):
-                    t.check_at(holds, msg, algebra, x=x, y=y)
+    for x, y in _tuples(h.basis, max_pair_degree, 2):
+        for msg, holds in zip(mismatch, compat_holds(h, x, y, qval)):
+            t.check_at(holds, msg, algebra, x=x, y=y)
 
 
 # ---------------------------------------------------------- morphisms
@@ -277,46 +274,34 @@ def verify_morphisms(t: _Tally, max_degree: int = 4, alpha_inj_degree: int = 5, 
     st_h = get_algebra("st")
     pq_h = get_algebra("pqsym")
     mm_h = get_algebra("mperm")
-    for n1, n2 in _degree_splits(max_degree, 2):
-        for f in surjections(n1):
-            af = alpha(f)
-            pf = phi_element(f)
-            for g in surjections(n2):
-                ag = alpha(g)
-                pg = phi_element(g)
-                for kind in KINDS:
-                    fg = st_product(kind, f, g, qval)
-                    ok = _map_element(fg, alpha, "pqsym") == el_product(pq_h, kind, af, ag, qval)
-                    t.check_at(ok, f"alpha does not respect {kind}", "st", f=f, g=g)
-                    ok = _map_element(fg, phi_element, "mperm") == el_product(mm_h, kind, pf, pg, qval)
-                    t.check_at(ok, f"phi does not respect {kind}", "st", f=f, g=g)
-    for n in range(1, max_degree + 1):
-        for f in surjections(n):
-            d, af, pf = st_coproduct(f), alpha(f), phi_element(f)
-            ok = d.map_slots(alpha, alpha, "pqsym") == el_coproduct(pq_h, af, qval)
-            t.check_at(ok, "alpha does not respect Delta", "st", f)
-            ok = d.map_slots(phi_element, phi_element, "mperm") == el_coproduct(mm_h, pf, qval)
-            t.check_at(ok, "phi does not respect Delta", "st", f)
+    maps = (("alpha", alpha, pq_h), ("phi", phi_element, mm_h))
+    for f, g in _tuples(st_h.basis, max_degree, 2):
+        for kind in KINDS:
+            fg = st_product(kind, f, g, qval)
+            for name, fn, h in maps:
+                ok = _map_element(fg, fn, h.name) == el_product(h, kind, fn(f), fn(g), qval)
+                t.check_at(ok, f"{name} does not respect {kind}", "st", f=f, g=g)
+    for (f,) in _tuples(st_h.basis, max_degree, 1):
+        d = st_coproduct(f)
+        for name, fn, h in maps:
+            ok = d.map_slots(fn, fn, h.name) == el_coproduct(h, fn(f), qval)
+            t.check_at(ok, f"{name} does not respect Delta", "st", f)
 
     # injectivity: images have disjoint supports, each marked by f itself
-    for n in range(1, alpha_inj_degree + 1):
-        for f in surjections(n):
-            sup = set(alpha(f).terms)
-            ok = f in sup and all(std(hw) == f for hw in sup)
-            t.check_at(ok, "alpha image is not marked by its source", "st", f)
+    for (f,) in _tuples(st_h.basis, alpha_inj_degree, 1):
+        sup = set(alpha(f).terms)
+        ok = f in sup and all(std(hw) == f for hw in sup)
+        t.check_at(ok, "alpha image is not marked by its source", "st", f)
 
     # surjectivity: the block-index word is an explicit preimage
-    for n in range(1, max_degree + 1):
-        for w in mpermutations(n):
-            word = block_word(w)
-            ok = is_surjection(word) and phi(word) == w
-            t.check_at(ok, "block-index preimage fails", "mperm", w)
+    for (w,) in _tuples(mm_h.basis, max_degree, 1):
+        word = block_word(w)
+        ok = is_surjection(word) and phi(word) == w
+        t.check_at(ok, "block-index preimage fails", "mperm", w)
 
     # on permutations the unweighted inclusion coincides with alpha
-    for n in range(1, max_degree + 1):
-        for f in surjections(n):
-            if max(f) != len(f):
-                continue
+    for (f,) in _tuples(st_h.basis, max_degree, 1):
+        if max(f) == len(f):
             t.check_at(iota(f) == alpha(f), "iota and alpha disagree", "st", f)
 
     # expected failure: iota is not a coalgebra morphism at (1,1,2)
@@ -408,19 +393,15 @@ def verify_brace(t: _Tally, max_degree: int = 4, qs=(0, 1, 5), qval=None) -> Non
         not_alternating = f"{name}: projector disagrees with alternating sum"
         not_reconstructed = f"{name}: reconstruction fails"
         not_killed = f"{name}: projector does not kill y > z"
-        for n in range(1, max_degree + 1):
-            for o in h.basis(n):
-                x = Element.basis(name, o)
-                e = e_tri_basis(h, o, qval)
-                t.check_at(e_tri(h, e, qval) == e, not_idempotent, name, o)
-                t.check_at(e_tri_oracle(h, x, qval) == e, not_alternating, name, o)
-                t.check_at(reconstruct(h, x, qval) == x, not_reconstructed, name, o)
-        for n1, n2 in _degree_splits(max_degree, 2):
-            for y in h.basis(n1):
-                ey = Element.basis(name, y)
-                for z in h.basis(n2):
-                    prod = el_product(h, RIGHT, ey, Element.basis(name, z), qval)
-                    t.check_at(e_tri(h, prod, qval).is_zero(), not_killed, name, y=y, z=z)
+        for (o,) in _tuples(h.basis, max_degree, 1):
+            x = Element.basis(name, o)
+            e = e_tri_basis(h, o, qval)
+            t.check_at(e_tri(h, e, qval) == e, not_idempotent, name, o)
+            t.check_at(e_tri_oracle(h, x, qval) == e, not_alternating, name, o)
+            t.check_at(reconstruct(h, x, qval) == x, not_reconstructed, name, o)
+        for y, z in _tuples(h.basis, max_degree, 2):
+            prod = el_product(h, RIGHT, Element.basis(name, y), Element.basis(name, z), qval)
+            t.check_at(e_tri(h, prod, qval).is_zero(), not_killed, name, y=y, z=z)
         gen = Element.basis(name, h.basis(1)[0])
         for n in range(3):
             for m in range(3):
@@ -441,19 +422,14 @@ def verify_brace(t: _Tally, max_degree: int = 4, qs=(0, 1, 5), qval=None) -> Non
             f"{name}: omega coproduct identity fails on three generators",
         )
         for q in qs:
-            kernels = {
-                n: primitive_kernel_basis(h, n, q)
-                for n in range(1, max_degree)
-            }
+            kernels = {n: primitive_kernel_basis(h, n, q) for n in range(1, max_degree)}
             not_dot = f"{name}: primitives not closed under . (q={q})"
             not_brace = f"{name}: primitives not closed under brace (q={q})"
-            for n1, n2 in _degree_splits(max_degree, 2):
-                for p in kernels[n1]:
-                    for r in kernels[n2]:
-                        dot = el_product(h, MIDDLE, p, r, q)
-                        t.check_at(is_primitive(h, dot, q), not_dot, name, p=p, r=r)
-                        br = brace(h, p, [r], q)
-                        t.check_at(is_primitive(h, br, q), not_brace, name, p=p, r=r)
+            for p, r in _tuples(kernels.__getitem__, max_degree, 2):
+                dot = el_product(h, MIDDLE, p, r, q)
+                t.check_at(is_primitive(h, dot, q), not_dot, name, p=p, r=r)
+                br = brace(h, p, [r], q)
+                t.check_at(is_primitive(h, br, q), not_brace, name, p=p, r=r)
 
     # pinned instances in the surjective-word and tree algebras
     st_h = get_algebra("st")

@@ -238,6 +238,30 @@ def test_malformed_mperm_literal_is_named_in_the_grammar(capsys, literal):
     assert err == f"error: bad multipermutation literal: {literal!r}\n"
 
 
+@pytest.mark.parametrize("literal", ["[(1,1)]", "[(1,1,2)]"])
+def test_a_value_repeated_in_an_mperm_block_exits_two(capsys, literal):
+    code, out, err = run(capsys, "eval", "--algebra", "mperm", "--op", "left", literal, "[(1)]")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: repeated value in a block of {literal!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--algebra", "st", "--op", "left", "", "(1)"),
+        ("eval", "--algebra", "mperm", "--op", "star", "[(1)]", "   "),
+        ("coproduct", "--algebra", "pqsym", " "),
+        ("brace", "--algebra", "tree", "V(|,|)", ""),
+    ],
+)
+def test_blank_element_text_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: empty element; the zero is written 0\n"
+
+
 @pytest.mark.parametrize(
     "algebra, text, message",
     [

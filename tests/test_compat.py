@@ -18,14 +18,11 @@ from qtridend.algebras import (
     get_algebra,
 )
 from qtridend.linear import KINDS, MIDDLE, Element
-from qtridend.verify import _degree_splits, verify_bialgebra
+from qtridend.verify import _tuples, verify_bialgebra
 
 
 def _pairs(h, budget: int):
-    for n1, n2 in _degree_splits(budget, 2):
-        for x in h.basis(n1):
-            for y in h.basis(n2):
-                yield x, y
+    return _tuples(h.basis, budget, 2)
 
 
 def _compared(h, x, y, qval) -> list:

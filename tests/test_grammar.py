@@ -55,6 +55,25 @@ def test_parse_mperm():
         parse_mperm("[]")
 
 
+@pytest.mark.parametrize("text", ["[(1,1)]", "[(1,1,2)]", "[(2), ( 1 , 3 , 1 )]"])
+def test_parse_mperm_refuses_a_value_repeated_in_a_block(text):
+    # the block is not folded to a set: [(1,1)] is not [(1)]
+    message = f"repeated value in a block of {text.strip()!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_mperm(text)
+
+
+@pytest.mark.parametrize("family", ALGEBRA_NAMES)
+@pytest.mark.parametrize("text", ["", "   ", " \t\n"])
+def test_blank_text_is_refused_and_0_stays_the_zero(family, text):
+    for parse in (parse_element, parse_tensor2):
+        for qval in (None, 1):
+            with pytest.raises(ValueError, match="^empty element; the zero is written 0$"):
+                parse(family, text, qval)
+    assert parse_element(family, " 0 ").is_zero()
+    assert parse_tensor2(family, " 0 ").is_zero()
+
+
 def test_parse_basis_validates():
     assert parse_basis("st", "(2,1,2)") == (2, 1, 2)
     with pytest.raises(ValueError):
@@ -202,6 +221,8 @@ _REFUSALS = [
     ("st", "(1,x) + (1)", "bad word literal: '(1,x)'"),
     ("pqsym", "2*(3,1)", "not a parking function: (3,1)"),
     ("st", "q^x*(1)", "bad q factor 'q^x'"),
+    ("st", "  ", "empty element; the zero is written 0"),
+    ("mperm", "[(1,1,2)]", "repeated value in a block of '[(1,1,2)]'"),
     (
         "st",
         "9223372036854775808*(1)",

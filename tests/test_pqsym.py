@@ -13,6 +13,7 @@ from qtridend.grammar import render_element, render_tensor2
 from qtridend.linear import KINDS, LEFT, MIDDLE, RIGHT, STAR, UNIT, Element
 from qtridend.pqsym import (
     _candidates,
+    _field_width,
     alpha,
     iota,
     pf_basis,
@@ -58,18 +59,25 @@ def test_worked_products():
 
 
 def test_candidates_are_the_words_that_parkize_to_f():
-    # the gap rule lists exactly what the brute-force filter keeps
+    # the offset rule lists exactly what the brute-force filter keeps, in the
+    # lex order of the value sets, each with its mask, max and prefix counts
     for n in range(1, 6):
         for f in pf_basis(n):
             u = std(f)
             for N in range(n, n + 5):
-                brute = set()
+                brute = []
                 for vals in combinations(range(1, N + 1), max(u)):
                     h = tuple(vals[x - 1] for x in u)
                     if park(h) == f:
-                        brute.add(h)
-                listed = [c[0] for c in _candidates(f, N)]
-                assert len(listed) == len(brute) and set(listed) == brute, (f, N)
+                        brute.append(h)
+                cands = _candidates(f, N)
+                assert [c[0] for c in cands] == brute, (f, N)
+                w = _field_width(N)
+                for h, mask, top, pre in cands:
+                    assert mask == sum(1 << x for x in set(h)), (f, N, h)
+                    assert top == max(h), (f, N, h)
+                    counts = [sum(x <= i for x in h) for i in range(1, N + 1)]
+                    assert pre == sum(c << (w * i) for i, c in enumerate(counts)), (f, N, h)
 
 
 def test_fast_equals_oracle_small():

@@ -2,11 +2,13 @@
 module, and each surface name is an alias of the module's own function.
 The perfbench tracer rebinds every module attribute that is a function it
 wraps, so an alias is traced together with the prefixed name.  The
-package's export list is pinned here too, against its own source."""
+package's export list is pinned here too, against its own source and
+against what the benchmark scripts read from it."""
 
 from __future__ import annotations
 
 import ast
+import pkgutil
 from pathlib import Path
 from types import ModuleType
 
@@ -75,3 +77,22 @@ def test_the_package_exports_what_its_imports_bind():
     del namespace["__builtins__"]
     assert set(namespace) == public
     assert not any(isinstance(v, ModuleType) for v in namespace.values())
+
+
+def test_the_benchmark_reads_only_exports_and_submodules():
+    # the perfbench scripts reach the package as `qt`; a name they read that
+    # leaves __all__ would break a benchmark pass, not a test
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    read = set()
+    for script in ("workloads.py", "worker.py", "pin_session.py"):
+        tree = ast.parse((perfbench / script).read_text())
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "qt"
+        }
+    submodules = {m.name for m in pkgutil.iter_modules(qtridend.__path__)}
+    assert {"get_algebra", "parse_element", "primitive_rank", "verify"} <= read
+    assert read - {"__file__"} - submodules <= set(qtridend.__all__)

@@ -13,6 +13,7 @@ from qtridend.linear import MIDDLE, STAR, Element
 from qtridend.verify import (
     DEFAULT_PLAN,
     _degree_splits,
+    _tuples,
     SUITE_NAMES,
     build_plan,
     dims_report,
@@ -39,6 +40,19 @@ def _check_shape(report):
 def test_degree_splits_walk_the_pairs_in_lex_order():
     # the degree pairs and triples the axiom, bialgebra and morphism suites walk
     assert list(_degree_splits(4, 2)) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+    # _tuples walks them split by split, each split in product order
+    a, two = (1,), [(1, 1), (1, 2), (2, 1)]
+    singles = [(a,)] + [(x,) for x in two] + [(f,) for f in st.basis(3)]
+    assert list(_tuples(st.basis, 3, 1)) == singles
+    assert list(_tuples(st.basis, 3, 2)) == [(a, a)] + [(a, x) for x in two] + [(x, a) for x in two]
+    assert list(_tuples(st.basis, 4, 3)) == (
+        [(a, a, a)] + [(a, a, x) for x in two] + [(a, x, a) for x in two] + [(x, a, a) for x in two]
+    )
+    # a dict basis, as the brace suite walks its kernels; degree 3 is never read
+    kernels = {1: ["p"], 2: ["r", "s"]}
+    pairs = [("p", "p"), ("p", "r"), ("p", "s"), ("r", "p"), ("s", "p")]
+    assert list(_tuples(kernels.__getitem__, 3, 2)) == pairs
+    assert list(_tuples(kernels.__getitem__, 1, 2)) == []
 
 
 def test_golden_suite():
