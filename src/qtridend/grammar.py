@@ -293,10 +293,22 @@ def parse_element(family: str, text: str, qval: int | None = None) -> Element:
     return filed_element(family, file_terms({}, _encoded_terms(family, text, qval, _parse_term)))
 
 
+def _zero_term(family: str, chunk: str) -> bool:
+    """Whether chunk parses as a term with coefficient 0, as `0` or `0*(1)`.
+    It is read past the memo, so a refused chunk leaves the memo as it was."""
+    try:
+        return _term_cache.compute(family, chunk)[0] == 0
+    except ValueError:
+        return False
+
+
 def _tensor_term(family: str, chunk: str) -> tuple:
-    """One tensor term coeff*left # right -> (c, e, (left, right))."""
+    """One tensor term coeff*left # right -> (c, e, (left, right)); a term
+    with coefficient 0 needs no separator, as in `parse_element`."""
     if " # " not in chunk:
-        raise ValueError(f"tensor term without separator: {chunk!r}")
+        if not _zero_term(family, chunk):
+            raise ValueError(f"tensor term without separator: {chunk!r}")
+        return 0, 0, (UNIT, UNIT)
     lpart, rpart = chunk.split(" # ", 1)
     c, e, left = _parse_term(family, lpart.strip())
     rtext = rpart.strip()
@@ -306,8 +318,6 @@ def _tensor_term(family: str, chunk: str) -> tuple:
 
 def parse_tensor2(family: str, text: str, qval: int | None = None) -> Tensor2:
     """The Tensor2 of text, with q = qval unless qval is None."""
-    if text.strip() == "0":
-        return Tensor2(family)
     parts = (
         ((Element.slot(family, left), Element.slot(family, right)), c)
         for (left, right), c in _encoded_terms(family, text, qval, _tensor_term)

@@ -38,20 +38,23 @@ filter (`_nonzero`, which keeps the dict itself when nothing cancelled)
 and one Element.  `Element.sum`, `bilinear_extend`, `Tensor2.sum`
 and `sum_terms` are built on them, and `+`, `-` and `scale` go through
 `Element.sum`; `algebras`, `brace` and `grammar` file into the same
-dicts and hold no summing loop of their own.  Rank-3 flattening,
-(Delta (x) Id) t or (Id (x) Delta) t, files straight into one dict
-(`_flatten_into`), so `is_coassociative` files both sides into the same
-dict.
+dicts and hold no summing loop of their own.  `is_coassociative` files
+(Delta (x) Id) t and -(Id (x) Delta) t into one rank-3 dict in one pass
+over the terms of t, so neither side is built on its own;
+`tensor_flatten` builds one side.
 
 Elements and tensors are immutable once built, so they are shared, never
 copied: the module caches hand out their results as they are, and
 `bilinear_extend` and `el_coproduct` of a lone basis term (coefficient 1,
 no unit) return the cached basis result itself.  Only the constructors
-here write `.terms` or `.unit` (`tests/test_layering.py`).  The family
-kernels hand over q-monomials (obj, e), filed by `file_monomial`, and
-`from_monomials` sums q^e over them: the shared X^e of `qpoly.X_POWERS`,
-or qval**e when specialized.  Only this module and `qpoly` branch on
-qval.
+here write `.terms` or `.unit` (`tests/test_layering.py`).  The st and
+pqsym product kernels reach every output word once, so they hand over
+{word: e} per kind and `kind_products` makes each term q^e with no sum.
+The brute-force scans and mperm's kernel reach a word more than once:
+they hand over q-monomials (obj, e), filed by `file_monomial`, and
+`from_monomials` sums q^e over them.  Either way q^e is the shared X^e
+of `qpoly.X_POWERS`, or qval**e when specialized.  Only this module and
+`qpoly` branch on qval.
 """
 
 from __future__ import annotations
@@ -111,6 +114,24 @@ def _monomial_terms(monomials, qval: int | None) -> dict:
         c = get(k)
         raw[k] = xp[e] if c is None else c + xp[e]
     return raw
+
+
+def kind_products(family: str, exponents: dict, qval: int | None) -> dict:
+    """The four products of one basis pair, kind -> Element, from
+    exponents, which maps each kind to {obj: e}: q^e * obj under STAR,
+    LEFT and RIGHT, q^(e - 1) * obj under MIDDLE (STAR = < + q. + >).
+    Within a kind every obj comes once, so nothing is summed: each term
+    is q^e itself, the shared X^e or qval**e, and only a specialization
+    can drop one (q = 0)."""
+    out, xp = {}, X_POWERS
+    for kind, exps in exponents.items():
+        s = kind == MIDDLE
+        if qval is None:
+            terms = {o: xp[e - s] for o, e in exps.items()}
+        else:
+            terms = _nonzero({o: qval ** (e - s) for o, e in exps.items()})
+        out[kind] = _element(family, terms)
+    return out
 
 
 def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
@@ -432,23 +453,6 @@ def tensor_of(a: Element, b: Element) -> Tensor2:
 _DELTA_UNIT = {(UNIT, UNIT): 1}
 
 
-def _flatten_into(raw: dict, t: Tensor2, side: str, coproduct: Callable, sign: int) -> dict:
-    """Add sign * (Delta (x) Id) t for side 'left', sign * (Id (x) Delta) t
-    for side 'right', into raw key by key; a key whose sum cancels maps to
-    0.  Returns raw."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    left, get = side == "left", raw.get
-    for (l, r), c in t.terms.items():
-        c *= sign
-        target = l if left else r
-        delta = _DELTA_UNIT if target is UNIT else coproduct(target).terms
-        for (u, v), cc in delta.items():
-            k = (u, v, r) if left else (l, u, v)
-            raw[k] = get(k, 0) + cc * c
-    return raw
-
-
 def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
     """Apply the coproduct to one leg of every term; rank-3 result.
 
@@ -456,12 +460,30 @@ def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
     coproduct maps a basis object to a Tensor2; Delta(1) = 1 (x) 1.
     Returns a plain dict (slot, slot, slot) -> int coefficient.
     """
-    return _nonzero(_flatten_into({}, t, side, coproduct, 1))
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    left, raw = side == "left", {}
+    for (l, r), c in t.terms.items():
+        target = l if left else r
+        delta = _DELTA_UNIT if target is UNIT else coproduct(target).terms
+        for (u, v), cc in delta.items():
+            k = (u, v, r) if left else (l, u, v)
+            raw[k] = raw.get(k, 0) + cc * c
+    return _nonzero(raw)
 
 
 def is_coassociative(t: Tensor2, coproduct: Callable) -> bool:
-    """Whether (Delta (x) Id) t == (Id (x) Delta) t.  Both sides are filed
-    into one dict, the right one negated, and every sum must vanish, so
-    neither side is built on its own."""
-    raw = _flatten_into({}, t, "left", coproduct, 1)
-    return not any(_flatten_into(raw, t, "right", coproduct, -1).values())
+    """Whether (Delta (x) Id) t == (Id (x) Delta) t.  One pass over the
+    terms c * l (x) r files c * Delta(l) (x) r and -c * l (x) Delta(r)
+    into one dict, and every sum must vanish, so neither side is built
+    on its own."""
+    raw: dict = {}
+    get = raw.get
+    for (l, r), c in t.terms.items():
+        for (u, v), cc in (_DELTA_UNIT if l is UNIT else coproduct(l).terms).items():
+            k = (u, v, r)
+            raw[k] = get(k, 0) + cc * c
+        for (u, v), cc in (_DELTA_UNIT if r is UNIT else coproduct(r).terms).items():
+            k = (l, u, v)
+            raw[k] = get(k, 0) - cc * c
+    return not any(raw.values())

@@ -10,10 +10,17 @@ and, in `grammar`, the text of each basis object rendered and the
 parsed (c, e, object) of each term text parsed.  The last is keyed by
 client text, so its size follows the input; like the others it is
 bounded only by `clear_caches`.
+
+Memo data is acyclic: keys and values are tuples, frozensets, ints and
+Elements, which hold only those.  So a verify suite, which allocates
+little else, runs with the cyclic collector paused (`collector_paused`):
+its collections would only walk the growing memos and free nothing.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from functools import lru_cache
 
 CACHES: list = []
@@ -43,3 +50,17 @@ def enumeration(fn):
     cached = lru_cache(maxsize=None)(fn)
     CACHES.append(cached)
     return cached
+
+
+@contextmanager
+def collector_paused():
+    """Run the block with the cyclic garbage collector disabled, then
+    restore its previous state, also when the block raises.  Reference
+    counting still frees everything acyclic at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

@@ -16,15 +16,19 @@ gap, where d_j is one more than the number of letters of f below it
 per run of fixed gaps, `combinations_with_replacement(range(N - d_a + 1),
 runs)` in lex order.  The optimized route lists them once per (f, N),
 and tests that h k parks by comparing prefix counts: for every i,
-#{letters <= i} of h plus that of k must reach i.  The brute-force route
-is `st._scan_words` with park in place of std, over every parking
-function of length n+m; the per-pair oracle reads its pair's bucket.
+#{letters <= i} of h plus that of k must reach i.  The candidates are
+distinct words, so each h k comes once: the route collects {h k:
+overlap} per kind and `linear.kind_products` weighs it without a sum.
+The brute-force route is `st._scan_words` with park in place of std,
+over every parking function of length n+m, filing q-monomials; the
+per-pair oracle reads its pair's bucket.
 
 The coproduct admits at most one cut per j: take P = positions of letters
 <= j; the term f|_P (x) (f|_{P^c} - j) survives iff |P| = j and both
 factors are parking functions.  The count alone decides: when |P| = j,
 for i <= j, #{f|_P <= i} = #{f <= i} >= i, and for i <= n - j,
 #{f|_{P^c} - j <= i} = #{f <= j + i} - j >= i, so both factors park.
+The kernel builds the tensor as {(left, right): 1}.
 
 alpha embeds the surjection algebra by sending f to the sum of parking
 functions whose standardization is f; iota is the plain inclusion (an
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, combinations_with_replacement
 
-from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
+from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, kind_products
 from .memo import Memo
 from .st import _scan_words, _word_kind
 from .words import Word, is_parking, is_surjection, park, parking_functions, render_word, std
@@ -88,13 +92,17 @@ def _pair_cache(f: Word, g: Word, qval: int | None) -> dict:
     top = sum(1 << (w * i + w - 1) for i in range(N))
     offset = top - sum(i << (w * (i - 1)) for i in range(1, N + 1))
     ks = _cand_cache[g, N]
-    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
+    # {h k: overlap} under STAR and the kind: the candidates are distinct
+    # words of fixed lengths, so each h k comes once
+    exps = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
+    star = exps[STAR]
     for h, hmask, hmax, hpre in _cand_cache[f, N]:
         hpre += offset
         for k, kmask, kmax, kpre in ks:
             if (hpre + kpre) & top == top:
-                file_monomial(monos, _word_kind(hmax, kmax), h + k, (hmask & kmask).bit_count())
-    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
+                w = h + k
+                exps[_word_kind(hmax, kmax)][w] = star[w] = (hmask & kmask).bit_count()
+    return kind_products(FAMILY, exps, qval)
 
 
 def pf_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
@@ -110,14 +118,15 @@ def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
 
 @Memo
 def _cop_cache(*f: int) -> Tensor2:
-    """The positional cuts of f; the Memo key f arrives as its letters.
-    With u = sorted(f), #{f <= j} = j iff u[j] > j, as u[j - 1] <= j."""
+    """The positional cuts of f, one per j, each term 1; the Memo key f
+    arrives as its letters.  With u = sorted(f), #{f <= j} = j iff
+    u[j] > j, as u[j - 1] <= j."""
     u = sorted(f)
-    terms = [((UNIT, f), 0), ((f, UNIT), 0)]
+    terms = {(UNIT, f): 1, (f, UNIT): 1}
     for j in range(1, len(f)):
         if u[j] > j:
-            terms.append(((tuple(x for x in f if x <= j), tuple(x - j for x in f if x > j)), 0))
-    return Tensor2.from_monomials(FAMILY, terms)
+            terms[tuple(x for x in f if x <= j), tuple(x - j for x in f if x > j)] = 1
+    return Tensor2(FAMILY, terms)
 
 
 def pf_coproduct(f: Word, qval: int | None = None) -> Tensor2:

@@ -21,14 +21,18 @@ The brute-force route `_scan_words` enumerates every word of length n+m
 and files each split h k under (std(h), std(k)), standardizing each
 distinct subword once; with park in place of std it is also the
 brute-force route for parking functions.  The per-pair oracle reads its
-pair's bucket of the same scan.  Both routes
-file (word, overlap) q-monomials, which `Element.from_monomials` weighs.
+pair's bucket of the same scan.  The scan reaches a word once per split,
+so it files (word, overlap) q-monomials, which `Element.from_monomials`
+sums; the optimized route reaches each h k once, as (A, B) -> h k is
+injective, so it collects {h k: overlap} per kind and
+`linear.kind_products` weighs each word by q^overlap without a sum.
 
 The coproduct cuts the image at j: Delta(f) = sum over j = 0..max(f) of
 f|^{1..j} (x) std(f|^{j+1..max}), with co-restriction by letter values.
 Since f is surjective, the letters <= j are exactly 1..j and the letters
 > j exactly j+1..max(f), so the left factor is already standard and std
-of the right one is a shift by j: the kernel filters f twice per cut.
+of the right one is a shift by j: the kernel filters f twice per cut, and
+builds the tensor as {(left, right): 1}, since the cuts are distinct.
 
 The module is the "st" handle of `algebras.get_algebra`; products and
 coproducts are kept in `memo.Memo`s.
@@ -39,7 +43,8 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations
 
-from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
+from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
+from .linear import file_monomial, kind_products
 from .memo import Memo
 from .words import Word, is_surjection, std, surjections
 
@@ -65,14 +70,18 @@ def _value_sets(a: int, b: int):
 
 @Memo
 def _pair_cache(f: Word, g: Word, qval: int | None) -> dict:
-    """All four products of basis surjections f, g."""
-    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
+    """All four products of basis surjections f, g, from {h k: overlap}
+    under STAR and under the kind; (A, B) -> h k is injective, so each
+    word comes once."""
+    exps = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
+    star = exps[STAR]
     last = None
     for A, B, kind, s in _value_sets(max(f), max(g)):
         if A is not last:
             last, h = A, tuple(A[x - 1] for x in f)
-        file_monomial(monos, kind, h + tuple(B[x - 1] for x in g), s)
-    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
+        w = h + tuple(B[x - 1] for x in g)
+        exps[kind][w] = star[w] = s
+    return kind_products(FAMILY, exps, qval)
 
 
 def st_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
@@ -122,11 +131,12 @@ def st_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
 @Memo
 def _cop_cache(*f: int) -> Tensor2:
     """Image-cut coproduct including both boundary terms, two letter filters
-    per cut; the Memo key f arrives as its letters."""
-    terms = [((UNIT, f), 0), ((f, UNIT), 0)]
+    per cut; the cuts have distinct left legs, so each term is 1.  The Memo
+    key f arrives as its letters."""
+    terms = {(UNIT, f): 1, (f, UNIT): 1}
     for j in range(1, max(f)):
-        terms.append(((tuple(v for v in f if v <= j), tuple(v - j for v in f if v > j)), 0))
-    return Tensor2.from_monomials(FAMILY, terms)
+        terms[tuple(v for v in f if v <= j), tuple(v - j for v in f if v > j)] = 1
+    return Tensor2(FAMILY, terms)
 
 
 def st_coproduct(f: Word, qval: int | None = None) -> Tensor2:

@@ -10,9 +10,10 @@ registered by `_suite`, which builds its report: params are the call's
 arguments with defaults, qval as q and tuples as lists.  A failure names
 its witnesses in the input grammar, for `qtridend eval`: basis objects
 by `render_basis`, Elements by `render_element` at the suite's q, as in
-`<message> at (1,2)` or `<message> at p=(1,2) - (2,1) r=(1)`.  run_plan
-executes a list of (suite, kwargs) tasks, optionally across a process
-pool, and keeps the plan order in the output.  All suites are
+`<message> at (1,2)` or `<message> at p=(1,2) - (2,1) r=(1)`.  run_task
+runs one (suite, kwargs) task with the cyclic collector paused
+(`memo.collector_paused`); run_plan executes a list of them, optionally
+across a process pool, and keeps the plan order in the output.  All suites are
 deterministic: bases are enumerated in a fixed order and every check is
 an exact equality of Elements, tensors, or integers.
 """
@@ -67,6 +68,7 @@ from .linear import (
     is_coassociative,
     tensor_of,
 )
+from .memo import collector_paused
 from .mperm import (
     _scan_mperms,
     block_word,
@@ -730,7 +732,8 @@ def run_task(task) -> dict:
     suite, kwargs = task
     fn = _SUITES[suite]
     t0 = time.perf_counter()
-    report = fn(**kwargs)
+    with collector_paused():
+        report = fn(**kwargs)
     report["elapsed_s"] = round(time.perf_counter() - t0, 3)
     return report
 

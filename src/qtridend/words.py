@@ -4,6 +4,10 @@ A word is a plain tuple of ints >= 1.  Positions are 1-based in every
 function that takes position sets, matching the usual combinatorial
 conventions; the empty word is the empty tuple and is never a basis object.
 
+The enumerators grow their words level by level, with no recursive
+closure, so an enumeration leaves no reference cycle behind for the
+cyclic collector (which the verify suites pause, `memo.collector_paused`).
+
 Families enumerated here:
   * surjections ST_n: words of length n whose letter set is exactly
     {1..max} (packed words),
@@ -69,71 +73,45 @@ def is_surjection(w: Word) -> bool:
 def surjections(n: int) -> tuple[Word, ...]:
     """All surjective words of length n, in lexicographic order.
 
-    Grows position by position, tracking the number of holes (values
-    below the running max not used yet); a prefix survives iff the
-    remaining positions can still fill every hole.
+    Grows the words a position at a time, each level in lex order, as
+    (prefix, top, holes) with holes the values below the running max top
+    not used yet; with k positions left after the new letter, a prefix
+    survives iff they can still fill every hole.
     """
-    if n == 0:
-        return ((),)
-    out: list[Word] = []
-    used: set[int] = set()
-
-    def grow(prefix: list[int], top: int, holes: int):
-        k = n - len(prefix)
-        if k == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(1, top + k - holes + 1):
-            if v <= top:
-                h2 = holes - (0 if v in used else 1)
-                t2 = top
-            else:
-                h2 = holes + (v - top - 1)
-                t2 = v
-            if h2 > k - 1:
-                continue
-            fresh = v not in used
-            if fresh:
-                used.add(v)
-            prefix.append(v)
-            grow(prefix, t2, h2)
-            prefix.pop()
-            if fresh:
-                used.remove(v)
-    grow([], 0, 0)
-    return tuple(out)
+    level = [((), 0, 0)]
+    for k in reversed(range(n)):
+        nxt = []
+        for w, top, holes in level:
+            for v in range(1, top + k + 2 - holes):
+                h = holes - (v not in w) if v <= top else holes + v - top - 1
+                if h <= k:
+                    nxt.append((w + (v,), max(top, v), h))
+        level = nxt
+    return tuple(w for w, _, _ in level)
 
 
 @enumeration
 def parking_functions(n: int) -> tuple[Word, ...]:
     """All parking functions of length n, in lexicographic order.
 
-    Grows position by position; with k positions left, a prefix survives
-    iff #{letters <= i} + k >= i for every i, since the best the remaining
+    Grows the words a position at a time, each level in lex order; with
+    k positions left, the new one included, a prefix survives iff
+    #{letters <= i} + k >= i for every i, since the best the remaining
     letters can do is all be 1.  So a letter v may follow iff every i < v
     already has #{letters <= i} >= i - k + 1.
     """
-    out: list[Word] = []
-    count = [0] * (n + 1)
-
-    def grow(prefix: list[int]):
-        k = n - len(prefix)
-        if k == 0:
-            out.append(tuple(prefix))
-            return
-        below = 0
-        for v in range(1, n + 1):
-            prefix.append(v)
-            count[v] += 1
-            grow(prefix)
-            count[v] -= 1
-            prefix.pop()
-            below += count[v]
-            if below < v - k + 1:
-                break
-
-    grow([])
-    return tuple(out)
+    level = [()]
+    for k in range(n, 0, -1):
+        nxt = []
+        for w in level:
+            below = 0
+            for v in range(1, n + 1):
+                nxt.append(w + (v,))
+                below += w.count(v)
+                if below < v - k + 1:
+                    break
+        level = nxt
+    return tuple(level)
 
 
 @enumeration

@@ -1,13 +1,18 @@
 """clear_caches empties every memo of the package, so a long-lived process
 can bound its memory, and results recomputed afterwards are unchanged.
 Every memo registers itself: the registry is exactly what a scan of the
-modules finds."""
+modules finds.  The verify suites run with the cyclic collector paused,
+which is safe because they make no reference cycles."""
 
 from __future__ import annotations
 
+import gc
 import sys
 
+import pytest
+
 import qtridend
+from qtridend import verify
 from qtridend.algebras import ALGEBRA_NAMES, el_product, get_algebra
 from qtridend.brace import e_tri_basis, reconstruct
 from qtridend.grammar import parse_element, render_element
@@ -53,3 +58,50 @@ def test_clear_caches_empties_every_cache_and_keeps_results():
     assert [n for n, c in dicts if c] == []
     assert [n for n, f in lrus if f.cache_info().currsize] == []
     assert _small_run() == first
+
+
+@pytest.fixture
+def restore_collector():
+    """Put the collector back as it was once the test ends."""
+    enabled = gc.isenabled()
+    yield
+    gc.enable() if enabled else gc.disable()
+
+
+@pytest.mark.parametrize("qval", [None, 1])
+@pytest.mark.parametrize(
+    "entry",
+    range(len(verify.DEFAULT_PLAN)),
+    ids=[" ".join(filter(None, (name, kw.get("algebra")))) for name, kw in verify.DEFAULT_PLAN],
+)
+def test_no_plan_entry_makes_cyclic_garbage(restore_collector, entry, qval):
+    # from cold caches, as every cache fills with enumerator calls and new
+    # memo entries; anything a suite leaves for the collector would be kept
+    # for the whole suite while it is paused
+    name, kwargs = verify.build_plan(max_degree=5, qval=qval)[entry]
+    gc.disable()
+    gc.collect()
+    qtridend.clear_caches()
+    assert verify.run_task((name, kwargs))["ok"]
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_task_pauses_the_collector_and_restores_it(restore_collector, monkeypatch, enabled):
+    seen = []
+
+    def probe():
+        seen.append(gc.isenabled())
+        return {}
+
+    def raises():
+        raise RuntimeError("planted")
+
+    monkeypatch.setitem(verify._SUITES, "probe", probe)
+    monkeypatch.setitem(verify._SUITES, "raises", raises)
+    gc.enable() if enabled else gc.disable()
+    verify.run_task(("probe", {}))
+    assert seen == [False] and gc.isenabled() is enabled
+    with pytest.raises(RuntimeError, match="planted"):
+        verify.run_task(("raises", {}))
+    assert gc.isenabled() is enabled

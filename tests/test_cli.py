@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from qtridend.algebras import el_coproduct, get_algebra
 from qtridend.cli import main
+from qtridend.grammar import parse_element, parse_tensor2
 
 
 def run(capsys, *argv):
@@ -76,6 +78,17 @@ def test_coproduct(capsys):
     code, out, _ = run(capsys, "coproduct", "--algebra", "st", "(1,2,1)")
     assert code == 0
     assert out.strip() == "(1,1) # (1) + (1,2,1) # 1 + 1 # (1,2,1)"
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "0 + (1,2,1)", "(1) - 0*(1,1) + 2*q*(2,1)"])
+def test_coproduct_text_reads_back_as_a_tensor(capsys, text):
+    # the CLI takes no tensor text; its tensor output, the zero included,
+    # must parse back to the tensor it printed
+    code, out, _ = run(capsys, "coproduct", "--algebra", "st", text)
+    assert code == 0
+    want = el_coproduct(get_algebra("st"), parse_element("st", text))
+    assert parse_tensor2("st", out.strip()) == want
+    assert parse_tensor2("st", f"0 + {out.strip()} - 0") == want
 
 
 def test_coproduct_json(capsys):

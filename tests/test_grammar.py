@@ -74,6 +74,27 @@ def test_blank_text_is_refused_and_0_stays_the_zero(family, text):
     assert parse_tensor2(family, " 0 ").is_zero()
 
 
+@pytest.mark.parametrize("family", ALGEBRA_NAMES)
+def test_parse_tensor2_takes_a_zero_term_where_parse_element_does(family):
+    x = get_algebra(family).basis(2)[0]
+    pair = f"{render_basis(family, x)} # 1"
+    for qval in (None, 0, 1):
+        for zero in ("0", "-0", " - 0 ", "0*q^2", "3*0"):
+            assert parse_element(family, zero, qval).is_zero()
+            assert parse_tensor2(family, zero, qval).is_zero()
+        want = parse_tensor2(family, pair, qval)
+        assert parse_tensor2(family, f"0 + {pair}", qval) == want
+        assert parse_tensor2(family, f"{pair} - 0", qval) == want
+        assert parse_tensor2(family, f"-0 + {pair} + 0*q", qval) == want
+
+
+@pytest.mark.parametrize("text", ["(1)", "3", "q", "0 + (1)", "(1,3)"])
+def test_parse_tensor2_still_needs_a_separator_in_a_nonzero_term(text):
+    chunk = text.split("+")[-1].strip()
+    with pytest.raises(ValueError, match=f"^tensor term without separator: {re.escape(repr(chunk))}$"):
+        parse_tensor2("st", text)
+
+
 def test_parse_basis_validates():
     assert parse_basis("st", "(2,1,2)") == (2, 1, 2)
     with pytest.raises(ValueError):

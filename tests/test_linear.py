@@ -19,6 +19,7 @@ from qtridend.linear import (
     Element,
     Tensor2,
     bilinear_extend,
+    is_coassociative,
     tensor_flatten,
     tensor_of,
 )
@@ -334,3 +335,46 @@ def test_parse_render_round_trip(family):
     for _ in range(50):
         x = _random_element(rng, family)
         assert parse_element(family, render_element(x)) == x
+
+
+def _dropping(h, x, cut):
+    """h's coproduct with the one term cut of Delta(x) dropped."""
+    bad = Tensor2(h.name, {k: c for k, c in h.coproduct(x).terms.items() if k != cut})
+    return lambda o: bad if o == x else h.coproduct(o)
+
+
+def _sides_agree(t, cop) -> bool:
+    return tensor_flatten(t, "left", cop) == tensor_flatten(t, "right", cop)
+
+
+@pytest.mark.parametrize("name", ["st", "pqsym"])
+def test_one_pass_coassociativity_agrees_with_the_flattened_sides(name):
+    # dropping one of the cuts of Delta(x) breaks coassociativity exactly
+    # when another cut is left: with none, Delta(x) = 1 (x) x + x (x) 1 is
+    # coassociative again
+    h = get_algebra(name)
+    cop = h.coproduct
+    faults = 0
+    for n in range(1, 6):
+        for x in h.basis(n):
+            assert is_coassociative(cop(x), cop) and _sides_agree(cop(x), cop), x
+            cuts = list(cop(x).interior().terms)
+            for cut in cuts:
+                bad = _dropping(h, x, cut)
+                holds = is_coassociative(bad(x), bad)
+                assert holds == _sides_agree(bad(x), bad) == (len(cuts) == 1), (x, cut)
+                faults += not holds
+    assert faults > 1000
+
+
+def test_coassociativity_sees_a_dropped_or_doubled_cut():
+    h = get_algebra("st")
+    x, cut = (1, 2, 3), ((1,), (1, 2))
+    bad = _dropping(h, x, cut)
+    assert not is_coassociative(bad(x), bad)
+    doubled = Tensor2(F, {**h.coproduct(x).terms, cut: 2})
+    assert not is_coassociative(doubled, lambda o: doubled if o == x else h.coproduct(o))
+    # coefficients other than 1, and a unit leg inside a tensor
+    assert is_coassociative(h.coproduct(x).scale(3), h.coproduct)
+    t = tensor_of(el((1,)) + Element.unit_element(F), el((1, 2)).scale(2))
+    assert not is_coassociative(t, h.coproduct) and not _sides_agree(t, h.coproduct)
