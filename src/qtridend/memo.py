@@ -11,10 +11,11 @@ parsed (c, e, object) of each term text parsed.  The last is keyed by
 client text, so its size follows the input; like the others it is
 bounded only by `clear_caches`.
 
-Memo data is acyclic: keys and values are tuples, frozensets, ints and
-Elements, which hold only those.  So a verify suite, which allocates
-little else, runs with the cyclic collector paused (`collector_paused`):
-its collections would only walk the growing memos and free nothing.
+Memo data is acyclic: keys and values are strings, ints, tuples,
+frozensets and dicts of them, and Elements and tensors built from those.
+So a verify suite, which allocates little else, runs with the cyclic
+collector paused (`collector_paused`): its collections would only walk
+the growing memos and free nothing.
 """
 
 from __future__ import annotations
