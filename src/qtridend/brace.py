@@ -169,9 +169,12 @@ def brace_relation_check(
 
 def _file_steps(raw: dict, h: AlgebraHandle, qval: int | None, obj, head, sign: int) -> Element:
     """File sign * c * head(x_(1)) > e(x_(2)) into raw over the terms
-    c x_(1) (x) x_(2) of the reduced coproduct of obj, skipping those with
-    e(x_(2)) = 0, and return the Element of raw."""
-    for (o1, o2), c in reduced_coproduct(h, obj, qval).terms.items():
+    c x_(1) (x) x_(2) of the reduced coproduct of obj, read off the
+    coproduct by skipping its unit legs, and skipping those with
+    e(x_(2)) = 0; return the Element of raw."""
+    for (o1, o2), c in h.coproduct(obj, qval).terms.items():
+        if o1 is UNIT or o2 is UNIT:
+            continue
         e2 = e_tri_basis(h, o2, qval)
         if not e2.is_zero():
             file_product(raw, h, RIGHT, head(o1), e2, sign * c, qval)
@@ -256,7 +259,7 @@ def reconstruct(h: AlgebraHandle, x: Element, qval: int | None = None) -> Elemen
 def is_primitive(h: AlgebraHandle, x: Element, qval: int | None = None) -> bool:
     """Whether the reduced coproduct of x vanishes: every term of Delta(x)
     has a unit leg."""
-    return el_coproduct(h, x, qval).interior().is_zero()
+    return all(l is UNIT or r is UNIT for l, r in el_coproduct(h, x, qval).terms)
 
 
 def omega_coproduct_check(

@@ -4,10 +4,13 @@ A multipermutation of size n is an ordered set partition of [n] none of
 whose blocks contains two consecutive integers; it is stored as a tuple
 of frozensets.  Sizes 1..5 count 1, 2, 8, 44, 308.
 
-std_m relabels the support onto an initial segment and then repeatedly
-deletes, in simultaneous passes, every i+1 that shares a block with i,
-relabelling after each pass until a fixpoint.  Block minima are never
-deleted, so the block count is preserved.
+std_m walks the support in increasing order, keeps a value only when its
+block differs from the block of the next smaller value, and relabels the
+kept values 1, 2, ... in order.  This is the fixpoint of deleting every
+i+1 that shares a block with i and relabelling, reached in one pass: a
+deleted value lies in the block of the nearest kept value below it, so
+the kept values never put two values of one block next to each other.
+Block minima are never deleted, so the block count is preserved.
 
 The product of B (size n, r blocks) and D (size m, s blocks) sums over
 multipermutations W of size n+m or n+m-1 with W restricted to [n] equal
@@ -35,8 +38,9 @@ per-pair oracle reads its pair's bucket of the same scan.  Both routes
 file (W, r+s-l) q-monomials, which `Element.from_monomials` weighs.
 
 The coproduct splits the block sequence at every position and applies
-std_m to both sides.  The module is the "mperm" handle of
-`algebras.get_algebra`; products and coproducts are kept in `memo.Memo`s.
+std_m to both sides, each split a distinct term of coefficient 1.  The
+module is the "mperm" handle of `algebras.get_algebra`; products and
+coproducts are kept in `memo.Memo`s.
 """
 
 from __future__ import annotations
@@ -74,22 +78,23 @@ def is_mperm(w) -> bool:
 
 
 def std_m(blocks) -> MPerm:
-    """Relabel to an initial segment, delete cohabiting successors, repeat."""
+    """Relabel the support 1, 2, ... in order, keeping only the values whose
+    block differs from the block of the next smaller value."""
     bs = [frozenset(b) for b in blocks]
     if not bs or not all(bs):
         raise ValueError("std_m needs a sequence of non-empty blocks")
-    while True:
-        support = sorted(set().union(*bs))
-        if len(set().union(*bs)) != sum(len(b) for b in bs):
-            raise ValueError("blocks are not disjoint")
-        rank = {v: i + 1 for i, v in enumerate(support)}
-        bs = [frozenset(rank[v] for v in b) for b in bs]
-        dele = {v + 1 for b in bs for v in b if v + 1 in b}
-        if not dele:
-            return tuple(bs)
-        bs = [frozenset(v for v in b if v not in dele) for b in bs]
-        if not all(bs):
-            raise RuntimeError("a block lost its minimum to successor deletion")
+    owner = {v: j for j, b in enumerate(bs) for v in b}
+    if len(owner) != sum(map(len, bs)):
+        raise ValueError("blocks are not disjoint")
+    out: list[list] = [[] for _ in bs]
+    label, prev = 0, None
+    for v in sorted(owner):
+        j = owner[v]
+        if j != prev:
+            label += 1
+            out[j].append(label)
+            prev = j
+    return tuple(map(frozenset, out))
 
 
 @enumeration
@@ -195,15 +200,16 @@ def mperm_product_oracle(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
 
 @Memo
 def _cop_cache(*B: frozenset) -> Tensor2:
-    """Every split of the blocks of B, each side standardized; the Memo
-    key B arrives as its blocks."""
+    """Every split of the blocks of B, each side standardized; the left
+    side of split i has i blocks, so the splits are distinct and each term
+    is 1.  The Memo key B arrives as its blocks."""
     l = len(B)
-    terms = []
+    terms = {}
     for i in range(l + 1):
         left = UNIT if i == 0 else std_m(B[:i])
         right = UNIT if i == l else std_m(B[i:])
-        terms.append(((left, right), 0))
-    return Tensor2.from_monomials(FAMILY, terms)
+        terms[left, right] = 1
+    return Tensor2(FAMILY, terms)
 
 
 def mperm_coproduct(B: MPerm, qval: int | None = None) -> Tensor2:

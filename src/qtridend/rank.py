@@ -18,6 +18,20 @@ lift fails (p divides a minor the elimination needs, or an RREF entry is
 too large to reconstruct), the second prime is tried, then Fraction
 elimination, which alone builds a dense matrix: it is the exact fallback
 and the reference the tests compare against.
+
+Two orders keep the fill down, and neither changes a result:
+
+- `_rref_mod` takes its rows shortest first, then rightmost leading
+  column first.  The RREF of a matrix is unique, so the pivots and the
+  kernel basis do not depend on the row order.
+- `rational_rank` eliminates the columns in ascending nonzero count.
+  Permuting the columns keeps the rank, and the certificate holds for
+  any column order.  The order is applied as each row is reduced, so no
+  permuted copy of the matrix is built.  `rational_nullspace` keeps the
+  columns as given, since its RREF kernel basis is its output.
+
+The check M.v = 0 runs over the rows once for the whole basis, which is
+indexed by column, so no transposed copy of the matrix is built either.
 """
 
 from __future__ import annotations
@@ -33,65 +47,78 @@ class NotCertified(ArithmeticError):
 
 
 def rational_rank(rows: list[dict], ncols: int) -> int:
-    """Rank over Q: the column count minus the certified nullity."""
-    return ncols - len(_nullspace(rows, ncols))
+    """Rank over Q: the column count minus the certified nullity, with the
+    columns eliminated in ascending nonzero count (any order certifies)."""
+    counts = [0] * ncols
+    for row in rows:
+        for j in row:
+            counts[j] += 1
+    return ncols - len(_nullspace(rows, ncols, sorted(range(ncols), key=counts.__getitem__)))
 
 
 def rational_nullspace(rows: list[dict], ncols: int) -> list[dict]:
     """Basis of the right kernel: the reduced row echelon kernel basis, one
     vector per free column, each scaled to integer entries with content 1
     and a positive entry on its free column."""
-    return _nullspace(rows, ncols)
+    return _nullspace(rows, ncols, range(ncols))
 
 
 # rational_rank calls this, not rational_nullspace, so that each elimination
 # is one call of exactly one of the two public routines
-def _nullspace(rows: list[dict], ncols: int) -> list[dict]:
+def _nullspace(rows: list[dict], ncols: int, order) -> list[dict]:
     for p in PRIMES:
         try:
-            return modular_nullspace(rows, ncols, p)
+            return modular_nullspace(rows, ncols, p, order)
         except NotCertified:
             pass
     return fraction_nullspace(rows, ncols)
 
 
-def modular_nullspace(rows: list[dict], ncols: int, p: int) -> list[dict]:
-    """The kernel basis found mod p, lifted and checked exactly; raises
-    NotCertified when it does not lift."""
-    pivots = _rref_mod(rows, ncols, p)
+def modular_nullspace(rows: list[dict], ncols: int, p: int, order=None) -> list[dict]:
+    """A kernel basis found mod p, lifted and checked exactly; raises
+    NotCertified when it does not lift.  The columns are eliminated in
+    order (the given order when None), so the basis is the RREF kernel
+    basis of the matrix with its columns in that order, each vector keyed
+    by the original columns."""
+    order = range(ncols) if order is None else order
+    at = [0] * ncols
+    for i, j in enumerate(order):
+        at[j] = i
+    pivots = _rref_mod(rows, ncols, p, at)
     bound = isqrt(p // 2)
-    kernel = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    kernel = {f: {order[f]: 1} for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
         for f, x in row.items():
             if f != c:
-                kernel[f][c] = _lift(p - x, p, bound)
-    columns: list[list] = [[] for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            columns[j].append((i, x))
-    basis = []
-    for v in kernel.values():
-        v = _primitive(v)
+                kernel[f][order[c]] = _lift(p - x, p, bound)
+    basis = [_primitive(v) for v in kernel.values()]
+    entries: dict = {}  # column -> [(index of a basis vector, its entry there)]
+    for t, v in enumerate(basis):
+        for j, x in v.items():
+            entries.setdefault(j, []).append((t, x))
+    for row in rows:
         image: dict = {}
-        for j, vj in v.items():
-            for i, x in columns[j]:
-                image[i] = image.get(i, 0) + x * vj
+        for j, x in row.items():
+            for t, y in entries.get(j, ()):
+                image[t] = image.get(t, 0) + x * y
         if any(image.values()):
             raise NotCertified(f"a kernel vector lifted from mod {p} fails M.v = 0")
-        basis.append(v)
     return basis
 
 
-def _rref_mod(rows: list[dict], ncols: int, p: int) -> dict:
+def _rref_mod(rows: list[dict], ncols: int, p: int, at) -> dict:
     """Reduced row echelon form mod p as {pivot column: row}, each row 1 at
-    its pivot and 0 at every other pivot column.
+    its pivot and 0 at every other pivot column, of the matrix whose column
+    at[j] is column j of rows.
 
     Each row is reduced by its leading entry against the pivots so far, so
     the pivots are the leftmost ones, as in column-by-column elimination.
+    The rows come shortest first, then rightmost leading column (of rows)
+    first, so that early pivots are sparse and reduce few later rows.
     """
     pivots: dict = {}
-    for row in sorted(rows, key=len):
-        r = {j: x % p for j, x in row.items() if x % p}
+    for row in sorted(filter(None, rows), key=lambda r: (len(r), -min(r))):
+        r = {at[j]: x % p for j, x in row.items() if x % p}
         while r:
             c = min(r)
             prow = pivots.get(c)

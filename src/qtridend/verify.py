@@ -244,7 +244,9 @@ def verify_bialgebra(
         el_coproduct(h, one, qval) == tensor_of(one, one),
         "Delta(1) != 1 (x) 1",
     )
-    cop = lambda o: h.coproduct(o, qval)
+    # at symbolic q the coproduct is passed itself, one frame less per lookup;
+    # a partial with a keyword argument costs more per call than this lambda
+    cop = h.coproduct if qval is None else lambda o: h.coproduct(o, qval)
     for (x,) in _tuples(h.basis, max_coassoc_degree, 1):
         d = cop(x)
         ex = Element.basis(algebra, x)

@@ -40,6 +40,17 @@ def std_m_sequential(blocks) -> tuple:
         bs = [b for b in bs if b]
 
 
+def mperm_coproduct_reference(B) -> Tensor2:
+    """Every split of the blocks of B, both sides standardized by
+    `std_m_sequential`, the terms summed as monomials."""
+    l = len(B)
+    terms = [
+        ((UNIT if i == 0 else std_m_sequential(B[:i]), UNIT if i == l else std_m_sequential(B[i:])), 0)
+        for i in range(l + 1)
+    ]
+    return Tensor2.from_monomials("mperm", terms)
+
+
 def st_coproduct_reference(f) -> Tensor2:
     """The image cuts of a surjection by definition: co-restrict to 1..j and
     to j+1..max(f), and standardize the right factor; the left factor must

@@ -4,6 +4,9 @@ products, the coproduct, and the quotient map phi from surjective words."""
 
 from __future__ import annotations
 
+import re
+from itertools import combinations
+
 import pytest
 
 from qtridend.grammar import parse_mperm, render_element, render_tensor2
@@ -27,7 +30,7 @@ from qtridend.mperm import (
 )
 from qtridend.st import st_product
 from qtridend.words import surjections
-from reference import std_m_sequential
+from reference import mperm_coproduct_reference, std_m_sequential
 
 fs = frozenset
 ONE = (fs({1}),)
@@ -72,6 +75,37 @@ def test_std_m_is_retraction_and_confluent():
             assert std_m_sequential(w) == out
             if is_mperm(w):
                 assert out == w
+
+
+def test_std_m_matches_sequential_deletion_on_every_support():
+    # coproducts and restrict_blocks hand std_m supports with gaps
+    seen = 0
+    for k in range(1, 7):
+        for w in _ordered_set_partitions(k):
+            for support in combinations(range(1, 7), k):
+                blocks = tuple(fs(support[v - 1] for v in b) for b in w)
+                assert std_m(blocks) == std_m_sequential(blocks), blocks
+                seen += 1
+    assert seen == 9365  # sum over k of C(6, k) times the Fubini number of k
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ((), "std_m needs a sequence of non-empty blocks"),
+        ((fs({1}), fs()), "std_m needs a sequence of non-empty blocks"),
+        ((fs({1, 3}), fs({3})), "blocks are not disjoint"),
+    ],
+)
+def test_std_m_refusals(blocks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        std_m(blocks)
+
+
+def test_coproducts_match_the_sequential_reference():
+    for n in range(1, 7):
+        for w in mpermutations(n):
+            assert mperm_coproduct(w) == mperm_coproduct_reference(w), w
 
 
 def test_degree_one_products():
