@@ -58,6 +58,7 @@ from .linear import (
     Element,
     Tensor2,
     file_element,
+    file_terms,
     filed_element,
     sum_terms,
 )
@@ -257,9 +258,16 @@ def reconstruct(h: AlgebraHandle, x: Element, qval: int | None = None) -> Elemen
 
 
 def is_primitive(h: AlgebraHandle, x: Element, qval: int | None = None) -> bool:
-    """Whether the reduced coproduct of x vanishes: every term of Delta(x)
-    has a unit leg."""
-    return all(l is UNIT or r is UNIT for l, r in el_coproduct(h, x, qval).terms)
+    """Whether the reduced coproduct of x vanishes.  The interior terms of
+    c * Delta(o), over the terms c * o of x, are filed into one dict, and
+    every sum must be 0.  A term with a unit leg, the unit of x's 1 (x) 1
+    among them, never reaches the interior, so none is filed: the full
+    coproduct of x is never built."""
+    raw: dict = {}
+    for o, c in x.terms.items():
+        terms = h.coproduct(o, qval).terms.items()
+        file_terms(raw, ((k, cc) for k, cc in terms if k[0] is not UNIT and k[1] is not UNIT), c)
+    return not any(raw.values())
 
 
 def omega_coproduct_check(

@@ -41,7 +41,16 @@ and `sum_terms` are built on them, and `+`, `-` and `scale` go through
 dicts and hold no summing loop of their own.  `is_coassociative` files
 (Delta (x) Id) t and -(Id (x) Delta) t into one rank-3 dict in one pass
 over the terms of t, so neither side is built on its own;
-`tensor_flatten` builds one side.
+`tensor_flatten` builds one side.  `coalgebra_laws`, which
+`verify_bialgebra` runs, decides the two counit laws and
+coassociativity of a basis object x on the reduced coproduct Dbar:
+when Delta o = 1 (x) o + o (x) 1 + Dbar o exactly, for x and for every
+leg of Dbar x, both counit laws hold and the two sides of
+coassociativity differ by sum c (Dbar l (x) r - l (x) Dbar r) over the
+terms c l (x) r of Dbar x (the proof is in its docstring), so no term
+with a unit leg is filed.  Where any of those coproducts has another
+form, it falls back on `Tensor2.counit` and `is_coassociative`, and
+every flag is the one they give.
 
 Elements and tensors are immutable once built, so they are shared, never
 copied: the module caches hand out their results as they are, and
@@ -487,3 +496,72 @@ def is_coassociative(t: Tensor2, coproduct: Callable) -> bool:
             k = (l, u, v)
             raw[k] = get(k, 0) - cc * c
     return not any(raw.values())
+
+
+def _reduced(d: Tensor2, x) -> list | None:
+    """The interior items ((l, r), c) of d when d = 1 (x) x + x (x) 1 +
+    interior exactly (both boundary coefficients 1, no other term with a
+    unit leg), else None."""
+    terms = d.terms
+    inner = [(k, c) for k, c in terms.items() if k[0] is not UNIT and k[1] is not UNIT]
+    if len(terms) - len(inner) == 2 and terms.get((UNIT, x)) == 1 == terms.get((x, UNIT)):
+        return inner
+    return None
+
+
+def coalgebra_laws(objects, coproduct: Callable):
+    """For each basis object x of objects, in order, yield (x, left, right,
+    coassoc): whether (eps (x) id) Delta x = x, (id (x) eps) Delta x = x,
+    and (Delta (x) Id) Delta x = (Id (x) Delta) Delta x, coproduct mapping
+    a basis object to its Tensor2.
+
+    Write Delta o = 1 (x) o + o (x) 1 + Dbar o when Delta o has exactly
+    that form (`_reduced`).  Both counit laws then hold for o.  If x and
+    every leg l, r of the terms c l (x) r of Dbar x have it, expanding
+    (Delta (x) Id) Delta x - (Id (x) Delta) Delta x gives
+
+        1 (x) 1 (x) x + 1 (x) x (x) 1 + x (x) 1 (x) 1 + Dbar x (x) 1
+          + sum c (1 (x) l (x) r + l (x) 1 (x) r + Dbar l (x) r)
+        - 1 (x) 1 (x) x - 1 (x) x (x) 1 - 1 (x) Dbar x - x (x) 1 (x) 1
+          - sum c (l (x) 1 (x) r + l (x) r (x) 1 + l (x) Dbar r)
+        = sum c (Dbar l (x) r - l (x) Dbar r),
+
+    since sum c l (x) r (x) 1 = Dbar x (x) 1 and sum c 1 (x) l (x) r =
+    1 (x) Dbar x.  Filed as ints key by key, as `is_coassociative` files
+    it, every key with a unit leg sums to 0 exactly, and every key with
+    none holds exactly its sum in the last line.  So the full difference
+    vanishes exactly when that last sum does: it is filed into one dict,
+    and every sum must be 0.  Where x or a leg has another form, the
+    laws are decided by the full checks, `Tensor2.counit` against the
+    basis element x of the tensor's family and `is_coassociative`, so
+    every flag is the one those checks give.  The reduced coproducts are
+    kept in a table local to the call, one entry per object met."""
+    table: dict = {}
+
+    def fill(o):
+        red = table[o] = _reduced(coproduct(o), o)
+        return red
+
+    for x in objects:
+        d = coproduct(x)
+        red = table[x] = _reduced(d, x)
+        if red is None:
+            ex = Element.basis(d.family, x)
+            yield x, d.counit("left") == ex, d.counit("right") == ex, is_coassociative(d, coproduct)
+            continue
+        raw: dict = {}
+        get = raw.get
+        for (l, r), c in red:
+            dl = table[l] if l in table else fill(l)
+            dr = table[r] if r in table else fill(r)
+            if dl is None or dr is None:
+                yield x, True, True, is_coassociative(d, coproduct)
+                break
+            for (u, v), cc in dl:
+                k = (u, v, r)
+                raw[k] = get(k, 0) + cc * c
+            for (u, v), cc in dr:
+                k = (l, u, v)
+                raw[k] = get(k, 0) - cc * c
+        else:
+            yield x, True, True, not any(raw.values())

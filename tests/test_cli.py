@@ -540,3 +540,20 @@ def test_too_deep_a_tree_exits_two_with_one_line(depth):
     done = python_dash_m("coproduct", "--algebra", "tree", chain_tree(depth))
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == "error: input nested too deeply to parse or compute\n"
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # 0.3 MB of kernel vectors: more than the pipe holds, so the run is
+    # still writing when the reader closes its end after one line
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["primitives", "--algebra", "tree", "--degree", "6", "--q", "1"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "qtridend", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == "algebra=tree degree=6 q=1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == ""

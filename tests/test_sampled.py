@@ -1,5 +1,6 @@
 """The seven relations and associativity on seeded random basis triples,
-the bialgebra laws and the morphisms alpha and phi on seeded random
+the bialgebra laws (the coalgebra laws by the full checks and on the
+reduced coproduct) and the morphisms alpha and phi on seeded random
 basis objects and pairs, and render -> parse round trips of elements and
 coproducts, all of total degree 7 to 9, past the exhaustive sweeps of the
 default plan."""
@@ -12,7 +13,7 @@ import pytest
 
 from qtridend.algebras import ALGEBRA_NAMES, compat_rhs, el_coproduct, el_product, get_algebra
 from qtridend.grammar import parse_element, parse_tensor2, render_element, render_tensor2
-from qtridend.linear import KINDS, Element, is_coassociative
+from qtridend.linear import KINDS, Element, coalgebra_laws, is_coassociative
 from qtridend.mperm import phi_element
 from qtridend.pqsym import alpha
 from qtridend.qpoly import QPoly
@@ -90,6 +91,7 @@ def test_sampled_bialgebra_laws_past_the_exhaustive_range(name):
         d = h.coproduct(x)
         assert d.counit("left") == Element.basis(name, x) == d.counit("right"), x
         assert is_coassociative(d, h.coproduct), x
+        assert list(coalgebra_laws([x], h.coproduct)) == [(x, True, True, True)], x
         n1 = rng.randint(1, total - 1)
         a, b = (h.validate(SAMPLERS[name](rng, n)) for n in (n1, total - n1))
         for kind in KINDS:

@@ -1,15 +1,20 @@
 """Immutable results are shared, not copied: the powers X^e, cached basis
 products and coproducts handed out as they are, the counit as a key
-filter, and coassociativity summed as one difference.  Each shortcut
-must give what the accumulator route gives."""
+filter, and coassociativity summed as one difference.  The coalgebra
+laws are decided on the reduced coproduct, and primitivity from the
+interior terms alone.  Each shortcut must give what the accumulator
+route, or the full check, gives."""
 
 from __future__ import annotations
 
+import random
 from types import SimpleNamespace
 
 import pytest
 
+from qtridend import pqsym, verify
 from qtridend.algebras import ALGEBRA_NAMES, el_coproduct, get_algebra
+from qtridend.brace import e_tri_basis, is_primitive
 from qtridend.linear import (
     KINDS,
     STAR,
@@ -17,11 +22,12 @@ from qtridend.linear import (
     Element,
     Tensor2,
     bilinear_extend,
+    coalgebra_laws,
     is_coassociative,
     lone_basis,
     tensor_flatten,
 )
-from qtridend.qpoly import X, X_POWERS
+from qtridend.qpoly import X, X_POWERS, q_power
 from qtridend.verify import verify_bialgebra
 
 QS = (None, 0, 1, 5)
@@ -94,6 +100,98 @@ def test_coassociativity_flags_a_perturbed_leg_coproduct():
         cop = lambda o: bad if o == y else h.coproduct(o)
         assert not is_coassociative(d, cop)
         assert tensor_flatten(d, "left", cop) != tensor_flatten(d, "right", cop)
+
+
+def _full_laws(objects, cop):
+    """The coalgebra laws by the full checks: both counits against the
+    basis element, and `is_coassociative` on the whole coproduct."""
+    for x in objects:
+        d = cop(x)
+        ex = Element.basis(d.family, x)
+        yield x, d.counit("left") == ex, d.counit("right") == ex, is_coassociative(d, cop)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_reduced_coalgebra_laws_flag_what_the_full_checks_flag(name):
+    # every single-term drop or +1 of Delta(y), and Delta(y) + 1 (x) 1,
+    # y of degree at most 4, injected through the coproduct.  Only the
+    # objects whose coproduct is Delta(y) or has y as a leg read it; every
+    # other object reads true coproducts only, so its full flags are the
+    # unperturbed ones
+    h = get_algebra(name)
+    objects = [x for n in range(1, 5) for x in h.basis(n)]
+    full = list(_full_laws(objects, h.coproduct))
+    assert list(coalgebra_laws(objects, h.coproduct)) == full == [(x, True, True, True) for x in objects]
+    readers = {
+        y: [x for x in objects if x == y or any(y in k for k in h.coproduct(x).terms)]
+        for y in objects
+    }
+    failing = 0
+    for y in objects:
+        d = h.coproduct(y)
+        for bad in (*_perturbations(d), Tensor2(name, {**d.terms, (UNIT, UNIT): 1})):
+            cop = lambda o: bad if o == y else h.coproduct(o)
+            want = dict.fromkeys(objects, (True, True, True))
+            want.update((x, tuple(flags)) for x, *flags in _full_laws(readers[y], cop))
+            assert list(coalgebra_laws(objects, cop)) == [(x, *want[x]) for x in objects], y
+            failing += sum(not all(flags) for flags in want.values())
+    assert failing > len(objects)
+
+
+_PQ_X = (1, 1, 3, 4)
+
+
+def _without(k):
+    return lambda terms: {t: c for t, c in terms.items() if t != k}
+
+
+@pytest.mark.parametrize(
+    "key, change, first",
+    [
+        (_PQ_X, _without(((1, 1), (1, 2))), "coassociativity fails at (1,1,3,4)"),
+        (_PQ_X, _without((UNIT, _PQ_X)), "left counit law fails at (1,1,3,4)"),
+        ((1, 1), lambda terms: {**terms, ((1, 1), UNIT): 2}, "right counit law fails at (1,1)"),
+    ],
+    ids=["dropped cut", "dropped boundary term", "doubled boundary term on a leg"],
+)
+def test_a_planted_coproduct_fault_fails_the_bialgebra_suite_as_the_full_checks_do(
+    monkeypatch, key, change, first
+):
+    # the fault sits in the coproduct cache, so every reader sees it
+    bad = Tensor2("pqsym", change(dict(pqsym.pf_coproduct(key).terms)))
+    monkeypatch.setitem(pqsym._cop_cache, key, bad)
+    report = verify_bialgebra("pqsym", 4, 5)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "coalgebra_laws", _full_laws)
+        assert verify_bialgebra("pqsym", 4, 5) == report
+    assert report["failures"][0] == first
+
+
+def _random_element(rng, h, q) -> Element:
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        obj = rng.choice(h.basis(rng.randint(1, 4)))
+        terms[obj] = q_power(rng.randint(0, 2), q) * rng.choice([-2, -1, 1, 3])
+    return Element(h.name, terms)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_lean_primitivity_agrees_with_the_interior_of_the_coproduct(name):
+    # random sums, and sums of e images, whose interiors cancel; each also
+    # with a unit term, whose 1 (x) 1 has unit legs only
+    h = get_algebra(name)
+    rng = random.Random(31)
+    seen = set()
+    for q in QS:
+        for _ in range(40):
+            x = _random_element(rng, h, q)
+            prim = Element.sum(name, ((e_tri_basis(h, o, q), c) for o, c in x.terms.items()))
+            for el in (x, prim, prim + x.scale(rng.choice([0, 1]))):
+                for y in (el, el + Element.unit_element(name).scale(rng.choice([-1, 2]))):
+                    holds = el_coproduct(h, y, q).interior().is_zero()
+                    assert is_primitive(h, y, q) == holds, (q, y.terms, y.unit)
+                    seen.add(holds)
+    assert seen == {True, False}
 
 
 def test_x_powers_are_shared():
