@@ -27,7 +27,10 @@ from .linear import (
     _same_family,
     bilinear_extend,
     file_bilinear,
+    file_tensor,
+    file_terms,
     filed_element,
+    filed_tensor,
     lone_basis,
 )
 from .qpoly import q_scalar
@@ -92,13 +95,19 @@ def el_rtilde(h: AlgebraHandle, a: Element, b: Element, qval: int | None = None)
     return filed_element(h.name, file_product(raw, h, MIDDLE, a, b, q_scalar(qval), qval))
 
 
-def _coproduct_parts(h: AlgebraHandle, el: Element, qval: int | None) -> list:
-    """The accumulator parts of the coproduct of el: (Delta(o), c) for
-    each term c * o, and 1 (x) 1 for the unit."""
-    parts = [(h.coproduct(o, qval), c) for o, c in el.terms.items()]
+def file_coproduct(
+    raw: dict, h: AlgebraHandle, el: Element, s: int, qval: int | None = None
+) -> dict:
+    """Add s * Delta(el) into the accumulator raw: s * c * Delta(o) for
+    each term c * o, and s * unit * 1 (x) 1 for the unit.  The counterpart
+    of `file_product`.  Returns raw."""
+    for o, c in el.terms.items():
+        d = h.coproduct(o, qval)
+        _same_family(h.name, d.family)
+        file_terms(raw, d.terms.items(), c * s)
     if el.unit:
-        parts.append(((UNIT, UNIT), el.unit))
-    return parts
+        file_tensor(raw, h.name, UNIT, UNIT, el.unit * s)
+    return raw
 
 
 def el_coproduct(h: AlgebraHandle, el: Element, qval: int | None = None) -> Tensor2:
@@ -109,7 +118,7 @@ def el_coproduct(h: AlgebraHandle, el: Element, qval: int | None = None) -> Tens
         out = h.coproduct(x, qval)
         _same_family(h.name, out.family)
         return out
-    return Tensor2.sum(h.name, _coproduct_parts(h, el, qval))
+    return filed_tensor(h.name, file_coproduct({}, h, el, 1, qval))
 
 
 def reduced_coproduct(h: AlgebraHandle, obj, qval: int | None = None) -> Tensor2:
@@ -117,21 +126,25 @@ def reduced_coproduct(h: AlgebraHandle, obj, qval: int | None = None) -> Tensor2
     return h.coproduct(obj, qval).interior()
 
 
-def _compat_parts(h: AlgebraHandle, kind: str, x, y, qval: int | None, stars: dict):
-    """The parts ((x_(1) * y_(1), x_(2) o y_(2)), cx * cy) of `compat_rhs`.
-    The star legs x_(1) * y_(1) are kept in stars under (x_(1), y_(1)), so
-    the kinds of one pair compute each once."""
+def _file_compat(
+    raw: dict, h: AlgebraHandle, kind: str, x, y, s: int, qval: int | None, stars: dict
+) -> dict:
+    """Add s * `compat_rhs` into raw, term by term (x_(1) * y_(1)) (x)
+    (x_(2) o y_(2)) at scale s * cx * cy.  The star legs x_(1) * y_(1) are
+    kept in stars under (x_(1), y_(1)), so the kinds of one pair compute
+    each once.  Returns raw."""
     slot = Element.slot
     for (x1, x2), cx in h.coproduct(x, qval).terms.items():
         for (y1, y2), cy in h.coproduct(y, qval).terms.items():
             if x2 is UNIT and y2 is UNIT:
-                pair = (el_product(h, kind, slot(h.name, x1), slot(h.name, y1), qval), UNIT)
+                a, b = el_product(h, kind, slot(h.name, x1), slot(h.name, y1), qval), UNIT
             else:
-                star = stars.get((x1, y1))
-                if star is None:
-                    star = stars[x1, y1] = el_star(h, slot(h.name, x1), slot(h.name, y1), qval)
-                pair = (star, el_product(h, kind, slot(h.name, x2), slot(h.name, y2), qval))
-            yield pair, cx * cy
+                a = stars.get((x1, y1))
+                if a is None:
+                    a = stars[x1, y1] = el_star(h, slot(h.name, x1), slot(h.name, y1), qval)
+                b = el_product(h, kind, slot(h.name, x2), slot(h.name, y2), qval)
+            file_tensor(raw, h.name, a, b, s * cx * cy)
+    return raw
 
 
 def compat_rhs(
@@ -139,19 +152,19 @@ def compat_rhs(
 ) -> Tensor2:
     """(x_(1) * y_(1)) (x) (x_(2) o y_(2)) with the boundary convention
     (x * y) (x) (1 o 1) := (x o y) (x) 1, for basis objects x, y."""
-    return Tensor2.sum(h.name, _compat_parts(h, kind, x, y, qval, {}))
+    return filed_tensor(h.name, _file_compat({}, h, kind, x, y, 1, qval, {}))
 
 
 def compat_holds(h: AlgebraHandle, x, y, qval: int | None = None) -> tuple:
     """For each kind of KINDS, whether Delta(x o y) == compat_rhs(h, kind,
-    x, y, qval), for basis objects x, y.  Each difference is summed in one
-    accumulator pass, and the three kinds share the star legs
-    x_(1) * y_(1) of the right-hand side."""
+    x, y, qval), for basis objects x, y.  Each difference Delta(x o y) -
+    rhs is filed into one dict, and every sum in it must be 0, so no
+    Tensor2 is built; the three kinds share the star legs x_(1) * y_(1)
+    of the right-hand side."""
     ex, ey = Element.basis(h.name, x), Element.basis(h.name, y)
     stars: dict = {}
     out = []
     for kind in KINDS:
-        parts = _coproduct_parts(h, el_product(h, kind, ex, ey, qval), qval)
-        parts += ((pair, -c) for pair, c in _compat_parts(h, kind, x, y, qval, stars))
-        out.append(Tensor2.sum(h.name, parts).is_zero())
+        raw = file_coproduct({}, h, el_product(h, kind, ex, ey, qval), 1, qval)
+        out.append(not any(_file_compat(raw, h, kind, x, y, -1, qval, stars).values()))
     return tuple(out)

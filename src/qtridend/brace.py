@@ -56,10 +56,12 @@ from .linear import (
     RIGHT,
     UNIT,
     Element,
-    Tensor2,
     file_element,
+    file_tensor,
     file_terms,
     filed_element,
+    filed_tensor,
+    interior_items,
     sum_terms,
 )
 from .memo import Memo
@@ -171,11 +173,9 @@ def brace_relation_check(
 def _file_steps(raw: dict, h: AlgebraHandle, qval: int | None, obj, head, sign: int) -> Element:
     """File sign * c * head(x_(1)) > e(x_(2)) into raw over the terms
     c x_(1) (x) x_(2) of the reduced coproduct of obj, read off the
-    coproduct by skipping its unit legs, and skipping those with
+    coproduct by `interior_items`, and skipping those with
     e(x_(2)) = 0; return the Element of raw."""
-    for (o1, o2), c in h.coproduct(obj, qval).terms.items():
-        if o1 is UNIT or o2 is UNIT:
-            continue
+    for (o1, o2), c in interior_items(h.coproduct(obj, qval)):
         e2 = e_tri_basis(h, o2, qval)
         if not e2.is_zero():
             file_product(raw, h, RIGHT, head(o1), e2, sign * c, qval)
@@ -204,8 +204,8 @@ def _advance_legs(h: AlgebraHandle, legs: dict, qval: int | None) -> dict:
 
     def parts():
         for objs, c in legs.items():
-            red = reduced_coproduct(h, objs[-1], qval)
-            yield ((objs[:-1] + o12, c2) for o12, c2 in red.terms.items()), c
+            head, red = objs[:-1], interior_items(h.coproduct(objs[-1], qval))
+            yield ((head + o12, c2) for o12, c2 in red), c
 
     return sum_terms(parts())
 
@@ -265,8 +265,7 @@ def is_primitive(h: AlgebraHandle, x: Element, qval: int | None = None) -> bool:
     coproduct of x is never built."""
     raw: dict = {}
     for o, c in x.terms.items():
-        terms = h.coproduct(o, qval).terms.items()
-        file_terms(raw, ((k, cc) for k, cc in terms if k[0] is not UNIT and k[1] is not UNIT), c)
+        file_terms(raw, interior_items(h.coproduct(o, qval)), c)
     return not any(raw.values())
 
 
@@ -282,10 +281,10 @@ def omega_coproduct_check(
     def omega(ys):  # the empty omega word is 1
         return omega_right(h, ys, qval) if ys else UNIT
 
-    rhs = Tensor2.sum(
-        h.name, (((omega(xs[:i]), omega(xs[i:])), 1) for i in range(len(xs) + 1))
-    )
-    return lhs == rhs
+    rhs: dict = {}
+    for i in range(len(xs) + 1):
+        file_tensor(rhs, h.name, omega(xs[:i]), omega(xs[i:]))
+    return lhs == filed_tensor(h.name, rhs)
 
 
 def _coefficient_rows(h: AlgebraHandle, n: int, q: int, image) -> tuple:

@@ -37,7 +37,7 @@ import sys
 from operator import itemgetter
 
 from .algebras import get_algebra
-from .linear import UNIT, Element, Tensor2, file_terms, filed_element
+from .linear import UNIT, Element, Tensor2, file_terms, filed_element, filed_tensor
 from .memo import Memo
 from .qpoly import HALF, MAX_EXPONENT, digits, q_power, term_prefix, to_pairs
 from .trees import LEAF
@@ -317,12 +317,9 @@ def _tensor_term(family: str, chunk: str) -> tuple:
 
 
 def parse_tensor2(family: str, text: str, qval: int | None = None) -> Tensor2:
-    """The Tensor2 of text, with q = qval unless qval is None."""
-    parts = (
-        ((Element.slot(family, left), Element.slot(family, right)), c)
-        for (left, right), c in _encoded_terms(family, text, qval, _tensor_term)
-    )
-    return Tensor2.sum(family, parts)
+    """The Tensor2 of text, with q = qval unless qval is None: every
+    term is filed into one accumulator under its (left, right) key."""
+    return filed_tensor(family, file_terms({}, _encoded_terms(family, text, qval, _tensor_term)))
 
 
 def _json_pairs(coeffs, qval: int | None):

@@ -29,27 +29,27 @@ Unit conventions for the three partial products (x a basis element):
 
 Every sum of scaled parts in the package is built by one accumulator:
 a plain dict that the filing helpers add scale * coeff into, key by key
-as ints, with the unit under UNIT.  `file_terms` is the one summing loop;
-`file_element` files an Element (into an empty dict at scale 1, by one
-`update`), and `file_bilinear` files each basis pair's rule(x, y) at
-scale cx * cy, with the unit conventions.  A result is filed in one pass,
-nested products included, and `filed_element` ends it with one zero
-filter (`_nonzero`, which keeps the dict itself when nothing cancelled)
-and one Element.  `Element.sum`, `bilinear_extend`, `Tensor2.sum`
-and `sum_terms` are built on them, and `+`, `-` and `scale` go through
-`Element.sum`; `algebras`, `brace` and `grammar` file into the same
-dicts and hold no summing loop of their own.  `is_coassociative` files
-(Delta (x) Id) t and -(Id (x) Delta) t into one rank-3 dict in one pass
-over the terms of t, so neither side is built on its own;
-`tensor_flatten` builds one side.  `coalgebra_laws`, which
-`verify_bialgebra` runs, decides the two counit laws and
-coassociativity of a basis object x on the reduced coproduct Dbar:
-when Delta o = 1 (x) o + o (x) 1 + Dbar o exactly, for x and for every
-leg of Dbar x, both counit laws hold and the two sides of
-coassociativity differ by sum c (Dbar l (x) r - l (x) Dbar r) over the
-terms c l (x) r of Dbar x (the proof is in its docstring), so no term
-with a unit leg is filed.  Where any of those coproducts has another
-form, it falls back on `Tensor2.counit` and `is_coassociative`, and
+as ints, through `file_terms`, the summing loop.  `file_element` files
+an Element, its unit under UNIT (into an empty dict at scale 1, by one
+`update`); `file_bilinear` files each basis pair's rule(x, y) at scale
+cx * cy, with the unit conventions; `file_tensor` files a (x) b under
+(slot, slot) keys, legs Elements or UNIT.  `filed_element` and
+`filed_tensor` end a sum with one zero filter (`_nonzero`, which keeps
+the dict itself when nothing cancelled).  `Element.sum`, `Tensor2.sum`,
+`sum_terms`, `+`, `-`, `scale`, `bilinear_extend`, `tensor_of`,
+`map_slots` and `tensor_flatten` are built on them, and every product,
+coproduct, brace, projector, parse and compatibility test files its
+result into one dict; `interior_items` is the one filter of unit legs.
+Three loops sum on their own: `coalgebra_laws` inlines its rank-3
+filing for speed on the plan, `_monomial_terms` holds the shared X^e of
+a key filed once, and the rank routines eliminate over their own rows.
+`is_coassociative` is the two-sided reference, comparing the two
+`tensor_flatten` sides.  `coalgebra_laws` decides the counit laws and
+coassociativity of a basis object x on the reduced coproduct Dbar: when
+Delta o = 1 (x) o + o (x) 1 + Dbar o exactly, for x and every leg of
+Dbar x, both counit laws hold and the two sides differ by sum c (Dbar l
+(x) r - l (x) Dbar r) over the terms c l (x) r of Dbar x (proof in its
+docstring); otherwise `Tensor2.counit` and `is_coassociative` decide, so
 every flag is the one they give.
 
 Elements and tensors are immutable once built, so they are shared, never
@@ -93,8 +93,8 @@ UNIT = _Unit()
 
 def file_terms(raw: dict, items, s: int = 1) -> dict:
     """Add s * coeff to raw[key] for each (key, coeff) of items, coeff
-    and s ints: the one summing loop.  A key whose sum cancels maps to 0
-    until `filed_element` or `sum_terms` drops it.  Returns raw."""
+    and s ints: the summing loop of the accumulators.  A key whose sum
+    cancels maps to 0 until a zero filter drops it.  Returns raw."""
     get = raw.get
     for k, c in items:
         raw[k] = get(k, 0) + c * s
@@ -370,22 +370,14 @@ class Tensor2:
         """The sum of scale * part over parts (part, scale): part is a
         Tensor2 of family or a pair (a, b) standing for a (x) b, with a, b
         Elements of family or UNIT; scale is an int.  Always a new Tensor2."""
-
-        def items():
-            for part, s in parts:
-                if isinstance(part, Tensor2):
-                    _same_family(family, part.family)
-                    yield part.terms.items(), s
-                    continue
-                a, b = part
-                for leg in part:
-                    if leg is not UNIT:
-                        _same_family(family, leg.family)
-                right = list(_slot_items(b))
-                for sl, cl in _slot_items(a):
-                    yield (((sl, sr), cr) for sr, cr in right), cl * s
-
-        return _tensor(family, sum_terms(items()))
+        raw: dict = {}
+        for part, s in parts:
+            if isinstance(part, Tensor2):
+                _same_family(family, part.family)
+                file_terms(raw, part.terms.items(), index(s))
+            else:
+                file_tensor(raw, family, *part, index(s))
+        return filed_tensor(family, raw)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -420,43 +412,53 @@ class Tensor2:
 
     def interior(self) -> "Tensor2":
         """Terms with no unit leg (the reduced part of a coproduct)."""
-        return _tensor(
-            self.family,
-            {
-                (l, r): c
-                for (l, r), c in self.terms.items()
-                if l is not UNIT and r is not UNIT
-            },
-        )
+        return _tensor(self.family, dict(interior_items(self)))
 
     def map_slots(self, fn_left, fn_right, out_family: str) -> "Tensor2":
         """Apply Element-valued maps to each leg; a UNIT leg stays UNIT
         and is not handed to the map."""
-        return Tensor2.sum(
-            out_family,
-            (
-                ((UNIT if l is UNIT else fn_left(l), UNIT if r is UNIT else fn_right(r)), c)
-                for (l, r), c in self.terms.items()
-            ),
-        )
+        raw: dict = {}
+        for (l, r), c in self.terms.items():
+            a = UNIT if l is UNIT else fn_left(l)
+            file_tensor(raw, out_family, a, UNIT if r is UNIT else fn_right(r), c)
+        return filed_tensor(out_family, raw)
 
     def __repr__(self):
         return f"Tensor2({self.family}, {len(self.terms)} terms)"
 
 
-def _slot_items(el):
-    """Iterate (slot, coeff) of an Element or of the UNIT sentinel."""
-    if el is UNIT:
-        yield UNIT, 1
-        return
-    yield from el.terms.items()
-    if el.unit:
-        yield UNIT, el.unit
+def _slot_items(family: str, leg) -> list:
+    """The (slot, coeff) items of an Element of family, or of UNIT."""
+    if leg is UNIT:
+        return [(UNIT, 1)]
+    _same_family(family, leg.family)
+    return [*leg.terms.items(), (UNIT, leg.unit)] if leg.unit else list(leg.terms.items())
+
+
+def file_tensor(raw: dict, family: str, a, b, s: int = 1) -> dict:
+    """Add s * a (x) b into raw, keyed (slot, slot): a and b are Elements
+    of family or UNIT, and s is an int.  Returns raw."""
+    left, right = _slot_items(family, a), _slot_items(family, b)
+    for sl, cl in left:
+        file_terms(raw, (((sl, sr), cr) for sr, cr in right), cl * s)
+    return raw
+
+
+def filed_tensor(family: str, raw: dict) -> Tensor2:
+    """The Tensor2 of the sums filed into raw, zero sums dropped; raw is
+    handed over, as in `filed_element`."""
+    return _tensor(family, _nonzero(raw))
 
 
 def tensor_of(a: Element, b: Element) -> Tensor2:
     """a (x) b including unit legs."""
-    return Tensor2.sum(a.family, (((a, b), 1),))
+    return filed_tensor(a.family, file_tensor({}, a.family, a, b))
+
+
+def interior_items(t: Tensor2) -> list:
+    """The items ((l, r), c) of t with no unit leg: the one filter that
+    reads the reduced part of a coproduct."""
+    return [(k, c) for k, c in t.terms.items() if k[0] is not UNIT and k[1] is not UNIT]
 
 
 _DELTA_UNIT = {(UNIT, UNIT): 1}
@@ -475,35 +477,23 @@ def tensor_flatten(t: Tensor2, side: str, coproduct: Callable) -> dict:
     for (l, r), c in t.terms.items():
         target = l if left else r
         delta = _DELTA_UNIT if target is UNIT else coproduct(target).terms
-        for (u, v), cc in delta.items():
-            k = (u, v, r) if left else (l, u, v)
-            raw[k] = raw.get(k, 0) + cc * c
+        keys = (((u, v, r) if left else (l, u, v), cc) for (u, v), cc in delta.items())
+        file_terms(raw, keys, c)
     return _nonzero(raw)
 
 
 def is_coassociative(t: Tensor2, coproduct: Callable) -> bool:
-    """Whether (Delta (x) Id) t == (Id (x) Delta) t.  One pass over the
-    terms c * l (x) r files c * Delta(l) (x) r and -c * l (x) Delta(r)
-    into one dict, and every sum must vanish, so neither side is built
-    on its own."""
-    raw: dict = {}
-    get = raw.get
-    for (l, r), c in t.terms.items():
-        for (u, v), cc in (_DELTA_UNIT if l is UNIT else coproduct(l).terms).items():
-            k = (u, v, r)
-            raw[k] = get(k, 0) + cc * c
-        for (u, v), cc in (_DELTA_UNIT if r is UNIT else coproduct(r).terms).items():
-            k = (l, u, v)
-            raw[k] = get(k, 0) - cc * c
-    return not any(raw.values())
+    """Whether (Delta (x) Id) t == (Id (x) Delta) t, each side built by
+    `tensor_flatten`: the two-sided reference that `coalgebra_laws`
+    falls back on."""
+    return tensor_flatten(t, "left", coproduct) == tensor_flatten(t, "right", coproduct)
 
 
 def _reduced(d: Tensor2, x) -> list | None:
     """The interior items ((l, r), c) of d when d = 1 (x) x + x (x) 1 +
     interior exactly (both boundary coefficients 1, no other term with a
     unit leg), else None."""
-    terms = d.terms
-    inner = [(k, c) for k, c in terms.items() if k[0] is not UNIT and k[1] is not UNIT]
+    terms, inner = d.terms, interior_items(d)
     if len(terms) - len(inner) == 2 and terms.get((UNIT, x)) == 1 == terms.get((x, UNIT)):
         return inner
     return None
@@ -527,9 +517,9 @@ def coalgebra_laws(objects, coproduct: Callable):
         = sum c (Dbar l (x) r - l (x) Dbar r),
 
     since sum c l (x) r (x) 1 = Dbar x (x) 1 and sum c 1 (x) l (x) r =
-    1 (x) Dbar x.  Filed as ints key by key, as `is_coassociative` files
-    it, every key with a unit leg sums to 0 exactly, and every key with
-    none holds exactly its sum in the last line.  So the full difference
+    1 (x) Dbar x.  Filed as ints key by key, every key with a unit leg
+    sums to 0 exactly, and every key with none holds exactly its sum in
+    the last line.  So the full difference
     vanishes exactly when that last sum does: it is filed into one dict,
     and every sum must be 0.  Where x or a leg has another form, the
     laws are decided by the full checks, `Tensor2.counit` against the

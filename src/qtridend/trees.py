@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 from math import prod
 
-from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
+from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_tensor, filed_tensor
 from .memo import Memo, enumeration
 from .qpoly import q_scalar
 
@@ -139,13 +139,12 @@ def _cop_cache(t: Tree, qval: int | None) -> Tensor2:
             for (l, r), coeff in tree_coproduct(c, qval).terms.items():
                 choices.append((l, LEAF if r is UNIT else r, coeff))
             per_child.append(choices)
-    parts = []
+    raw: dict = {}
     for combo in iproduct(*per_child):
         lefts = [l for (l, _, _) in combo if l is not UNIT]
         right = Element.basis(FAMILY, tuple(r for (_, r, _) in combo))
-        parts.append(((_star_elements(lefts, qval), right), prod(c for (_, _, c) in combo)))
-    parts.append(((Element.basis(FAMILY, t), UNIT), 1))
-    return Tensor2.sum(FAMILY, parts)
+        file_tensor(raw, FAMILY, _star_elements(lefts, qval), right, prod(c for (_, _, c) in combo))
+    return filed_tensor(FAMILY, file_tensor(raw, FAMILY, Element.basis(FAMILY, t), UNIT))
 
 
 def tree_coproduct(t: Tree, qval: int | None = None) -> Tensor2:

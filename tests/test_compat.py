@@ -2,7 +2,8 @@
 
 `compat_holds` sums Delta(x o y) - compat_rhs(h, o, x, y) for the three
 kinds at once; it must agree with building both sides and comparing them,
-and a fault planted in one product must show at exactly its kind."""
+also under a fault planted in one coproduct, and a fault planted in one
+product must show at exactly its kind."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from qtridend.algebras import (
     el_product,
     get_algebra,
 )
-from qtridend.linear import KINDS, MIDDLE, Element
+from qtridend.linear import KINDS, MIDDLE, Element, Tensor2
 from qtridend.verify import _tuples, verify_bialgebra
 
 
@@ -64,3 +65,18 @@ def test_a_planted_fault_fails_exactly_its_kind(monkeypatch):
     report = verify_bialgebra("st", 3, 1)
     assert report["failures"] == ["Delta(x middle y) mismatch at x=(1,2) y=(1)"]
     assert not report["ok"]
+
+
+def test_a_planted_coproduct_fault_agrees_with_the_two_sided_comparison(monkeypatch):
+    # one interior cut of Delta(1,2,3) is dropped in the cache, so both
+    # Delta(x o y) and the legs of the right-hand side read the fault
+    leg = (1, 2, 3)
+    bad = Tensor2("st", {k: c for k, c in st.coproduct(leg).terms.items() if k != ((1,), (1, 2))})
+    monkeypatch.setitem(st._cop_cache, leg, bad)
+    failing = 0
+    for qval in (None, 1):
+        for f, g in _pairs(st, 4):
+            holds = compat_holds(st, f, g, qval)
+            assert list(holds) == _compared(st, f, g, qval), (f, g)
+            failing += not all(holds)
+    assert failing

@@ -19,6 +19,10 @@ from qtridend.linear import (
     Element,
     Tensor2,
     bilinear_extend,
+    file_tensor,
+    file_terms,
+    filed_tensor,
+    interior_items,
     is_coassociative,
     tensor_flatten,
     tensor_of,
@@ -178,6 +182,13 @@ def test_tensor_of_and_interior():
     assert t.terms[(UNIT, (2, 1))] == 1
     inner = t.interior()
     assert set(inner.terms) == {((1,), (2, 1))}
+    assert interior_items(t) == [(((1,), (2, 1)), 1)]
+    # unit legs on either side, at a scale; a sum that cancels is dropped
+    raw = file_tensor({}, F, UNIT, b, 3)
+    file_tensor(raw, F, a, UNIT, -2)
+    assert raw == {(UNIT, (2, 1)): 3, ((1,), UNIT): -2, (UNIT, UNIT): -2}
+    file_tensor(raw, F, UNIT, b.scale(3), -1)
+    assert filed_tensor(F, raw) == Tensor2(F, {((1,), UNIT): -2, (UNIT, UNIT): -2})
 
 
 def test_tensor_algebra():
@@ -308,6 +319,13 @@ def test_tensor_sum_is_the_fold_of_add_and_scale(parts, cancel):
         fold = fold + (p if isinstance(p, Tensor2) else _outer(*p)).scale(s)
     got = Tensor2.sum(F, parts)
     assert got == fold
+    raw: dict = {}
+    for p, s in parts:
+        if isinstance(p, Tensor2):
+            file_terms(raw, p.terms.items(), s)
+        else:
+            file_tensor(raw, F, *p, s)
+    assert filed_tensor(F, raw) == fold
     assert got.is_zero() or not cancel
     assert [_snapshot(p) for p, _ in parts] == before
 
@@ -317,6 +335,9 @@ def test_sums_reject_a_foreign_family():
         Element.sum(F, [(Element.basis("tree", ((), ())), 1)])
     with pytest.raises(ValueError):
         Tensor2.sum(F, [((Element.basis("tree", ((), ())), UNIT), 1)])
+    for legs in ((Element.basis("tree", ((), ())), UNIT), (UNIT, Element.basis("tree", ((), ())))):
+        with pytest.raises(ValueError, match="family mismatch"):
+            file_tensor({}, F, *legs)
 
 
 def _random_element(rng: random.Random, family: str) -> Element:

@@ -15,6 +15,7 @@ import pytest
 from qtridend import pqsym, verify
 from qtridend.algebras import ALGEBRA_NAMES, el_coproduct, get_algebra
 from qtridend.brace import e_tri_basis, is_primitive
+from qtridend.grammar import parse_basis
 from qtridend.linear import (
     KINDS,
     STAR,
@@ -23,6 +24,7 @@ from qtridend.linear import (
     Tensor2,
     bilinear_extend,
     coalgebra_laws,
+    interior_items,
     is_coassociative,
     lone_basis,
     tensor_flatten,
@@ -84,6 +86,7 @@ def test_coassociativity_flags_a_perturbed_coproduct(name):
         for x in h.basis(n):
             d = cop(x)
             assert is_coassociative(d, cop)
+            assert interior_items(d) == list(d.interior().terms.items())
             for bad in _perturbations(d):
                 assert not is_coassociative(bad, cop), (x, bad.terms)
                 assert tensor_flatten(bad, "left", cop) != tensor_flatten(bad, "right", cop)
@@ -92,10 +95,15 @@ def test_coassociativity_flags_a_perturbed_coproduct(name):
 def test_coassociativity_flags_a_perturbed_leg_coproduct():
     # the tensor is a true coproduct; the map applied to its legs is wrong
     # at one basis object, by a dropped term or a changed coefficient
+    # y is named, not read off the term order of Delta(x), which is not a
+    # contract.  Delta(x) = ... + Y # y + y # Y with y = V(|,|) and
+    # Y = V(|,V(|,|)); dropping the interior term y # y of Delta(Y) would
+    # take y # y # y from both sides alike, leaving them equal
     h = get_algebra("tree")
     x = h.basis(3)[0]
     d = h.coproduct(x)
-    y = next(l for l, r in d.terms if l is not UNIT and r is not UNIT)
+    y, big_y = parse_basis("tree", "V(|,|)"), parse_basis("tree", "V(|,V(|,|))")
+    assert (big_y, y) in d.terms and (y, big_y) in d.terms
     for bad in _perturbations(h.coproduct(y)):
         cop = lambda o: bad if o == y else h.coproduct(o)
         assert not is_coassociative(d, cop)
@@ -235,6 +243,13 @@ def test_lone_basis_results_are_the_cached_ones(name):
                 assert d is h.coproduct(x, q)
                 assert d == Tensor2.sum(name, ((h.coproduct(x, q), 1),))
                 assert el_coproduct(h, ex.scale(2), q) == d.scale(2)
+                # several terms, one with a q-power, and a unit term
+                z, one = Element.basis(name, h.basis(1)[0]), Element.unit_element(name)
+                many = Element.sum(name, ((ex, 2), (z, -3 * q_power(1, q)), (one, 5)))
+                want = Tensor2(name, {(UNIT, UNIT): many.unit})
+                for o, c in many.terms.items():
+                    want = want + h.coproduct(o, q).scale(c)
+                assert el_coproduct(h, many, q) == want
 
 
 def test_lone_basis_needs_one_term_with_coefficient_one_and_no_unit():
