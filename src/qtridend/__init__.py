@@ -34,7 +34,6 @@ from .words import (
     surjections,
     parking_functions,
     ndpf,
-    corestrict,
     run_compress,
 )
 from .st import st_product, st_product_oracle, st_coproduct, st_basis

@@ -40,9 +40,9 @@ the dict itself when nothing cancelled).  `Element.sum`, `Tensor2.sum`,
 `map_slots` and `tensor_flatten` are built on them, and every product,
 coproduct, brace, projector, parse and compatibility test files its
 result into one dict; `interior_items` is the one filter of unit legs.
-Three loops sum on their own: `coalgebra_laws` inlines its rank-3
-filing for speed on the plan, `_monomial_terms` holds the shared X^e of
-a key filed once, and the rank routines eliminate over their own rows.
+Two loops sum on their own: `coalgebra_laws` inlines its rank-3 filing
+for speed on the plan, and the rank routines eliminate over their own
+rows.
 `is_coassociative` is the two-sided reference, comparing the two
 `tensor_flatten` sides.  `coalgebra_laws` decides the counit laws and
 coassociativity of a basis object x on the reduced coproduct Dbar: when
@@ -56,14 +56,14 @@ Elements and tensors are immutable once built, so they are shared, never
 copied: the module caches hand out their results as they are, and
 `bilinear_extend` and `el_coproduct` of a lone basis term (coefficient 1,
 no unit) return the cached basis result itself.  Only the constructors
-here write `.terms` or `.unit` (`tests/test_layering.py`).  The st and
-pqsym product kernels reach every output word once, so they hand over
-{word: e} per kind and `kind_products` makes each term q^e with no sum.
-The brute-force scans and mperm's kernel reach a word more than once:
-they hand over q-monomials (obj, e), filed by `file_monomial`, and
-`from_monomials` sums q^e over them.  Either way q^e is the shared X^e
-of `qpoly.X_POWERS`, or qval**e when specialized.  Only this module and
-`qpoly` branch on qval.
+here write `.terms` or `.unit` (`tests/test_layering.py`).  The
+product kernels of st, pqsym and mperm and their brute-force scans each
+reach an output object of one basis pair and kind once, so all of them
+hand their result over in one format, {kind: {obj: e}}, and
+`kind_products` makes each term q^e with no sum: the shared X^e of
+`qpoly.X_POWERS`, or qval**e when specialized.  It is the one place
+where kernel exponents become coefficients (the tree products recurse
+through `Element.sum`).  Only this module and `qpoly` branch on qval.
 """
 
 from __future__ import annotations
@@ -107,31 +107,14 @@ def _nonzero(raw: dict) -> dict:
     return raw if all(raw.values()) else {k: c for k, c in raw.items() if c}
 
 
-def _monomial_terms(monomials, qval: int | None) -> dict:
-    """Count (key, e) monomials into key -> coefficient: the sum of q^e
-    at q = X, a key filed once holding the shared X^e itself, or the sum
-    of qval**e when specialized.  Keys whose sum vanishes (only under a
-    specialization) are dropped."""
-    raw: dict = {}
-    get = raw.get
-    if qval is not None:
-        for k, e in monomials:
-            raw[k] = get(k, 0) + qval**e
-        return _nonzero(raw)
-    xp = X_POWERS
-    for k, e in monomials:
-        c = get(k)
-        raw[k] = xp[e] if c is None else c + xp[e]
-    return raw
-
-
 def kind_products(family: str, exponents: dict, qval: int | None) -> dict:
-    """The four products of one basis pair, kind -> Element, from
-    exponents, which maps each kind to {obj: e}: q^e * obj under STAR,
-    LEFT and RIGHT, q^(e - 1) * obj under MIDDLE (STAR = < + q. + >).
-    Within a kind every obj comes once, so nothing is summed: each term
-    is q^e itself, the shared X^e or qval**e, and only a specialization
-    can drop one (q = 0)."""
+    """The products of one basis pair, kind -> Element, from exponents,
+    which maps each kind to {obj: e}, e the overlap: q^e * obj under
+    STAR, LEFT and RIGHT, q^(e - 1) * obj under MIDDLE (STAR = < + q. +
+    >).  The hand-over format of the st, pqsym and mperm kernels and
+    scans: within a kind every obj comes once, so nothing is summed.
+    Each term is q^e itself, the shared X^e or qval**e, and only a
+    specialization can drop one (q = 0)."""
     out, xp = {}, X_POWERS
     for kind, exps in exponents.items():
         s = kind == MIDDLE
@@ -141,15 +124,6 @@ def kind_products(family: str, exponents: dict, qval: int | None) -> dict:
             terms = _nonzero({o: qval ** (e - s) for o, e in exps.items()})
         out[kind] = _element(family, terms)
     return out
-
-
-def file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
-    """File q^e * obj of the total product under STAR and under its kind,
-    one q less in the middle (STAR = < + q. + >); outside the middle both
-    lists share one monomial."""
-    mono = (obj, e)
-    monomials[kind].append((obj, e - 1) if kind == MIDDLE else mono)
-    monomials[STAR].append(mono)
 
 
 def sum_terms(parts) -> dict:
@@ -233,11 +207,6 @@ class Element:
     @classmethod
     def zero(cls, family: str) -> "Element":
         return _element(family, {})
-
-    @classmethod
-    def from_monomials(cls, family: str, monomials, qval: int | None = None) -> "Element":
-        """Sum of q^e * obj over (obj, e) in monomials; q = qval unless None."""
-        return _element(family, _monomial_terms(monomials, qval))
 
     @classmethod
     def sum(cls, family: str, parts) -> "Element":
@@ -361,22 +330,13 @@ class Tensor2:
         self.terms = {k: index(c) for k, c in (terms or {}).items() if c}
 
     @classmethod
-    def from_monomials(cls, family: str, monomials, qval: int | None = None) -> "Tensor2":
-        """Sum of q^e * (l (x) r) over ((l, r), e) in monomials; q = qval unless None."""
-        return _tensor(family, _monomial_terms(monomials, qval))
-
-    @classmethod
     def sum(cls, family: str, parts) -> "Tensor2":
-        """The sum of scale * part over parts (part, scale): part is a
-        Tensor2 of family or a pair (a, b) standing for a (x) b, with a, b
-        Elements of family or UNIT; scale is an int.  Always a new Tensor2."""
+        """The sum of scale * t over parts (t, scale), t a Tensor2 of
+        family and scale anything `index` takes; always a new Tensor2."""
         raw: dict = {}
-        for part, s in parts:
-            if isinstance(part, Tensor2):
-                _same_family(family, part.family)
-                file_terms(raw, part.terms.items(), index(s))
-            else:
-                file_tensor(raw, family, *part, index(s))
+        for t, s in parts:
+            _same_family(family, t.family)
+            file_terms(raw, t.terms.items(), index(s))
         return filed_tensor(family, raw)
 
     def is_zero(self) -> bool:

@@ -35,7 +35,12 @@ and W has size n+m-1.
 The brute-force route `_scan_mperms` enumerates every W of both sizes
 and files it under the pair (B, D) its two restrictions give; the
 per-pair oracle reads its pair's bucket of the same scan.  Both routes
-file (W, r+s-l) q-monomials, which `Element.from_monomials` weighs.
+hand over {W: r+s-l} per kind, which `linear.kind_products` weighs by
+q^(r+s-l) without a sum, as each W comes once.  A bucket (B, D) meets W
+at the one n = size(B), and the window is fixed by the size of W.  In
+the optimized route (A, V) -> W is injective: A is the set of values
+whose blocks of W meet [n], V the set of those that meet the shifted D,
+and the size of W tells which shift was used.
 
 The coproduct splits the block sequence at every position and applies
 std_m to both sides, each split a distinct term of coefficient 1.  The
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
+from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, kind_products
 from .memo import Memo, enumeration
 from .st import _value_sets
 from .words import run_compress, std, surjections
@@ -146,13 +151,15 @@ def _kind_of(last: frozenset, left_set: frozenset, window: frozenset) -> str:
 @Memo
 def _pair_cache(B: MPerm, D: MPerm, qval: int | None) -> dict:
     """All four products of B and D, their blocks laid on st's value sets
-    as the module docstring describes."""
+    as the module docstring describes, from {W: overlap} under STAR and
+    under the kind; (A, V) -> W is injective, so each W comes once."""
     n, blocks = mperm_size(B), len(B) + len(D)
     jn = next(j for j, b in enumerate(B) if n in b)
     j1 = next(j for j, d in enumerate(D) if 1 in d)
     # D shifted by n, and by n-1 for when its block at 1 joins B's at n
     by_n, by_n1 = (tuple(frozenset(v + k for v in d) for d in D) for k in (n, n - 1))
-    monos = {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
+    exps = {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}}
+    star = exps[STAR]
     for A, V, kind, overlap in _value_sets(len(B), len(D)):
         w = [None] * (blocks - overlap)
         for v, b in zip(A, B):
@@ -160,8 +167,9 @@ def _pair_cache(B: MPerm, D: MPerm, qval: int | None) -> dict:
         for v, d in zip(V, by_n1 if A[jn] == V[j1] else by_n):
             b = w[v - 1]
             w[v - 1] = d if b is None else b | d
-        file_monomial(monos, kind, tuple(w), overlap)
-    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
+        w = tuple(w)
+        exps[kind][w] = star[w] = overlap
+    return kind_products(FAMILY, exps, qval)
 
 
 def mperm_product(kind: str, B: MPerm, D: MPerm, qval: int | None = None) -> Element:
@@ -173,9 +181,11 @@ def _scan_mperms(total: int) -> dict:
     total (window [n+1, total]) and of size total-1 (window [n, total-1]).
     For each n, W is filed under (B, D) = (W restricted to [n], std_m of W
     restricted to the window) when D keeps all total-n window values, so
-    the result maps every pair with size(B) + size(D) = total to the
-    monomial lists of its four products."""
-    buckets = defaultdict(lambda: {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []})
+    the result maps every pair with size(B) + size(D) = total to {W:
+    len(B) + len(D) - len(W)} under STAR and under each kind, the format
+    of `kind_products`.  A bucket meets W only at n = size(B), so each W
+    comes once."""
+    buckets = defaultdict(lambda: {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}})
     for size, shift in ((total, 0), (total - 1, 1)):
         for w in mpermutations(size):
             l = len(w)
@@ -187,15 +197,15 @@ def _scan_mperms(total: int) -> dict:
                 left_set = frozenset(range(1, n + 1))
                 B = restrict_blocks(w, left_set)
                 kind = _kind_of(w[-1], left_set, window)
-                file_monomial(buckets[(B, D)], kind, w, len(B) + len(D) - l)
+                exps = buckets[B, D]
+                exps[kind][w] = exps[STAR][w] = len(B) + len(D) - l
     return buckets
 
 
 def mperm_product_oracle(B: MPerm, D: MPerm, qval: int | None = None) -> dict:
     """All four products of B and D, read off the brute-force scan of every
     multipermutation of both target sizes."""
-    monos = _scan_mperms(mperm_size(B) + mperm_size(D))[B, D]
-    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
+    return kind_products(FAMILY, _scan_mperms(mperm_size(B) + mperm_size(D))[B, D], qval)
 
 
 @Memo

@@ -20,8 +20,9 @@ and tests that h k parks by comparing prefix counts: for every i,
 distinct words, so each h k comes once: the route collects {h k:
 overlap} per kind and `linear.kind_products` weighs it without a sum.
 The brute-force route is `st._scan_words` with park in place of std,
-over every parking function of length n+m, filing q-monomials; the
-per-pair oracle reads its pair's bucket.
+over every parking function of length n+m; it hands over {word:
+overlap} per kind too, as a bucket meets each word at one split, and
+the per-pair oracle reads its pair's bucket.
 
 The coproduct admits at most one cut per j: take P = positions of letters
 <= j; the term f|_P (x) (f|_{P^c} - j) survives iff |P| = j and both
@@ -112,8 +113,7 @@ def pf_product(kind: str, f: Word, g: Word, qval: int | None = None) -> Element:
 def pf_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
     """All four products of f and g, read off the brute-force scan of every
     parking function of length n+m."""
-    monos = _scan_words(len(f) + len(g), parking_functions, park)[f, g]
-    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
+    return kind_products(FAMILY, scan(len(f) + len(g))[f, g], qval)
 
 
 @Memo
@@ -147,14 +147,8 @@ def alpha(f: Word) -> Element:
     """
     if not is_surjection(f):
         raise ValueError(f"alpha needs a surjective word, got {render_word(f)}")
-    n = len(f)
-    r = max(f)
-    terms = []
-    for vals in combinations(range(1, n + 1), r):
-        h = tuple(vals[x - 1] for x in f)
-        if is_parking(h):
-            terms.append((h, 0))
-    return Element.from_monomials(FAMILY, terms)
+    hs = (tuple(vals[x - 1] for x in f) for vals in combinations(range(1, len(f) + 1), max(f)))
+    return Element(FAMILY, {h: 1 for h in hs if is_parking(h)})
 
 
 def iota(f: Word) -> Element:

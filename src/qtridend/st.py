@@ -21,11 +21,10 @@ The brute-force route `_scan_words` enumerates every word of length n+m
 and files each split h k under (std(h), std(k)), standardizing each
 distinct subword once; with park in place of std it is also the
 brute-force route for parking functions.  The per-pair oracle reads its
-pair's bucket of the same scan.  The scan reaches a word once per split,
-so it files (word, overlap) q-monomials, which `Element.from_monomials`
-sums; the optimized route reaches each h k once, as (A, B) -> h k is
-injective, so it collects {h k: overlap} per kind and
-`linear.kind_products` weighs each word by q^overlap without a sum.
+pair's bucket of the same scan.  Both routes hand over {word: overlap}
+per kind, which `linear.kind_products` weighs by q^overlap without a
+sum: a bucket (f, g) meets each word w at the one split len(f), and the
+optimized route reaches each h k once, as (A, B) -> h k is injective.
 
 The coproduct cuts the image at j: Delta(f) = sum over j = 0..max(f) of
 f|^{1..j} (x) std(f|^{j+1..max}), with co-restriction by letter values.
@@ -43,8 +42,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations
 
-from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
-from .linear import file_monomial, kind_products
+from .linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, kind_products
 from .memo import Memo
 from .words import Word, is_surjection, std, surjections
 
@@ -101,11 +99,13 @@ def _scan_words(total: int, enumerate_all, standardize) -> dict:
     """Brute-force route for words: one pass over every word w of the given
     length (surjections or parking functions).  Each split w = h k is filed
     under (standardize(h), standardize(k)) with its kind and overlap, so the
-    result maps every pair (f, g) with len(f) + len(g) = total to the
-    monomial lists of its four products.  A memo local to the call reads
-    each distinct subword u once, as (standardize(u), max(u), letter-set
-    bitmask); the overlap of a split is the popcount of the masks' meet."""
-    buckets = defaultdict(lambda: {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []})
+    result maps every pair (f, g) with len(f) + len(g) = total to
+    {w: overlap} under STAR and under each kind, the format of
+    `kind_products`.  A bucket meets w only at the split len(f), so each
+    word comes once.  A memo local to the call reads each distinct
+    subword u once, as (standardize(u), max(u), letter-set bitmask); the
+    overlap of a split is the popcount of the masks' meet."""
+    buckets = defaultdict(lambda: {LEFT: {}, MIDDLE: {}, RIGHT: {}, STAR: {}})
     seen: dict = {}
 
     def read(u: Word) -> tuple:
@@ -117,15 +117,15 @@ def _scan_words(total: int, enumerate_all, standardize) -> dict:
             h, k = w[:i], w[i:]
             fh, mh, bh = seen.get(h) or read(h)
             fk, mk, bk = seen.get(k) or read(k)
-            file_monomial(buckets[fh, fk], _word_kind(mh, mk), w, (bh & bk).bit_count())
+            exps = buckets[fh, fk]
+            exps[_word_kind(mh, mk)][w] = exps[STAR][w] = (bh & bk).bit_count()
     return buckets
 
 
 def st_product_oracle(f: Word, g: Word, qval: int | None = None) -> dict:
     """All four products of f and g, read off the brute-force scan of every
     surjective word of length n+m."""
-    monos = _scan_words(len(f) + len(g), surjections, std)[f, g]
-    return {kind: Element.from_monomials(FAMILY, ms, qval) for kind, ms in monos.items()}
+    return kind_products(FAMILY, scan(len(f) + len(g))[f, g], qval)
 
 
 @Memo

@@ -124,12 +124,6 @@ def ndpf(n: int) -> tuple[Word, ...]:
     )
 
 
-def corestrict(w: Word, values) -> Word:
-    """Subword of the letters whose value lies in `values` (order kept)."""
-    vs = set(values)
-    return tuple(v for v in w if v in vs)
-
-
 def run_compress(w: Word) -> Word:
     """Drop each letter equal to its left neighbour."""
     return tuple(v for i, v in enumerate(w) if i == 0 or w[i - 1] != v)

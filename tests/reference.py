@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from operator import itemgetter
 
 from qtridend.algebras import el_product, el_rtilde
 from qtridend.brace import _advance_legs, e_tri_basis
 from qtridend.grammar import _encoded_terms, _parse_term, parse_element, render_mperm, render_tree
-from qtridend.linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2, file_monomial
+from qtridend.linear import LEFT, MIDDLE, RIGHT, STAR, UNIT, Element, Tensor2
+from qtridend.mperm import mpermutations_filter
 from qtridend.qpoly import HALF, K, MASK, X, QPoly, decode
-from qtridend.st import _word_kind
-from qtridend.words import corestrict, is_parking, render_word, std
+from qtridend.st import _value_sets, _word_kind
+from qtridend.words import is_parking, render_word, std
 
 
 def parse_qpoly(text: str) -> QPoly:
@@ -42,13 +43,13 @@ def std_m_sequential(blocks) -> tuple:
 
 def mperm_coproduct_reference(B) -> Tensor2:
     """Every split of the blocks of B, both sides standardized by
-    `std_m_sequential`, the terms summed as monomials."""
+    `std_m_sequential`, the terms counted key by key."""
     l = len(B)
-    terms = [
-        ((UNIT if i == 0 else std_m_sequential(B[:i]), UNIT if i == l else std_m_sequential(B[i:])), 0)
+    keys = [
+        (UNIT if i == 0 else std_m_sequential(B[:i]), UNIT if i == l else std_m_sequential(B[i:]))
         for i in range(l + 1)
     ]
-    return Tensor2.from_monomials("mperm", terms)
+    return Tensor2("mperm", Counter(keys))
 
 
 def st_coproduct_reference(f) -> Tensor2:
@@ -56,12 +57,12 @@ def st_coproduct_reference(f) -> Tensor2:
     to j+1..max(f), and standardize the right factor; the left factor must
     already be standard."""
     r = max(f)
-    terms = [((UNIT, f), 0), ((f, UNIT), 0)]
+    keys = [(UNIT, f), (f, UNIT)]
     for j in range(1, r):
-        left = corestrict(f, range(1, j + 1))
+        left = tuple(v for v in f if v in range(1, j + 1))
         assert std(left) == left, (f, j)
-        terms.append(((left, std(corestrict(f, range(j + 1, r + 1)))), 0))
-    return Tensor2.from_monomials("st", terms)
+        keys.append((left, std(tuple(v for v in f if v in range(j + 1, r + 1)))))
+    return Tensor2("st", Counter(keys))
 
 
 def pf_coproduct_reference(f) -> Tensor2:
@@ -69,13 +70,33 @@ def pf_coproduct_reference(f) -> Tensor2:
     <= j against the rest shifted down by j, kept only when both factors
     pass `is_parking`."""
     n = len(f)
-    terms = [((UNIT, f), 0), ((f, UNIT), 0)]
+    keys = [(UNIT, f), (f, UNIT)]
     for j in range(1, n):
         left = tuple(x for x in f if x <= j)
         right = tuple(x - j for x in f if x > j)
         if len(left) == j and is_parking(left) and is_parking(right):
-            terms.append(((left, right), 0))
-    return Tensor2.from_monomials("pqsym", terms)
+            keys.append((left, right))
+    return Tensor2("pqsym", Counter(keys))
+
+
+def flatten_reference(t: Tensor2, side: str, coproduct) -> dict:
+    """(Delta (x) Id) t for side 'left', (Id (x) Delta) t for 'right', by
+    definition: each term c l (x) r expands one leg by its coproduct,
+    Delta(1) = 1 (x) 1, into a defaultdict of rank-3 keys; zero sums are
+    dropped at the end."""
+    out: defaultdict = defaultdict(int)
+    for (l, r), c in t.terms.items():
+        leg = l if side == "left" else r
+        delta = {(UNIT, UNIT): 1} if leg is UNIT else coproduct(leg).terms
+        for (u, v), cc in delta.items():
+            out[(u, v, r) if side == "left" else (l, u, v)] += c * cc
+    return {k: c for k, c in out.items() if c}
+
+
+def coassociative_reference(t: Tensor2, coproduct) -> bool:
+    """Whether (Delta (x) Id) t == (Id (x) Delta) t, both sides built by
+    `flatten_reference`."""
+    return flatten_reference(t, "left", coproduct) == flatten_reference(t, "right", coproduct)
 
 
 def image_overlap(h, k) -> int:
@@ -83,16 +104,80 @@ def image_overlap(h, k) -> int:
     return len(set(h) & set(k))
 
 
+def _monomial_lists() -> dict:
+    return {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []}
+
+
+def _file_monomial(monomials: dict, kind: str, obj, e: int) -> None:
+    """Append q^e * obj of the total product to the STAR list and to the
+    list of its kind, one q less in the middle (STAR = < + q. + >)."""
+    monomials[kind].append((obj, e - (kind == MIDDLE)))
+    monomials[STAR].append((obj, e))
+
+
+def exponent_dicts(monomials: dict) -> dict:
+    """Monomial lists of distinct objects in the format the package's
+    kernels hand to `kind_products`: {kind: {obj: overlap}}, the middle
+    exponent one higher again."""
+    return {kind: {o: e + (kind == MIDDLE) for o, e in ms} for kind, ms in monomials.items()}
+
+
 def scan_words_reference(total: int, enumerate_all, standardize) -> dict:
-    """`st._scan_words` without its subword memo: every split standardizes
-    both of its factors and measures their overlap afresh."""
-    buckets = defaultdict(lambda: {LEFT: [], MIDDLE: [], RIGHT: [], STAR: []})
+    """`st._scan_words` without its subword memo, filing q-monomials:
+    every split standardizes both of its factors and measures their
+    overlap afresh."""
+    buckets = defaultdict(_monomial_lists)
     for w in enumerate_all(total):
         for i in range(1, total):
             h, k = w[:i], w[i:]
             key = (standardize(h), standardize(k))
-            file_monomial(buckets[key], _word_kind(max(h), max(k)), w, image_overlap(h, k))
+            _file_monomial(buckets[key], _word_kind(max(h), max(k)), w, image_overlap(h, k))
     return buckets
+
+
+def _restrict(w, values) -> tuple:
+    return tuple(b & values for b in w if b & values)
+
+
+def scan_mperms_reference(total: int) -> dict:
+    """`mperm._scan_mperms` by definition, filing q-monomials: every W of
+    size total, and of size total - 1, from `mpermutations_filter`, goes
+    under (B, D) for each n, with B = W restricted to [n] and D the
+    `std_m_sequential` of W restricted to the window (the values above n,
+    and n itself when W has size total - 1), when D keeps all total - n
+    window values.  The kind is read off the last block of W."""
+    buckets = defaultdict(_monomial_lists)
+    for size in (total, total - 1):
+        for w in mpermutations_filter(size):
+            for n in range(1, total):
+                left = frozenset(range(1, n + 1))
+                window = frozenset(range(n + 1 - (total - size), size + 1))
+                D = std_m_sequential(_restrict(w, window))
+                if sum(map(len, D)) != total - n:
+                    continue
+                B = _restrict(w, left)
+                last = w[-1]
+                kind = MIDDLE if last & left and last & window else LEFT if last & left else RIGHT
+                _file_monomial(buckets[B, D], kind, w, len(B) + len(D) - len(w))
+    return buckets
+
+
+def mperm_route_reference(B, D) -> dict:
+    """mperm's value-set route, filing q-monomials: for each (A, V, kind,
+    overlap) of `st._value_sets`, the blocks of B go on the values in A,
+    those of D shifted by n = size(B) on the values in V, a shared value
+    holding the union, and `std_m_sequential` deletes n + 1 when it shares
+    a block with n."""
+    n = sum(map(len, B))
+    monomials = _monomial_lists()
+    for A, V, kind, overlap in _value_sets(len(B), len(D)):
+        blocks = [set() for _ in range(len(B) + len(D) - overlap)]
+        for v, b in zip(A, B):
+            blocks[v - 1] |= b
+        for v, d in zip(V, D):
+            blocks[v - 1] |= {x + n for x in d}
+        _file_monomial(monomials, kind, std_m_sequential(blocks), overlap)
+    return monomials
 
 
 def reconstruct_reference(h, x, qval=None) -> Element:

@@ -78,7 +78,8 @@ def test_constant_sums_settle_to_ints():
     assert type(el.unit) is int and el.unit == 3
     assert type(a.scale(QPoly({0: 3})).coeff((1,))) is int
     assert type((a.scale(q) - a.scale(q - 1)).coeff((1,))) is int
-    t = Tensor2.sum(F, [((a, a), QPoly({0: 1, 1: 1})), ((a, UNIT), 1), ((a, a), -q)])
+    aa, a1 = tensor_of(a, a), tensor_of(a, Element.unit_element(F))
+    t = Tensor2.sum(F, [(aa, QPoly({0: 1, 1: 1})), (a1, 1), (aa, -q)])
     assert all(type(c) is int for c in t.terms.values())
     assert type(parse_element(F, "2*(1) + 3").coeff((1,))) is int
     assert type(parse_tensor2(F, "2*(1) # (1)").terms[((1,), (1,))]) is int
@@ -108,7 +109,7 @@ def test_public_constructors_canonicalize():
     assert type(built.coeff((1,))) is int and type(built.unit) is int
     assert built.support() == {(1,), (2, 1)}
     t = Tensor2(F, {((1,), UNIT): QPoly({0: -1}), (UNIT, (1,)): 0})
-    assert t == Tensor2.sum(F, [((Element.basis(F, (1,)), UNIT), -1)])
+    assert t == Tensor2.sum(F, [(tensor_of(Element.basis(F, (1,)), Element.unit_element(F)), -1)])
     assert type(t.terms[((1,), UNIT)]) is int
 
 

@@ -24,10 +24,12 @@ from qtridend.linear import (
     filed_tensor,
     interior_items,
     is_coassociative,
+    kind_products,
     tensor_flatten,
     tensor_of,
 )
-from qtridend.qpoly import QPoly, q_power, to_pairs
+from qtridend.qpoly import X_POWERS, QPoly, q_power, to_pairs
+from reference import coassociative_reference
 
 Q = q_power(1, None)
 
@@ -69,19 +71,29 @@ def test_scale_and_eval_q():
     assert at2.coeff((1, 2)) == 1
 
 
-def test_from_monomials_drops_zeros():
-    monos = [((1,), 1), ((1, 2), 0), ((2, 1), 0), ((2, 1), 1), ((2, 1), 1)]
-    a = Element.from_monomials(F, monos)
-    assert a.coeff((2, 1)) == 1 + 2 * Q
-    # a positive exponent vanishes at q = 0
-    assert Element.from_monomials(F, monos, 0).support() == {(1, 2), (2, 1)}
-    # 1 + q cancels at q = -1
-    b = Element.from_monomials(F, [((1,), 0), ((1,), 1), ((1, 2), 1)], -1)
-    assert b.support() == {(1, 2)} and b.coeff((1, 2)) == -1
+def test_kind_products_weigh_each_object_once():
+    exps = {
+        LEFT: {(1,): 1, (1, 2): 0},
+        MIDDLE: {(2, 1): 1, (1, 1): 2},
+        RIGHT: {},
+        STAR: {(1,): 1, (1, 2): 0, (2, 1): 1, (1, 1): 2},
+    }
+    sym = kind_products(F, exps, None)
+    assert sym[LEFT] == Element(F, {(1,): Q, (1, 2): 1})
+    # the middle exponent is one lower: q^(overlap - 1)
+    assert sym[MIDDLE] == Element(F, {(2, 1): 1, (1, 1): Q})
+    assert sym[RIGHT].is_zero()
+    # each symbolic term is the shared X^e itself, not an equal copy
+    for kind, terms in exps.items():
+        for o, e in terms.items():
+            assert sym[kind].coeff(o) is X_POWERS[e - (kind == MIDDLE)], (kind, o)
+    # q = 0 drops every term of positive exponent
+    zero = kind_products(F, exps, 0)
+    assert zero[LEFT].support() == zero[STAR].support() == {(1, 2)}
+    assert zero[MIDDLE] == Element.basis(F, (2, 1))
+    assert all(c for el in zero.values() for c in el.terms.values())
     for q in (-1, 0, 1, 5):
-        assert Element.from_monomials(F, monos, q) == a.eval_q(q)
-    t = Tensor2.from_monomials(F, [(((1,), UNIT), 0), (((1,), UNIT), 1), ((UNIT, (1,)), 0)], -1)
-    assert t == Tensor2(F, {(UNIT, (1,)): 1})
+        assert kind_products(F, exps, q) == {kind: el.eval_q(q) for kind, el in sym.items()}
 
 
 # kinds are extended bilinearly from this toy rule: every product of basis
@@ -317,7 +329,12 @@ def test_tensor_sum_is_the_fold_of_add_and_scale(parts, cancel):
     fold = Tensor2(F)
     for p, s in parts:
         fold = fold + (p if isinstance(p, Tensor2) else _outer(*p)).scale(s)
-    got = Tensor2.sum(F, parts)
+    # a pair (a, b) enters the sum as a (x) b, built by file_tensor
+    tensors = [
+        (p if isinstance(p, Tensor2) else filed_tensor(F, file_tensor({}, F, *p)), s)
+        for p, s in parts
+    ]
+    got = Tensor2.sum(F, tensors)
     assert got == fold
     raw: dict = {}
     for p, s in parts:
@@ -334,7 +351,7 @@ def test_sums_reject_a_foreign_family():
     with pytest.raises(ValueError):
         Element.sum(F, [(Element.basis("tree", ((), ())), 1)])
     with pytest.raises(ValueError):
-        Tensor2.sum(F, [((Element.basis("tree", ((), ())), UNIT), 1)])
+        Tensor2.sum(F, [(tensor_of(*[Element.basis("tree", ((), ()))] * 2), 1)])
     for legs in ((Element.basis("tree", ((), ())), UNIT), (UNIT, Element.basis("tree", ((), ())))):
         with pytest.raises(ValueError, match="family mismatch"):
             file_tensor({}, F, *legs)
@@ -364,12 +381,9 @@ def _dropping(h, x, cut):
     return lambda o: bad if o == x else h.coproduct(o)
 
 
-def _sides_agree(t, cop) -> bool:
-    return tensor_flatten(t, "left", cop) == tensor_flatten(t, "right", cop)
-
-
 @pytest.mark.parametrize("name", ["st", "pqsym"])
 def test_one_pass_coassociativity_agrees_with_the_flattened_sides(name):
+    # the flattened sides are built by the reference, not by tensor_flatten
     # dropping one of the cuts of Delta(x) breaks coassociativity exactly
     # when another cut is left: with none, Delta(x) = 1 (x) x + x (x) 1 is
     # coassociative again
@@ -378,12 +392,12 @@ def test_one_pass_coassociativity_agrees_with_the_flattened_sides(name):
     faults = 0
     for n in range(1, 6):
         for x in h.basis(n):
-            assert is_coassociative(cop(x), cop) and _sides_agree(cop(x), cop), x
+            assert is_coassociative(cop(x), cop) and coassociative_reference(cop(x), cop), x
             cuts = list(cop(x).interior().terms)
             for cut in cuts:
                 bad = _dropping(h, x, cut)
                 holds = is_coassociative(bad(x), bad)
-                assert holds == _sides_agree(bad(x), bad) == (len(cuts) == 1), (x, cut)
+                assert holds == coassociative_reference(bad(x), bad) == (len(cuts) == 1), (x, cut)
                 faults += not holds
     assert faults > 1000
 
@@ -398,4 +412,4 @@ def test_coassociativity_sees_a_dropped_or_doubled_cut():
     # coefficients other than 1, and a unit leg inside a tensor
     assert is_coassociative(h.coproduct(x).scale(3), h.coproduct)
     t = tensor_of(el((1,)) + Element.unit_element(F), el((1, 2)).scale(2))
-    assert not is_coassociative(t, h.coproduct) and not _sides_agree(t, h.coproduct)
+    assert not is_coassociative(t, h.coproduct) and not coassociative_reference(t, h.coproduct)

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st_
 
 from qtridend.words import (
-    corestrict,
     is_parking,
     is_surjection,
     ndpf,
@@ -107,12 +106,6 @@ def test_parking_functions_by_prefix_growth_match_the_filter():
     # (n+1)^(n-1) parking functions; n = 7 bypasses the lru_cache
     for n in range(1, 8):
         assert len(parking_functions.__wrapped__(n)) == (n + 1) ** (n - 1)
-
-
-def test_restrict_corestrict():
-    f = (2, 1, 3, 5, 3, 4, 4, 1)
-    assert corestrict(f, {1, 2}) == (2, 1, 1)
-    assert corestrict(f, range(1, 6)) == f
 
 
 def test_misc_helpers():
